@@ -1,7 +1,6 @@
 //! Compiled-backend benchmark: times the table-1 hot loop (one full
 //! monitored LMS simulation) interpreted vs. replayed from the lowered op
-//! tape vs. batched over 8 scenario lanes, then writes the result to
-//! `BENCH_compile.json`.
+//! tape, then writes the result to `BENCH_compile.json`.
 //!
 //! ```text
 //! cargo run --release -p fixref-bench --bin compile -- [--samples N] [--repeats N] [--json]
@@ -11,7 +10,7 @@
 //! time wins). `--json` prints the JSON document to stdout instead of the
 //! human summary (the file is written either way).
 //!
-//! Exits non-zero if the replays diverge from the interpreter or the
+//! Exits non-zero if the replay diverges from the interpreter or the
 //! compiled speedup falls below the 5x floor.
 
 use fixref_bench::{run_compile_bench, write_bench_json, LMS_SAMPLES};
@@ -55,18 +54,11 @@ fn main() {
             result.interpreted_ns as f64 / 1e6,
             result.steady_speedup
         );
-        println!(
-            "batched ({} lanes): {:.2} ms/pass = {:.3} ms/lane   speedup {:.1}x",
-            result.batched_lanes,
-            result.batched_ns as f64 / 1e6,
-            result.batched_ns_per_lane as f64 / 1e6,
-            result.batched_speedup
-        );
         println!("outcomes match: {}", result.outcomes_match);
     }
 
     if !result.outcomes_match {
-        eprintln!("error: compiled/batched replays diverge from the interpreter");
+        eprintln!("error: the compiled replay diverges from the interpreter");
         std::process::exit(1);
     }
     if result.first_iteration_speedup < 5.0 {

@@ -1,19 +1,18 @@
 //! Incremental evaluation-cache benchmark behind
 //! `cargo run -p fixref-bench --bin cache` (`BENCH_cache.json`).
 //!
-//! Two measurements on the Fig. 1 LMS equalizer (which declares a static
-//! schedule, so every cache plan is reachable):
+//! Two measurements on the Fig. 1 LMS equalizer:
 //!
 //! * **driver level** — one cold [`SequentialDriver`] simulation versus
 //!   one warm *replay* of the same iteration (nothing dirty: the cached
 //!   monitors are spliced back and the stimulus is skipped). This is the
 //!   per-iteration saving the cache offers a refinement loop whenever an
-//!   iteration changes no annotations — e.g. the verification re-run.
+//!   iteration changes no annotations — e.g. the first LSB iteration.
 //! * **flow level** — the complete refinement flow (MSB + LSB + apply +
 //!   verify) with the cache off and on, checked to decide bit-identical
-//!   types. Most flow iterations *do* change annotations, so the
-//!   end-to-end saving is bounded by the dirty-cone sizes; the driver
-//!   numbers isolate the cache's ceiling.
+//!   types. Most flow iterations *do* change annotations and so run
+//!   cold; only the annotation-free ones (on LMS, the first LSB
+//!   iteration) replay. The driver numbers isolate the cache's ceiling.
 
 use std::sync::Arc;
 use std::time::Instant;

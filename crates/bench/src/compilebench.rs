@@ -3,7 +3,7 @@
 //!
 //! Measures the table-1 first-MSB-iteration hot loop — one full monitored
 //! simulation of the Fig. 1 LMS equalizer, exactly as the flow runs it
-//! (recorder attached, stimulus regenerated per run) — four ways:
+//! (recorder attached, stimulus regenerated per run) — three ways:
 //!
 //! * **first iteration** — interpreted with signal-flow-graph recording
 //!   on, which is what `record = iteration == 1` costs in the flow: every
@@ -14,9 +14,7 @@
 //! * **compiled** — the captured execution trace lowered to a flat op
 //!   tape and replayed through [`Design::replay_compiled`]: one borrow
 //!   for the whole run, no stimulus regeneration, monitors folded through
-//!   a buffered sink;
-//! * **batched** — [`replay_compiled_batch`] driving [`BATCH_LANES`]
-//!   identical scenario lanes through one pass.
+//!   a buffered sink.
 //!
 //! The headline `first_iteration_speedup` compares the compiled replay
 //! against the first-iteration cost it displaces whenever the same
@@ -39,12 +37,9 @@ use fixref_dsp::lms::equalizer_stimulus;
 use fixref_dsp::{LmsConfig, LmsEqualizer};
 use fixref_obs::json::fmt_f64;
 use fixref_obs::DefaultRecorder;
-use fixref_sim::{replay_compiled_batch, BoundTrace, CompiledProgram, Design, SignalStats};
+use fixref_sim::{BoundTrace, CompiledProgram, Design, SignalStats};
 
 use crate::{lms_setup, LMS_SNR_DB};
-
-/// Scenario lanes the batched measurement drives per pass.
-pub const BATCH_LANES: usize = 8;
 
 /// Outcome of the compiled-backend benchmark.
 #[derive(Debug, Clone)]
@@ -65,23 +60,14 @@ pub struct CompileBenchResult {
     pub first_iteration_speedup: f64,
     /// `interpreted_ns / compiled_ns` — the conservative comparison.
     pub steady_speedup: f64,
-    /// Best wall time of one batched pass over [`BATCH_LANES`] lanes,
-    /// nanoseconds.
-    pub batched_ns: u128,
-    /// `batched_ns / BATCH_LANES` — the per-lane cost of the batch.
-    pub batched_ns_per_lane: u128,
-    /// `interpreted_ns / batched_ns_per_lane`.
-    pub batched_speedup: f64,
-    /// Lanes per batched pass.
-    pub batched_lanes: usize,
     /// Cycles every variant simulated (they must agree).
     pub cycles: u64,
     /// Deduplicated cycle kinds of the lowered program.
     pub program_kinds: usize,
     /// Total instructions across the program's kinds.
     pub program_instructions: usize,
-    /// Whether the compiled and batched replays reproduced the
-    /// interpreted run's exported statistics bit-identically.
+    /// Whether the compiled replay reproduced the interpreted run's
+    /// exported statistics bit-identically.
     pub outcomes_match: bool,
 }
 
@@ -108,16 +94,6 @@ impl CompileBenchResult {
             "  \"steady_speedup\": {},\n",
             fmt_f64(self.steady_speedup)
         ));
-        out.push_str(&format!("  \"batched_ns\": {},\n", self.batched_ns));
-        out.push_str(&format!(
-            "  \"batched_ns_per_lane\": {},\n",
-            self.batched_ns_per_lane
-        ));
-        out.push_str(&format!(
-            "  \"batched_speedup\": {},\n",
-            fmt_f64(self.batched_speedup)
-        ));
-        out.push_str(&format!("  \"batched_lanes\": {},\n", self.batched_lanes));
         out.push_str(&format!("  \"cycles\": {},\n", self.cycles));
         out.push_str(&format!("  \"program_kinds\": {},\n", self.program_kinds));
         out.push_str(&format!(
@@ -213,31 +189,13 @@ pub fn run_compile_bench(samples: usize, repeats: usize) -> CompileBenchResult {
     let (replay_stats, replay_cycles) = run_and_export(design, || {
         design.replay_compiled(&lane.program, &lane.trace);
     });
-    let mut outcomes_match = interp_stats == replay_stats && interp_cycles == replay_cycles;
+    let outcomes_match = interp_stats == replay_stats && interp_cycles == replay_cycles;
 
-    // Batched lanes: identical designs (same seed, same scenario) so the
-    // grouped tape is shared and every lane must reproduce the reference.
-    let batch: Vec<Lane> = (0..BATCH_LANES).map(|_| build_lane(samples)).collect();
-    {
-        for b in &batch {
-            b.design.reset_stats();
-            b.design.reset_state();
-        }
-        let lanes: Vec<(&Design, &BoundTrace)> =
-            batch.iter().map(|b| (&b.design, &b.trace)).collect();
-        replay_compiled_batch(&batch[0].program, &lanes);
-        for b in &batch {
-            outcomes_match &=
-                b.design.export_stats() == interp_stats && b.design.cycle() == interp_cycles;
-        }
-    }
-
-    // Interleaved timing: first-iteration, interpreted, compiled, batched
+    // Interleaved timing: first-iteration, interpreted and compiled
     // within each repeat; best of N.
     let mut first_iteration_ns = u128::MAX;
     let mut interpreted_ns = u128::MAX;
     let mut compiled_ns = u128::MAX;
-    let mut batched_ns = u128::MAX;
     for _ in 0..repeats {
         design.reset_stats();
         design.reset_state();
@@ -259,19 +217,8 @@ pub fn run_compile_bench(samples: usize, repeats: usize) -> CompileBenchResult {
         let start = Instant::now();
         design.replay_compiled(&lane.program, &lane.trace);
         compiled_ns = compiled_ns.min(start.elapsed().as_nanos());
-
-        for b in &batch {
-            b.design.reset_stats();
-            b.design.reset_state();
-        }
-        let lanes: Vec<(&Design, &BoundTrace)> =
-            batch.iter().map(|b| (&b.design, &b.trace)).collect();
-        let start = Instant::now();
-        replay_compiled_batch(&batch[0].program, &lanes);
-        batched_ns = batched_ns.min(start.elapsed().as_nanos());
     }
 
-    let batched_ns_per_lane = batched_ns / BATCH_LANES as u128;
     CompileBenchResult {
         samples,
         repeats,
@@ -280,10 +227,6 @@ pub fn run_compile_bench(samples: usize, repeats: usize) -> CompileBenchResult {
         compiled_ns,
         first_iteration_speedup: first_iteration_ns as f64 / compiled_ns.max(1) as f64,
         steady_speedup: interpreted_ns as f64 / compiled_ns.max(1) as f64,
-        batched_ns,
-        batched_ns_per_lane,
-        batched_speedup: interpreted_ns as f64 / batched_ns_per_lane.max(1) as f64,
-        batched_lanes: BATCH_LANES,
         cycles: interp_cycles,
         program_kinds: lane.program.kinds.len(),
         program_instructions: lane.program.instruction_count(),
@@ -300,7 +243,7 @@ mod tests {
         let result = run_compile_bench(600, 1);
         assert!(
             result.outcomes_match,
-            "compiled/batched replays diverged from the interpreter"
+            "the compiled replay diverged from the interpreter"
         );
         assert!(result.program_kinds >= 1);
         assert!(result.program_instructions > 0);

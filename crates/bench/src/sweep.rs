@@ -125,7 +125,7 @@ pub fn run_table1_swept(
         workers,
         lms_shard_builder(LmsConfig::default()),
     );
-    let (history, interventions) = flow.run_msb_swept(&mut driver)?;
+    let (history, interventions) = flow.run_msb_with(&mut driver)?;
     let report = MetricsReport::from_recorder("table1", flow.recorder());
     Ok((
         history,
@@ -150,7 +150,7 @@ pub fn run_table2_swept(
     let (design, _eq) = lms_setup(&config);
     let mut flow = RefinementFlow::new(design, RefinePolicy::default());
     let mut driver = SweepDriver::new(scenarios.clone(), workers, lms_shard_builder(config));
-    let (history, _) = flow.run_lsb_swept(&mut driver)?;
+    let (history, _) = flow.run_lsb_with(&mut driver)?;
     let report = MetricsReport::from_recorder("table2", flow.recorder());
     Ok((history, report))
 }
@@ -244,7 +244,7 @@ impl SweepBenchResult {
     }
 }
 
-/// Runs the MSB refinement of `run_msb_swept` over `set` and returns the
+/// Runs the MSB refinement of `run_msb_with` over `set` and returns the
 /// final rendered MSB table, the iteration count, the per-shard rows of
 /// the last iteration, and the wall time.
 fn timed_msb_sweep(
@@ -259,7 +259,7 @@ fn timed_msb_sweep(
         lms_shard_builder(LmsConfig::default()),
     );
     let start = Instant::now();
-    let (history, _interventions) = flow.run_msb_swept(&mut driver)?;
+    let (history, _interventions) = flow.run_msb_with(&mut driver)?;
     let wall_ns = start.elapsed().as_nanos();
     let table = history
         .last()

@@ -1,55 +1,38 @@
 //! Incremental evaluation cache for refinement iterations.
 //!
 //! Every refinement iteration of [`RefinementFlow`](crate::RefinementFlow)
-//! re-simulates the whole design, yet most iterations change only a
-//! handful of annotations (one `range()` pin, one `error()` injection).
-//! The cache exploits that: the [`Design`] tracks which signals' behavior
-//! an annotation change may have altered (its *dirty set*), and before
-//! each simulation the driver builds a [`CachePlan`]:
+//! re-simulates the whole design, yet some iterations change no
+//! annotation at all (the first LSB iteration runs under exactly the
+//! annotations the converged MSB phase left). The cache exploits that: the
+//! [`Design`] tracks which signals' behavior an annotation change may
+//! have altered (its *dirty set*), and before each simulation the driver
+//! builds a [`CachePlan`]:
 //!
 //! * **Replay** — nothing is dirty: the previous run would repeat
 //!   bit-identically (all stimuli are functions of the iteration-stable
 //!   scenario, and the error-injection RNG restarts from the design seed
 //!   on every `reset_state`), so the cached monitors are spliced back and
 //!   the stimulus is skipped entirely. This is always sound.
-//! * **Partial** — some signals are dirty and the design has declared a
-//!   *static schedule* ([`Design::declare_static_schedule`]): the dirty
-//!   fan-out cone is computed from the recorded signal-flow graph
-//!   ([`Graph::affected_cone`](fixref_sim::Graph::affected_cone)); cone
-//!   signals simulate live while the clean remainder runs *passive*
-//!   (values, quantization and RNG draws still execute — so live signals
-//!   see bit-identical inputs — but the clean signals' own monitors are
-//!   skipped and their cached statistics spliced back afterwards).
-//! * **Cold** — no usable cache: a graph recording was requested, the
-//!   cache is empty, the design has no recorded graph, or dirty signals
-//!   exist without a static-schedule declaration (data-dependent control
-//!   flow makes dataflow cones unsound — the timing-recovery loop's
-//!   strobe is the canonical example).
+//! * **Cold** — everything else: a graph recording was requested, the
+//!   cache is empty, or some annotation changed.
 //!
 //! Invalidation granularity: `range()`/`dtype` changes dirty one signal;
 //! `error()` sigma changes dirty *all* signals, because error injection
 //! consumes a design-wide shared RNG stream — inserting draws shifts
-//! every subsequent draw.
-
-use std::collections::HashSet;
+//! every subsequent draw. Either way a dirty set forces a cold run; its
+//! size is journaled as [`Event::CacheInvalidated`].
 
 use fixref_obs::{Event, Recorder};
-use fixref_sim::{Design, OverflowEvent, SignalId, SignalStats};
+use fixref_sim::{Design, OverflowEvent, SignalStats};
 
 /// How the next simulation may reuse cached monitors.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CachePlan {
     /// Run everything live.
     Cold,
     /// Nothing is dirty: splice every cached monitor and skip the
     /// stimulus.
     Replay,
-    /// Re-simulate with the listed clean signals passive and splice
-    /// their cached monitors afterwards.
-    Partial {
-        /// Signals outside the dirty fan-out cone.
-        clean: Vec<SignalId>,
-    },
 }
 
 /// Decides how a simulation over `design` may reuse a warm cache, and
@@ -70,41 +53,10 @@ pub(crate) fn plan_for(
             dirty: dirty.len(),
         });
     }
-    if record_graph || !warm {
-        return CachePlan::Cold;
-    }
-    if dirty.is_empty() {
-        return CachePlan::Replay;
-    }
-    let graph = design.graph();
-    if graph.is_empty() || !design.has_static_schedule() {
-        return CachePlan::Cold;
-    }
-    // The Partial plan trusts the declared static schedule to make
-    // dataflow cones sound. Verify the declaration against the recorded
-    // run before trusting it: a strobe or data-dependent definition means
-    // the cone under-approximates what the dirty annotations can reach,
-    // so the only sound downgrade is a full live run. (Not Replay — with
-    // dirty signals a replay would splice stale monitors.)
-    let violations = fixref_lint::check_static_schedule(design);
-    if !violations.is_empty() {
-        recorder.record_event(Event::LintGateFailed {
-            context: "cache.partial".into(),
-            code: "FXL001".into(),
-            findings: violations.len(),
-        });
-        recorder.inc("lint.cache_gate_failures", 1);
-        return CachePlan::Cold;
-    }
-    let cone: HashSet<SignalId> = graph.affected_cone(&dirty).into_iter().collect();
-    let clean: Vec<SignalId> = (0..design.num_signals() as u32)
-        .map(SignalId::from_raw)
-        .filter(|s| !cone.contains(s))
-        .collect();
-    if clean.is_empty() {
-        CachePlan::Cold
+    if warm && !record_graph && dirty.is_empty() {
+        CachePlan::Replay
     } else {
-        CachePlan::Partial { clean }
+        CachePlan::Cold
     }
 }
 
@@ -170,34 +122,6 @@ impl EvalCache {
         self.cycles
     }
 
-    /// Splices the cached monitors of the `clean` signals into the design
-    /// after a partial (passive) run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache is cold or was stored from a different design.
-    pub fn splice_clean(&self, design: &Design, clean: &[SignalId]) {
-        let names: HashSet<String> = clean.iter().map(|s| design.name_of(*s)).collect();
-        let stats: Vec<SignalStats> = self
-            .stats
-            .as_ref()
-            .expect("partial splice requires a warm cache")
-            .iter()
-            .filter(|s| names.contains(&s.name))
-            .cloned()
-            .collect();
-        design
-            .splice_stats(&stats)
-            .expect("cached stats were exported from this design");
-        let events: Vec<OverflowEvent> = self
-            .overflow_events
-            .iter()
-            .filter(|e| names.contains(&e.name))
-            .cloned()
-            .collect();
-        design.splice_overflow_events(events);
-    }
-
     /// Exports the cached monitors for checkpointing:
     /// `(stats, overflow_events, cycles)`, or `None` when the cache is
     /// cold. Pair with [`EvalCache::restore`].
@@ -242,7 +166,6 @@ impl EvalCache {
 mod tests {
     use super::*;
     use fixref_obs::DefaultRecorder;
-    use fixref_sim::SignalRef;
 
     fn tiny_design() -> Design {
         let d = Design::with_seed(7);
@@ -280,7 +203,7 @@ mod tests {
     }
 
     #[test]
-    fn annotation_dirt_plans_partial_under_a_static_schedule() {
+    fn annotation_dirt_plans_cold_even_under_a_static_schedule() {
         let d = tiny_design();
         let rec = DefaultRecorder::new();
         let mut cache = EvalCache::new();
@@ -288,89 +211,15 @@ mod tests {
         drive(&d);
         cache.store(&d);
 
-        let y = d.find("y").unwrap();
-        d.set_range(y, -1.0, 1.0);
-        match cache.plan(&d, false, &rec) {
-            CachePlan::Partial { clean } => {
-                // x is outside y's fan-out cone.
-                assert_eq!(clean, vec![d.find("x").unwrap()]);
-            }
-            other => panic!("expected Partial, got {other:?}"),
-        }
+        // A warm cache with one dirty signal re-runs live: a stale
+        // monitor is never spliced, whatever the design declares.
+        d.set_range(d.find("y").unwrap(), -1.0, 1.0);
+        assert_eq!(cache.plan(&d, false, &rec), CachePlan::Cold);
         // The invalidation was journaled.
         assert!(rec
             .events()
             .iter()
             .any(|e| matches!(e, Event::CacheInvalidated { dirty: 1, .. })));
-    }
-
-    #[test]
-    fn without_a_static_schedule_dirt_forces_a_cold_run() {
-        let d = Design::with_seed(7);
-        d.sig("x");
-        d.sig("y"); // no declare_static_schedule()
-        let rec = DefaultRecorder::new();
-        let mut cache = EvalCache::new();
-        let _ = cache.plan(&d, false, &rec);
-        drive(&d);
-        cache.store(&d);
-        d.set_range(d.find("y").unwrap(), -1.0, 1.0);
-        assert_eq!(cache.plan(&d, false, &rec), CachePlan::Cold);
-    }
-
-    #[test]
-    fn dirtying_an_upstream_signal_leaves_no_clean_remainder() {
-        let d = tiny_design();
-        let rec = DefaultRecorder::new();
-        let mut cache = EvalCache::new();
-        let _ = cache.plan(&d, false, &rec);
-        drive(&d);
-        cache.store(&d);
-        // x feeds y: the cone covers everything, so Partial degenerates
-        // to Cold.
-        d.set_range(d.find("x").unwrap(), -1.0, 1.0);
-        assert_eq!(cache.plan(&d, false, &rec), CachePlan::Cold);
-    }
-
-    #[test]
-    fn broken_schedule_declaration_downgrades_partial_to_cold() {
-        // The author declares a static schedule, but a strobe gates one
-        // signal at half rate: FXL001 refutes the declaration, so the
-        // Partial plan must not be trusted even though every structural
-        // precondition (warm cache, graph, declaration, clean remainder)
-        // holds.
-        let d = Design::with_seed(7);
-        let x = d.sig("x");
-        let xs = d.sig("xs");
-        let slow = d.sig("slow");
-        let other = d.sig("other");
-        d.declare_static_schedule();
-        let rec = DefaultRecorder::new();
-        let mut cache = EvalCache::new();
-        let _ = cache.plan(&d, false, &rec);
-        d.record_graph(true);
-        for i in 0..64 {
-            x.set((i as f64 * 0.3).sin());
-            xs.set(x.get() * 0.5);
-            if i % 2 == 0 {
-                slow.set(xs.get() + 1.0);
-            }
-            other.set(x.get() * 2.0);
-            d.tick();
-        }
-        d.record_graph(false);
-        cache.store(&d);
-
-        // Dirty a leaf signal: `other` has a clean remainder, so absent
-        // the lint gate this would plan Partial.
-        d.set_range(other.id(), -2.0, 2.0);
-        assert_eq!(cache.plan(&d, false, &rec), CachePlan::Cold);
-        assert!(rec.events().iter().any(|e| matches!(
-            e,
-            Event::LintGateFailed { context, code, findings }
-                if context == "cache.partial" && code == "FXL001" && *findings == 1
-        )));
-        assert_eq!(rec.counter("lint.cache_gate_failures"), 1);
     }
 
     #[test]

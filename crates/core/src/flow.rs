@@ -491,12 +491,12 @@ pub trait SimDriver {
 /// Which evaluation engine the closure-based drivers use for monitored
 /// simulations.
 ///
-/// Every backend is bit-identical to [`SimBackend::Interpreted`] — same
-/// statistics, overflow events and journal counters — or it is not used:
-/// a design whose first recorded iteration cannot be compiled (lint's
-/// FXL001 static-schedule verdict refuses it, lowering exceeds its
-/// budget, or the verification replay catches host control flow the tape
-/// cannot represent) falls back to the interpreter and journals
+/// Both backends are bit-identical — same statistics, overflow events
+/// and journal counters — or the compiled one is not used: a design
+/// whose first recorded iteration cannot be compiled (lint's FXL001
+/// static-schedule verdict refuses it, lowering exceeds its budget, or
+/// the verification replay catches host control flow the tape cannot
+/// represent) falls back to the interpreter and journals
 /// [`Event::BackendFallback`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SimBackend {
@@ -507,12 +507,9 @@ pub enum SimBackend {
     /// After the first recorded iteration, lower the captured execution
     /// trace to a flat op tape and replay that for subsequent
     /// iterations — no host-code walk, no per-assignment registry
-    /// lookups.
+    /// lookups. Scenario sweeps compile and replay one tape per
+    /// scenario.
     Compiled,
-    /// [`SimBackend::Compiled`], plus scenario sweeps batch same-shaped
-    /// scenario lanes through one structure-of-arrays pass. Sequential
-    /// (non-swept) runs treat this exactly like `Compiled`.
-    Batched,
 }
 
 impl SimBackend {
@@ -521,7 +518,6 @@ impl SimBackend {
         match self {
             SimBackend::Interpreted => "interpreted",
             SimBackend::Compiled => "compiled",
-            SimBackend::Batched => "batched",
         }
     }
 }
@@ -538,10 +534,7 @@ pub(crate) struct CompiledUnit {
 /// static-schedule verdict, the lowering budget, and the bitwise
 /// verification replay. `Ok` carries the unit; `Err` carries the
 /// human-readable fallback reason.
-pub(crate) fn compile_capture(
-    design: &Design,
-    trace: &fixref_sim::ExecTrace,
-) -> Result<CompiledUnit, String> {
+fn compile_capture(design: &Design, trace: &fixref_sim::ExecTrace) -> Result<CompiledUnit, String> {
     let violations = fixref_lint::check_static_schedule(design);
     if !violations.is_empty() {
         return Err(format!(
@@ -563,16 +556,64 @@ pub(crate) fn compile_capture(
     })
 }
 
+/// How one simulation of a design executes under the selected backend.
+#[derive(Clone, Copy)]
+pub(crate) enum Execution<'a> {
+    /// Run the stimulus.
+    Run,
+    /// Run the stimulus with a fresh signal-flow graph recorded.
+    Record,
+    /// [`Execution::Record`], capturing the execution and compiling the
+    /// capture.
+    Capture,
+    /// Replay an armed tape instead of running the stimulus.
+    Replay(&'a CompiledUnit),
+}
+
+/// Runs one simulation of `design` as `execution` asks — the backend
+/// wiring both drivers share. `stimulus` runs unless a tape replays.
+/// Returns the compile verdict of an [`Execution::Capture`] (`Err` holds
+/// the fallback reason), `None` otherwise.
+pub(crate) fn execute(
+    design: &Design,
+    execution: Execution<'_>,
+    stimulus: impl FnOnce(&Design),
+) -> Option<Result<CompiledUnit, String>> {
+    match execution {
+        Execution::Replay(unit) => {
+            design.replay_compiled(&unit.program, &unit.trace);
+            return None;
+        }
+        Execution::Run => {
+            stimulus(design);
+            return None;
+        }
+        Execution::Record | Execution::Capture => {}
+    }
+    let capture = matches!(execution, Execution::Capture);
+    design.clear_graph();
+    design.record_graph(true);
+    if capture {
+        design.begin_capture();
+    }
+    stimulus(design);
+    design.record_graph(false);
+    capture.then(|| {
+        let trace = design
+            .end_capture()
+            .expect("capture begun above is still active");
+        compile_capture(design, &trace)
+    })
+}
+
 /// The built-in driver: one sequential simulation of the flow's design,
 /// exactly as the paper's engine runs it.
 ///
 /// With [`SequentialDriver::with_cache`] the driver keeps an
 /// [`EvalCache`] across simulations: iterations whose annotations did
-/// not change replay the cached monitors without running the stimulus,
-/// and — on designs with a declared static schedule — iterations with a
-/// small dirty set re-simulate only the dirty fan-out cone (see
-/// [`crate::cache`] for the soundness argument). The refinement outcome
-/// is bit-identical either way.
+/// not change replay the cached monitors without running the stimulus
+/// (see [`crate::cache`] for the soundness argument). The refinement
+/// outcome is bit-identical either way.
 pub struct SequentialDriver<F> {
     sim: F,
     cache: Option<EvalCache>,
@@ -614,9 +655,7 @@ impl<F: FnMut(&Design, usize)> SequentialDriver<F> {
         }
     }
 
-    /// Selects the evaluation backend. [`SimBackend::Batched`] behaves
-    /// like [`SimBackend::Compiled`] on the sequential driver (there are
-    /// no scenario lanes to batch).
+    /// Selects the evaluation backend.
     pub fn set_backend(&mut self, backend: SimBackend) {
         self.backend = backend;
     }
@@ -640,38 +679,6 @@ impl<F: FnMut(&Design, usize)> SequentialDriver<F> {
                 reason: reason.to_string(),
             });
             recorder.inc("backend.fallbacks", 1);
-        }
-    }
-
-    /// Runs the record iteration interpreted while capturing an execution
-    /// trace, then tries to compile the capture for subsequent
-    /// iterations.
-    fn record_and_compile(
-        &mut self,
-        design: &Design,
-        recorder: &DefaultRecorder,
-        iteration: usize,
-    ) {
-        design.clear_graph();
-        design.record_graph(true);
-        design.begin_capture();
-        (self.sim)(design, iteration);
-        design.record_graph(false);
-        let trace = design
-            .end_capture()
-            .expect("capture begun by this driver is still active");
-        match compile_capture(design, &trace) {
-            Ok(unit) => {
-                recorder.record_event(Event::BackendCompiled {
-                    backend: self.backend.name().to_string(),
-                    kinds: unit.program.kinds.len(),
-                    instructions: unit.program.instruction_count(),
-                    cycles: unit.trace.cycles,
-                });
-                recorder.inc("backend.programs", 1);
-                self.compiled = Some(unit);
-            }
-            Err(reason) => self.note_fallback(recorder, &reason),
         }
     }
 }
@@ -699,55 +706,48 @@ impl<F: FnMut(&Design, usize)> SimDriver for SequentialDriver<F> {
         let signals = design.num_signals() as u64;
         design.reset_stats();
         design.reset_state();
-        let compiled_wanted = self.backend != SimBackend::Interpreted;
-        Ok(match plan {
-            CachePlan::Replay => {
-                let cache = self.cache.as_mut().expect("replay implies a cache");
-                let cycles = cache.replay(design);
-                cache.note(recorder.as_ref(), signals, 0);
-                cycles
+        if plan == CachePlan::Replay {
+            let cache = self.cache.as_mut().expect("replay implies a cache");
+            let cycles = cache.replay(design);
+            cache.note(recorder.as_ref(), signals, 0);
+            return Ok(cycles);
+        }
+        // A record iteration supersedes the armed tape: it was captured
+        // from a structural recording that may no longer hold.
+        if record_graph {
+            self.compiled = None;
+        }
+        let compiled_wanted = self.backend == SimBackend::Compiled;
+        let execution = match &self.compiled {
+            Some(unit) if compiled_wanted => Execution::Replay(unit),
+            _ if record_graph && compiled_wanted => Execution::Capture,
+            _ if record_graph => Execution::Record,
+            _ => Execution::Run,
+        };
+        let replayed = matches!(execution, Execution::Replay(_));
+        let sim = &mut self.sim;
+        match execute(design, execution, |d| sim(d, iteration)) {
+            Some(Ok(unit)) => {
+                recorder.record_event(Event::BackendCompiled {
+                    backend: self.backend.name().to_string(),
+                    kinds: unit.program.kinds.len(),
+                    instructions: unit.program.instruction_count(),
+                    cycles: unit.trace.cycles,
+                });
+                recorder.inc("backend.programs", 1);
+                self.compiled = Some(unit);
             }
-            CachePlan::Partial { clean } => {
-                design.set_passive(&clean);
-                match (compiled_wanted, &self.compiled) {
-                    (true, Some(unit)) => {
-                        design.replay_compiled(&unit.program, &unit.trace);
-                        recorder.inc("backend.compiled_runs", 1);
-                    }
-                    _ => (self.sim)(design, iteration),
-                }
-                design.clear_passive();
-                let cache = self.cache.as_mut().expect("partial implies a cache");
-                cache.splice_clean(design, &clean);
-                cache.note(
-                    recorder.as_ref(),
-                    clean.len() as u64,
-                    signals - clean.len() as u64,
-                );
-                cache.store(design);
-                design.cycle()
-            }
-            CachePlan::Cold => {
-                if record_graph && compiled_wanted {
-                    self.record_and_compile(design, recorder, iteration);
-                } else if record_graph {
-                    design.clear_graph();
-                    design.record_graph(true);
-                    (self.sim)(design, iteration);
-                    design.record_graph(false);
-                } else if let (true, Some(unit)) = (compiled_wanted, &self.compiled) {
-                    design.replay_compiled(&unit.program, &unit.trace);
-                    recorder.inc("backend.compiled_runs", 1);
-                } else {
-                    (self.sim)(design, iteration);
-                }
-                if let Some(cache) = &mut self.cache {
-                    cache.note(recorder.as_ref(), 0, signals);
-                    cache.store(design);
-                }
-                design.cycle()
-            }
-        })
+            Some(Err(reason)) => self.note_fallback(recorder, &reason),
+            None => {}
+        }
+        if replayed {
+            recorder.inc("backend.compiled_runs", 1);
+        }
+        if let Some(cache) = &mut self.cache {
+            cache.note(recorder.as_ref(), 0, signals);
+            cache.store(design);
+        }
+        Ok(design.cycle())
     }
 }
 
@@ -912,9 +912,9 @@ impl RefinementFlow {
     /// [`Event::BackendFallback`]) whenever the design refuses a static
     /// schedule or the tape fails its verification replay. The refined
     /// types, statistics and journal counters are bit-identical across
-    /// backends. Swept entry points batch scenario lanes when
-    /// [`SimBackend::Batched`] is selected on their [`SweepDriver`]
-    /// (see [`crate::sweep::SweepDriver::set_backend`]).
+    /// backends. Swept entry points take the backend of their
+    /// [`SweepDriver`](crate::sweep::SweepDriver) instead (see
+    /// [`crate::sweep::SweepDriver::set_backend`]).
     pub fn set_backend(&mut self, backend: SimBackend) {
         self.backend = backend;
     }
@@ -2206,30 +2206,6 @@ impl RefinementFlow {
     ) -> Result<FlowOutcome, FlowError> {
         self.run_with(sweep)
     }
-
-    /// The MSB phase driven by the scenario-sweep engine.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`RefinementFlow::run_msb`].
-    pub fn run_msb_swept(
-        &mut self,
-        sweep: &mut crate::sweep::SweepDriver,
-    ) -> Result<(Vec<Vec<MsbAnalysis>>, Vec<Intervention>), FlowError> {
-        self.run_msb_with(sweep)
-    }
-
-    /// The LSB phase driven by the scenario-sweep engine.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`RefinementFlow::run_lsb`].
-    pub fn run_lsb_swept(
-        &mut self,
-        sweep: &mut crate::sweep::SweepDriver,
-    ) -> Result<(Vec<Vec<LsbAnalysis>>, Vec<Intervention>), FlowError> {
-        self.run_lsb_with(sweep)
-    }
 }
 
 impl fmt::Debug for RefinementFlow {
@@ -2322,5 +2298,68 @@ mod summary_tests {
         assert!(s.contains("acc"));
         assert!(s.contains("verification:"));
         assert!(s.contains("automatic annotations:"));
+    }
+}
+
+#[cfg(test)]
+mod driver_tests {
+    use super::*;
+
+    /// A first-order smoother, optionally with a `strobe` signal written
+    /// every other cycle — a schedule FXL001 refuses to compile.
+    fn build(with_strobe: bool) -> Design {
+        let d = Design::with_seed(11);
+        d.sig("x");
+        d.reg("acc");
+        d.sig("y");
+        if with_strobe {
+            d.sig("strobe");
+        }
+        d
+    }
+
+    fn drive(d: &Design, _iteration: usize) {
+        let x = d.sig_handle(d.find("x").expect("declared"));
+        let acc = d.reg_handle(d.find("acc").expect("declared"));
+        let y = d.sig_handle(d.find("y").expect("declared"));
+        let strobe = d.find("strobe").map(|id| d.sig_handle(id));
+        for i in 0..400 {
+            x.set((i as f64 * 0.13).sin() * 0.8);
+            acc.set(acc.get() * 0.9 + x.get() * 0.1);
+            y.set(acc.get() * 0.5);
+            if let Some(strobe) = &strobe {
+                if i % 2 == 0 {
+                    strobe.set(y.get() * 4.0);
+                }
+            }
+            d.tick();
+        }
+    }
+
+    fn refine(driver: &mut dyn SimDriver, design: &Design) -> Vec<(String, String)> {
+        let mut flow = RefinementFlow::new(design.clone(), crate::RefinePolicy::default());
+        let outcome = flow.run_with(driver).expect("converges");
+        outcome
+            .types
+            .iter()
+            .map(|(id, t)| (design.name_of(*id), t.to_string()))
+            .collect()
+    }
+
+    #[test]
+    fn a_reused_compiled_driver_never_replays_the_previous_flows_tape() {
+        let mut reused = SequentialDriver::new(drive);
+        reused.set_backend(SimBackend::Compiled);
+        refine(&mut reused, &build(false));
+        assert!(reused.has_compiled_program(), "the plain design compiles");
+
+        // The second design's capture is refused, so it must run
+        // interpreted rather than replay the first design's tape.
+        let types = refine(&mut reused, &build(true));
+        let mut fresh = SequentialDriver::new(drive);
+        fresh.set_backend(SimBackend::Compiled);
+        assert_eq!(types, refine(&mut fresh, &build(true)));
+        assert!(types.iter().any(|(name, _)| name == "strobe"));
+        assert!(!reused.has_compiled_program(), "a stale tape stayed armed");
     }
 }

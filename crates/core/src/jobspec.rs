@@ -22,8 +22,7 @@ use crate::flow::{RefinementFlow, RunBudget, SimBackend};
 /// How to drive the refinement flow for one job.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlowSpec {
-    /// Evaluation backend name: `"interpreted"`, `"compiled"` or
-    /// `"batched"`.
+    /// Evaluation backend name: `"interpreted"` or `"compiled"`.
     pub backend: String,
     /// Whether to enable the cross-iteration evaluation cache.
     pub cache: bool,
@@ -67,9 +66,8 @@ impl FlowSpec {
         match self.backend.as_str() {
             "interpreted" => Ok(SimBackend::Interpreted),
             "compiled" => Ok(SimBackend::Compiled),
-            "batched" => Ok(SimBackend::Batched),
             other => Err(SpecError::new(format!(
-                "flow spec: unknown backend {other:?} (expected interpreted, compiled or batched)"
+                "flow spec: unknown backend {other:?} (expected interpreted, compiled)"
             ))),
         }
     }
@@ -323,6 +321,15 @@ mod tests {
             "flow":{"backend":"gpu"}}"#;
         let err = JobSpec::from_json(bad_backend).expect_err("unknown backend");
         assert!(err.to_string().contains("backend"), "{err}");
+        // The removed lane-batching backend is an unknown name like any
+        // other, and the error lists the names that remain.
+        let batched = bad_backend.replace("gpu", "batched");
+        let err = JobSpec::from_json(&batched).expect_err("batched is gone");
+        assert!(
+            err.to_string()
+                .contains(r#"unknown backend "batched" (expected interpreted, compiled)"#),
+            "{err}"
+        );
     }
 
     #[test]

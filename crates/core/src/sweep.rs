@@ -27,18 +27,20 @@
 //!    RNG streams and quantization behavior match what the sequential
 //!    flow would have produced after its own `reset_state`.
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Instant;
 
 use fixref_obs::{DefaultRecorder, Event, Recorder};
 use fixref_sim::{
-    replay_compiled_batch, run_shards_isolated, Design, FaultPlan, Graph, OverflowEvent,
-    RetryPolicy, Scenario, ScenarioSet, ShardOutcome, SignalId, SignalKind, SignalStats,
+    run_shards_isolated, Design, FaultPlan, Graph, OverflowEvent, RetryPolicy, Scenario,
+    ScenarioSet, ShardOutcome, SignalKind, SignalStats,
 };
 
 use crate::cache::{plan_for, CachePlan};
-use crate::flow::{compile_capture, CompiledUnit, SimBackend, SimDriver, SimFault, SweepCoverage};
+use crate::flow::{
+    execute, CompiledUnit, Execution, SimBackend, SimDriver, SimFault, SweepCoverage,
+};
 
 /// How the sweep reacts to a shard that fails all its attempts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -119,43 +121,6 @@ struct ShardResult {
     compiled: Option<Result<CompiledUnit, String>>,
 }
 
-/// Upper bound on scenario lanes batched through one structure-of-arrays
-/// pass; larger groups split so the per-lane working set stays cache-
-/// resident on the worker.
-const MAX_LANES: usize = 64;
-
-/// The sweep's compiled execution state: one verified `(program, bound
-/// trace)` unit per scenario, plus the lane grouping the batched replay
-/// executes. Invalidated whenever a new record iteration runs, a shard
-/// fails, or a scenario is quarantined.
-struct CompiledSweep {
-    /// One compiled unit per scenario, indexed by scenario index.
-    units: Vec<CompiledUnit>,
-    /// Scenario indices grouped by exact `(program, schedule)` shape —
-    /// see [`group_lanes`]. Each group replays as one batch.
-    groups: Vec<Vec<usize>>,
-}
-
-/// Groups scenario indices whose compiled tapes have bit-identical
-/// `(program, schedule)` shapes (fingerprint first, then exact word
-/// equality), splitting groups at `cap` lanes. Order within a group and
-/// across groups follows scenario order.
-fn group_lanes(units: &[CompiledUnit], cap: usize) -> Vec<Vec<usize>> {
-    let mut groups: Vec<(u64, Vec<u64>, Vec<usize>)> = Vec::new();
-    for (i, unit) in units.iter().enumerate() {
-        let fp = unit.trace.fingerprint(&unit.program);
-        let words = unit.trace.shape_words(&unit.program);
-        match groups
-            .iter_mut()
-            .find(|(f, w, g)| *f == fp && *w == words && g.len() < cap)
-        {
-            Some((_, _, g)) => g.push(i),
-            None => groups.push((fp, words, vec![i])),
-        }
-    }
-    groups.into_iter().map(|(_, _, g)| g).collect()
-}
-
 /// One shard's monitors retained for cache replay. A Replay simulation
 /// re-runs the scenario-order merge over these instead of the worker
 /// pool; absorbing the retained shard recorders reproduces a fresh run's
@@ -169,10 +134,10 @@ struct CachedShard {
 }
 
 /// The sweep's evaluation cache: per-shard monitor snapshots of the last
-/// live simulation, shared with worker threads during partial runs.
+/// live simulation.
 #[derive(Default)]
 struct SweepCache {
-    shards: Arc<Vec<CachedShard>>,
+    shards: Vec<CachedShard>,
     hits: u64,
     misses: u64,
 }
@@ -199,7 +164,10 @@ pub struct SweepDriver {
     coverage: Option<SweepCoverage>,
     pending_invalidation: Option<usize>,
     backend: SimBackend,
-    compiled: Option<Arc<CompiledSweep>>,
+    /// One verified compiled unit per scenario (indexed by scenario
+    /// index), armed by a record iteration that compiled every scenario.
+    /// Dropped whenever a new record iteration runs or a shard fails.
+    compiled: Option<Vec<CompiledUnit>>,
     fallback_noted: bool,
 }
 
@@ -238,12 +206,9 @@ impl SweepDriver {
     /// Under [`SimBackend::Compiled`] every shard of the record iteration
     /// captures its execution trace, lowers it to a flat op tape, and
     /// replays that tape on subsequent iterations instead of re-running
-    /// the stimulus. [`SimBackend::Batched`] additionally groups
-    /// scenarios whose tapes have identical `(program, schedule)` shapes
-    /// and evaluates up to 64 lanes per group through one
-    /// structure-of-arrays pass. The merged statistics, refined types and
-    /// journal are bit-identical to the interpreted sweep (modulo the
-    /// `backend.*` events/counters themselves).
+    /// the stimulus. The merged statistics, refined types and journal are
+    /// bit-identical to the interpreted sweep (modulo the `backend.*`
+    /// events/counters themselves).
     ///
     /// The sweep falls back to the interpreter — journaling a one-shot
     /// [`Event::BackendFallback`] — whenever fault injection is active,
@@ -304,10 +269,9 @@ impl SweepDriver {
 
     /// Enables the incremental evaluation cache: simulations whose
     /// annotations did not change re-merge the retained per-shard
-    /// monitors in scenario order instead of re-running the worker pool,
-    /// and — under a declared static schedule — dirty-cone partial runs
-    /// passivate the clean signals on every shard. Merged statistics and
-    /// the decided types are bit-identical with or without the cache.
+    /// monitors in scenario order instead of re-running the worker pool.
+    /// Merged statistics and the decided types are bit-identical with or
+    /// without the cache.
     pub fn enable_cache(&mut self) {
         if self.cache.is_none() {
             self.cache = Some(SweepCache::default());
@@ -326,15 +290,10 @@ impl SweepDriver {
     /// Replays the retained shard monitors through the scenario-order
     /// merge without touching the worker pool.
     fn replay_merge(&mut self, design: &Design, recorder: &Arc<DefaultRecorder>) -> u64 {
-        let shards = self
-            .cache
-            .as_ref()
-            .expect("replay implies a cache")
-            .shards
-            .clone();
+        let shards = &self.cache.as_ref().expect("replay implies a cache").shards;
         self.last_shards.clear();
         let mut total_cycles = 0u64;
-        for (scenario, cached) in self.scenarios.iter().zip(shards.iter()) {
+        for (scenario, cached) in self.scenarios.iter().zip(shards) {
             recorder.record_event(Event::ShardStarted {
                 shard: scenario.index,
                 seed: scenario.seed,
@@ -381,252 +340,6 @@ impl SweepDriver {
     pub fn shard_summaries(&self) -> &[ShardSummary] {
         &self.last_shards
     }
-
-    /// Replays the compiled scenario tapes lane-grouped through the
-    /// structure-of-arrays executor, then folds the shards back with the
-    /// same scenario-order merge (and journal bracketing) as a live run.
-    ///
-    /// One worker job per lane group: the job builds every lane's design
-    /// fresh (the builder's post-build state is what the capture started
-    /// from), re-applies the master's annotations, passivates the clean
-    /// set on partial runs, and drives all lanes through
-    /// [`replay_compiled_batch`]. The stimulus closure is never called.
-    fn simulate_batched(
-        &mut self,
-        design: &Design,
-        recorder: &Arc<DefaultRecorder>,
-        compiled: &Arc<CompiledSweep>,
-        clean_names: &Arc<HashSet<String>>,
-        signals: u64,
-    ) -> Result<u64, SimFault> {
-        let all: Vec<Scenario> = self.scenarios.iter().cloned().collect();
-        let annotations = design.annotations();
-        let cached_shards: Arc<Vec<CachedShard>> = self
-            .cache
-            .as_ref()
-            .map(|c| c.shards.clone())
-            .unwrap_or_default();
-        let builder = &self.builder;
-        let reps: Vec<Scenario> = compiled.groups.iter().map(|g| all[g[0]].clone()).collect();
-
-        let outcomes = run_shards_isolated(
-            &reps,
-            self.workers,
-            RetryPolicy::attempts(self.fault_policy.max_attempts),
-            |rep, _attempt| {
-                let started = Instant::now();
-                let group = compiled
-                    .groups
-                    .iter()
-                    .find(|g| g[0] == rep.index)
-                    .expect("every representative indexes its own group");
-                let partial = !clean_names.is_empty();
-                let mut shards: Vec<Design> = Vec::with_capacity(group.len());
-                let mut recorders: Vec<Arc<DefaultRecorder>> = Vec::with_capacity(group.len());
-                for &si in group.iter() {
-                    let shard_recorder = Arc::new(DefaultRecorder::new());
-                    let ShardSim { design: shard, .. } = builder(&all[si]);
-                    shard.attach_recorder(shard_recorder.clone());
-                    shard
-                        .apply_annotations(&annotations)
-                        .unwrap_or_else(|e| panic!("shard builder contract violation: {e}"));
-                    if partial {
-                        let clean_ids: Vec<SignalId> =
-                            clean_names.iter().filter_map(|n| shard.find(n)).collect();
-                        shard.set_passive(&clean_ids);
-                    }
-                    shards.push(shard);
-                    recorders.push(shard_recorder);
-                }
-                {
-                    let lanes: Vec<(&Design, &fixref_sim::BoundTrace)> = group
-                        .iter()
-                        .zip(shards.iter())
-                        .map(|(&si, shard)| (shard, &compiled.units[si].trace))
-                        .collect();
-                    replay_compiled_batch(&compiled.units[group[0]].program, &lanes);
-                }
-                let mut results: Vec<(usize, ShardResult)> = Vec::with_capacity(group.len());
-                for ((&si, shard), shard_recorder) in group.iter().zip(shards.iter()).zip(recorders)
-                {
-                    if partial {
-                        shard.clear_passive();
-                        let cached = &cached_shards[si];
-                        let clean_stats: Vec<SignalStats> = cached
-                            .stats
-                            .iter()
-                            .filter(|s| clean_names.contains(&s.name))
-                            .cloned()
-                            .collect();
-                        shard
-                            .splice_stats(&clean_stats)
-                            .unwrap_or_else(|e| panic!("shard builder contract violation: {e}"));
-                        shard.splice_overflow_events(
-                            cached
-                                .overflow_events
-                                .iter()
-                                .filter(|e| clean_names.contains(&e.name))
-                                .cloned()
-                                .collect(),
-                        );
-                    }
-                    results.push((
-                        si,
-                        ShardResult {
-                            stats: shard.export_stats(),
-                            overflow_events: shard.take_overflow_events(),
-                            graph: None,
-                            recorder: shard_recorder,
-                            cycles: shard.cycle(),
-                            wall_ns: started.elapsed().as_nanos(),
-                            compiled: None,
-                        },
-                    ));
-                }
-                results
-            },
-        );
-
-        // Re-spread the group results into scenario order, handling group
-        // failures under the same fault policy as live shards. A failed
-        // group drops the compiled tapes entirely: replays are only
-        // trusted while they cover every scenario.
-        let mut slots: Vec<Option<ShardResult>> = Vec::new();
-        slots.resize_with(all.len(), || None);
-        let mut failures = 0usize;
-        for (group, outcome) in compiled.groups.iter().zip(outcomes) {
-            let attempts = match &outcome {
-                ShardOutcome::Completed { attempts, .. } => *attempts,
-                ShardOutcome::Failed(failure) => failure.attempts,
-            };
-            for attempt in 1..attempts {
-                recorder.record_event(Event::ShardRetried {
-                    shard: group[0],
-                    attempt,
-                });
-                recorder.inc("retry.attempts", 1);
-            }
-            match outcome {
-                ShardOutcome::Completed { value, .. } => {
-                    for (si, result) in value {
-                        slots[si] = Some(result);
-                    }
-                }
-                ShardOutcome::Failed(failure) => match self.fault_policy.mode {
-                    FaultMode::Strict => {
-                        if let Some(cache) = &mut self.cache {
-                            cache.shards = Arc::new(Vec::new());
-                        }
-                        self.compiled = None;
-                        let scenario = &all[group[0]];
-                        recorder.record_event(Event::ShardFailed {
-                            shard: scenario.index,
-                            scenario: scenario.label(),
-                            attempts: failure.attempts,
-                            cause: failure.error.to_string(),
-                        });
-                        recorder.inc("fault.shard_failures", 1);
-                        return Err(SimFault {
-                            shard: scenario.index,
-                            scenario: scenario.label(),
-                            attempts: failure.attempts,
-                            cause: failure.error.to_string(),
-                        });
-                    }
-                    FaultMode::Degraded => {
-                        self.compiled = None;
-                        for &si in group.iter() {
-                            let scenario = &all[si];
-                            failures += 1;
-                            recorder.record_event(Event::ShardFailed {
-                                shard: scenario.index,
-                                scenario: scenario.label(),
-                                attempts: failure.attempts,
-                                cause: failure.error.to_string(),
-                            });
-                            recorder.inc("fault.shard_failures", 1);
-                            self.quarantined.insert(si);
-                            recorder.record_event(Event::ShardQuarantined {
-                                shard: scenario.index,
-                                scenario: scenario.label(),
-                            });
-                            recorder.inc("retry.quarantined", 1);
-                        }
-                    }
-                },
-            }
-        }
-
-        recorder.inc("backend.compiled_runs", 1);
-        self.last_shards.clear();
-        let mut total_cycles = 0u64;
-        let mut completed = 0usize;
-        let mut lanes_merged = 0u64;
-        let mut retained: Vec<CachedShard> = Vec::with_capacity(all.len());
-        for (scenario, slot) in all.iter().zip(slots) {
-            let Some(result) = slot else { continue };
-            completed += 1;
-            lanes_merged += 1;
-            recorder.record_event(Event::ShardStarted {
-                shard: scenario.index,
-                seed: scenario.seed,
-                snr_db: scenario.snr_db,
-                samples: scenario.samples,
-            });
-            recorder.absorb(&result.recorder);
-            let merged_signals = result.stats.len();
-            design
-                .absorb_stats(&result.stats)
-                .unwrap_or_else(|e| panic!("shard builder contract violation: {e}"));
-            design.absorb_overflow_events(result.overflow_events.clone());
-            recorder.record_event(Event::ShardMerged {
-                shard: scenario.index,
-                cycles: result.cycles,
-                signals: merged_signals,
-            });
-            total_cycles = total_cycles.saturating_add(result.cycles);
-            self.last_shards.push(ShardSummary {
-                scenario: scenario.clone(),
-                cycles: result.cycles,
-                wall_ns: result.wall_ns,
-            });
-            if self.cache.is_some() {
-                retained.push(CachedShard {
-                    stats: result.stats,
-                    overflow_events: result.overflow_events,
-                    recorder: result.recorder,
-                    cycles: result.cycles,
-                    wall_ns: result.wall_ns,
-                });
-            }
-        }
-        recorder.inc("backend.batched_lanes", lanes_merged);
-        self.coverage = Some(SweepCoverage {
-            completed,
-            total: self.scenarios.len(),
-            quarantined: self
-                .scenarios
-                .iter()
-                .filter(|s| self.quarantined.contains(&s.index))
-                .map(Scenario::label)
-                .collect(),
-        });
-        if let Some(cache) = &mut self.cache {
-            if failures == 0 && self.quarantined.is_empty() {
-                cache.shards = Arc::new(retained);
-            } else {
-                cache.shards = Arc::new(Vec::new());
-            }
-            let spliced = clean_names.len() as u64;
-            cache.hits += spliced;
-            cache.misses += signals - spliced;
-            if spliced > 0 {
-                recorder.inc("cache.hits", spliced);
-            }
-            recorder.inc("cache.misses", signals - spliced);
-        }
-        Ok(total_cycles)
-    }
 }
 
 impl SimDriver for SweepDriver {
@@ -663,9 +376,8 @@ impl SimDriver for SweepDriver {
                 });
             }
         }
-        // Plan against the master's dirty set, graph and static-schedule
-        // declaration; the shard designs mirror the master by the builder
-        // contract.
+        // Plan against the master's dirty set; the shard designs mirror
+        // the master by the builder contract.
         let plan = match &self.cache {
             None => CachePlan::Cold,
             Some(cache) => plan_for(design, record_graph, cache.is_warm(), recorder.as_ref()),
@@ -695,45 +407,23 @@ impl SimDriver for SweepDriver {
             // tapes (the structural recording may have changed).
             self.compiled = None;
         }
-        // Passivation set for a partial run, resolved per shard by name
-        // (shard ids match the master's only by builder convention, names
-        // are the contract).
-        let clean_names: Arc<HashSet<String>> = Arc::new(match &plan {
-            CachePlan::Partial { clean } => clean.iter().map(|s| design.name_of(*s)).collect(),
-            _ => HashSet::new(),
-        });
-        let cached_shards: Arc<Vec<CachedShard>> = self
-            .cache
-            .as_ref()
-            .map(|c| c.shards.clone())
-            .unwrap_or_default();
-
-        let compiled_wanted = self.backend != SimBackend::Interpreted;
-        // Replay iterations with compiled tapes skip the stimulus
-        // entirely and batch scenario lanes through the op tapes.
-        if compiled_wanted && !record_graph {
-            if !self.faults.is_empty() {
-                self.note_fallback(recorder, "fault injection is active");
-            } else if let Some(compiled) = self.compiled.clone() {
-                return self.simulate_batched(design, recorder, &compiled, &clean_names, signals);
-            }
+        // Under the compiled backend the record iteration captures every
+        // shard's execution trace for lowering, and later iterations
+        // replay the per-scenario tapes instead of the stimulus. Fault
+        // injection and reduced coverage refuse both up front.
+        let compiled_wanted = self.backend == SimBackend::Compiled;
+        let faulted = !self.faults.is_empty();
+        if compiled_wanted && faulted {
+            self.note_fallback(recorder, "fault injection is active");
+        } else if compiled_wanted && record_graph && !self.quarantined.is_empty() {
+            self.note_fallback(recorder, "quarantined scenarios reduce coverage");
         }
-        // The record iteration under a compiled backend captures every
-        // shard's execution trace for lowering; fault injection and
-        // reduced coverage refuse the capture up front.
-        let capture_here = if record_graph && compiled_wanted {
-            if !self.faults.is_empty() {
-                self.note_fallback(recorder, "fault injection is active");
-                false
-            } else if !self.quarantined.is_empty() {
-                self.note_fallback(recorder, "quarantined scenarios reduce coverage");
-                false
-            } else {
-                true
-            }
-        } else {
-            false
-        };
+        let capture = compiled_wanted && record_graph && !faulted && self.quarantined.is_empty();
+        let tapes = self
+            .compiled
+            .as_deref()
+            .filter(|_| compiled_wanted && !faulted);
+        let replaying = tapes.is_some();
 
         // Snapshot the master's refinement state once; every shard
         // re-applies it to its fresh design.
@@ -780,73 +470,36 @@ impl SimDriver for SweepDriver {
                 // Only one shard records a graph *for the master* — all
                 // shards execute the same description, so one structural
                 // recording suffices and the master inherits it below.
-                // Under a compiled backend every shard records privately:
-                // the capture's assign steps reference recorded nodes,
-                // and each shard lowers its own stimulus trace.
+                // A capture records privately on every shard: the
+                // capture's assign steps reference recorded nodes, and
+                // each shard lowers its own stimulus trace.
                 let record_here = record_graph && scenario.index == graph_shard;
-                if record_here || capture_here {
-                    shard.clear_graph();
-                    shard.record_graph(true);
-                }
-                if capture_here {
-                    shard.begin_capture();
-                }
-                let partial = !clean_names.is_empty();
-                if partial {
-                    let clean_ids: Vec<SignalId> =
-                        clean_names.iter().filter_map(|n| shard.find(n)).collect();
-                    shard.set_passive(&clean_ids);
-                }
-                if let Some(burst) = faults.nan_burst_for(scenario.index) {
-                    // Poison the stimulus head with non-finite samples.
-                    // The engine's range propagation rejects NaN bounds
-                    // outright, so the poisoned shard fails *structurally*
-                    // (caught below) instead of leaking NaN into the
-                    // merged monitors.
-                    let wire = shard
-                        .reports()
-                        .iter()
-                        .find(|r| r.kind == SignalKind::Wire)
-                        .and_then(|r| shard.find(&r.name));
-                    if let Some(id) = wire {
-                        let sig = shard.sig_handle(id);
-                        for _ in 0..burst {
-                            sig.set(f64::NAN);
+                let execution = match tapes {
+                    Some(units) => Execution::Replay(&units[scenario.index]),
+                    None if capture => Execution::Capture,
+                    None if record_here => Execution::Record,
+                    None => Execution::Run,
+                };
+                let compiled = execute(&shard, execution, |shard| {
+                    if let Some(burst) = faults.nan_burst_for(scenario.index) {
+                        // Poison the stimulus head with non-finite
+                        // samples. The engine's range propagation rejects
+                        // NaN bounds outright, so the poisoned shard fails
+                        // *structurally* (caught below) instead of leaking
+                        // NaN into the merged monitors.
+                        let wire = shard
+                            .reports()
+                            .iter()
+                            .find(|r| r.kind == SignalKind::Wire)
+                            .and_then(|r| shard.find(&r.name));
+                        if let Some(id) = wire {
+                            let sig = shard.sig_handle(id);
+                            for _ in 0..burst {
+                                sig.set(f64::NAN);
+                            }
                         }
                     }
-                }
-                stimulus(&shard, iteration);
-                if partial {
-                    shard.clear_passive();
-                    // Splice the clean signals' monitors from this shard's
-                    // previous run; live (cone) monitors stay as recorded.
-                    let cached = &cached_shards[scenario.index];
-                    let clean_stats: Vec<SignalStats> = cached
-                        .stats
-                        .iter()
-                        .filter(|s| clean_names.contains(&s.name))
-                        .cloned()
-                        .collect();
-                    shard
-                        .splice_stats(&clean_stats)
-                        .unwrap_or_else(|e| panic!("shard builder contract violation: {e}"));
-                    shard.splice_overflow_events(
-                        cached
-                            .overflow_events
-                            .iter()
-                            .filter(|e| clean_names.contains(&e.name))
-                            .cloned()
-                            .collect(),
-                    );
-                }
-                if record_here || capture_here {
-                    shard.record_graph(false);
-                }
-                let compiled = capture_here.then(|| {
-                    let trace = shard
-                        .end_capture()
-                        .expect("capture begun by this job is still active");
-                    compile_capture(&shard, &trace)
+                    stimulus(shard, iteration);
                 });
                 ShardResult {
                     stats: shard.export_stats(),
@@ -868,8 +521,7 @@ impl SimDriver for SweepDriver {
         let mut completed = 0usize;
         let mut failures = 0usize;
         let mut retained: Vec<CachedShard> = Vec::with_capacity(outcomes.len());
-        let mut units: Vec<CompiledUnit> =
-            Vec::with_capacity(if capture_here { active.len() } else { 0 });
+        let mut units: Vec<CompiledUnit> = Vec::new();
         let mut compile_failure: Option<String> = None;
         for (scenario, outcome) in active.iter().zip(outcomes) {
             if self.faults.nan_burst_for(scenario.index).is_some() {
@@ -890,6 +542,9 @@ impl SimDriver for SweepDriver {
                 ShardOutcome::Completed { value, .. } => value,
                 ShardOutcome::Failed(failure) => {
                     failures += 1;
+                    // Replays are only trusted while they cover every
+                    // scenario.
+                    self.compiled = None;
                     recorder.record_event(Event::ShardFailed {
                         shard: scenario.index,
                         scenario: scenario.label(),
@@ -902,7 +557,7 @@ impl SimDriver for SweepDriver {
                             // Invalidate the cache before aborting: the
                             // master's monitors hold a partial merge.
                             if let Some(cache) = &mut self.cache {
-                                cache.shards = Arc::new(Vec::new());
+                                cache.shards = Vec::new();
                             }
                             return Err(SimFault {
                                 shard: scenario.index,
@@ -967,18 +622,15 @@ impl SimDriver for SweepDriver {
                 });
             }
         }
+        if replaying {
+            recorder.inc("backend.compiled_runs", 1);
+        }
         // A capture only becomes the sweep's compiled program when every
-        // scenario both survived and lowered: a batched replay must cover
-        // exactly what the interpreter would have simulated.
-        if capture_here {
+        // scenario both survived and lowered: a replay must cover exactly
+        // what the interpreter would have simulated.
+        if capture {
             if failures == 0 && self.quarantined.is_empty() && units.len() == self.scenarios.len() {
-                let cap = match self.backend {
-                    SimBackend::Batched => MAX_LANES,
-                    _ => 1,
-                };
-                let groups = group_lanes(&units, cap);
-                for group in &groups {
-                    let unit = &units[group[0]];
+                for unit in &units {
                     recorder.record_event(Event::BackendCompiled {
                         backend: self.backend.name().to_string(),
                         kinds: unit.program.kinds.len(),
@@ -986,8 +638,8 @@ impl SimDriver for SweepDriver {
                         cycles: unit.trace.cycles,
                     });
                 }
-                recorder.inc("backend.programs", groups.len() as u64);
-                self.compiled = Some(Arc::new(CompiledSweep { units, groups }));
+                recorder.inc("backend.programs", units.len() as u64);
+                self.compiled = Some(units);
             } else {
                 let reason = compile_failure.unwrap_or_else(|| {
                     "record iteration lost shards before compilation".to_string()
@@ -1008,18 +660,13 @@ impl SimDriver for SweepDriver {
         if let Some(cache) = &mut self.cache {
             // Retain the shard monitors only for a fully-covered run: a
             // degraded merge must never be replayed as if it were whole.
-            if failures == 0 && self.quarantined.is_empty() {
-                cache.shards = Arc::new(retained);
+            cache.shards = if failures == 0 && self.quarantined.is_empty() {
+                retained
             } else {
-                cache.shards = Arc::new(Vec::new());
-            }
-            let spliced = clean_names.len() as u64;
-            cache.hits += spliced;
-            cache.misses += signals - spliced;
-            if spliced > 0 {
-                recorder.inc("cache.hits", spliced);
-            }
-            recorder.inc("cache.misses", signals - spliced);
+                Vec::new()
+            };
+            cache.misses += signals;
+            recorder.inc("cache.misses", signals);
         }
         Ok(total_cycles)
     }
@@ -1142,22 +789,22 @@ mod tests {
     }
 
     #[test]
-    fn batched_backend_sweep_matches_interpreted_bit_identically() {
+    fn compiled_backend_sweep_matches_interpreted_bit_identically() {
         let scenarios = ScenarioSet::grid(&[3, 5, 11, 17], &[24.0], &[], &[300]);
         let (types_i, journal_i) = run_flow(&mut sweep(scenarios.clone(), 2));
 
-        let mut batched = sweep(scenarios, 2);
-        batched.set_backend(SimBackend::Batched);
-        let (types_b, journal_b) = run_flow(&mut batched);
+        let mut compiled = sweep(scenarios, 2);
+        compiled.set_backend(SimBackend::Compiled);
+        let (types_c, journal_c) = run_flow(&mut compiled);
 
         assert!(
-            batched.has_compiled_program(),
+            compiled.has_compiled_program(),
             "the record iteration should have compiled every scenario"
         );
-        assert_eq!(types_i, types_b);
+        assert_eq!(types_i, types_c);
         assert_eq!(
             strip_backend_events(journal_i),
-            strip_backend_events(journal_b)
+            strip_backend_events(journal_c)
         );
     }
 

@@ -365,9 +365,9 @@ impl Linter {
 }
 
 /// Runs only the `FXL001` static-schedule pass over a design — the
-/// narrow entry point the incremental-evaluation cache uses to decide
-/// whether a `Partial` plan is sound. Returns the (sorted) violations;
-/// empty means the declared schedule holds.
+/// narrow entry point the compiled backend uses to decide whether a
+/// captured run may be lowered to a tape. Returns the (sorted)
+/// violations; empty means the schedule is static.
 pub fn check_static_schedule(design: &Design) -> Vec<Diagnostic> {
     let input = LintInput::from_design(design);
     let mut diags = pass_static_schedule(&input);

@@ -216,10 +216,9 @@ pub enum Event {
         infos: usize,
     },
     /// A lint-backed gate rejected something: the pre-flight flow gate
-    /// hit a denied code, or the evaluation cache refused a partial plan
-    /// because the declared static schedule did not verify.
+    /// hit a denied code.
     LintGateFailed {
-        /// Which gate failed (`"flow.preflight"` / `"cache.partial"`).
+        /// Which gate failed (`"flow.preflight"`).
         context: String,
         /// The diagnostic code that triggered the failure.
         code: String,
@@ -341,9 +340,9 @@ pub enum Event {
         reason: String,
     },
     /// A design's captured execution trace was lowered to a straight-line
-    /// bytecode program, enabling compiled (and batched) re-simulation.
+    /// bytecode program, enabling compiled re-simulation.
     BackendCompiled {
-        /// The backend that compiled (`"compiled"` / `"batched"`).
+        /// The backend that compiled (`"compiled"`).
         backend: String,
         /// Deduplicated cycle kinds in the program.
         kinds: usize,
@@ -352,13 +351,13 @@ pub enum Event {
         /// Scheduled simulation cycles per replay.
         cycles: u64,
     },
-    /// A compiled/batched backend request fell back to the interpreted
+    /// A compiled backend request fell back to the interpreted
     /// simulator — the static-schedule lint refused the design, lowering
     /// failed, or the run mode (armed fault plan, checkpoint resume) is
     /// only supported interpreted. The run proceeds with identical
     /// results, just without the speedup.
     BackendFallback {
-        /// The backend that was requested (`"compiled"` / `"batched"`).
+        /// The backend that was requested (`"compiled"`).
         backend: String,
         /// Why the fallback happened (e.g. `"FXL001"`).
         reason: String,
@@ -1313,7 +1312,7 @@ mod tests {
                 infos: 2,
             },
             Event::LintGateFailed {
-                context: "cache.partial".into(),
+                context: "flow.preflight".into(),
                 code: "FXL001".into(),
                 findings: 3,
             },
@@ -1374,7 +1373,7 @@ mod tests {
                 reason: "simulation budget of 2 exhausted".into(),
             },
             Event::BackendCompiled {
-                backend: "batched".into(),
+                backend: "compiled".into(),
                 kinds: 3,
                 instructions: 412,
                 cycles: 4000,

@@ -287,6 +287,30 @@ mod tests {
     }
 
     #[test]
+    fn accepted_record_naming_a_removed_backend_is_a_structured_error() {
+        // A log written when the lane-batching backend still existed:
+        // replay must reject the record with the spec's own error, not
+        // panic and not silently run it under another backend.
+        let path = tmp("batched");
+        let mut log = JobLog::open(&path).expect("opens");
+        let mut old = spec();
+        old.flow.backend = "batched".into();
+        log.append(&WalRecord::Accepted {
+            seq: 1,
+            job: "j-1".into(),
+            spec: Box::new(old),
+        })
+        .expect("appends");
+        drop(log);
+        let err = JobLog::replay(&path).expect_err("unknown backend");
+        assert!(
+            err.to_string()
+                .contains(r#"unknown backend "batched" (expected interpreted, compiled)"#),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn missing_log_replays_empty() {
         let (records, dropped) = JobLog::replay(tmp("missing")).expect("empty");
         assert!(records.is_empty());

@@ -108,10 +108,6 @@ struct SignalState {
     /// window caps the search).
     granularity: Option<i32>,
     non_dyadic: bool,
-    /// Passive signals execute normally (values, quantization, range
-    /// propagation, RNG draws) but do not touch their own monitors —
-    /// the incremental engine splices cached stats for them instead.
-    passive: bool,
 }
 
 impl SignalState {
@@ -135,7 +131,6 @@ impl SignalState {
             writes: 0,
             granularity: None,
             non_dyadic: false,
-            passive: false,
         }
     }
 }
@@ -252,7 +247,7 @@ struct DesignInner {
     /// Author-asserted contract: every assignment executes unconditionally
     /// each cycle and every data-dependent decision goes through recorded
     /// dataflow (`select_positive` etc.), never Rust-level branching on
-    /// fixed values. Required for dirty-cone partial re-simulation.
+    /// fixed values. Sets the severity of lint's FXL001 check.
     static_schedule: bool,
     /// Optional observability sink: ticks, assignments, overflow and
     /// saturation counters, per-signal quantization-error histograms and
@@ -781,12 +776,11 @@ impl Design {
         self.inner.borrow().overflow_events.clone()
     }
 
-    /// Merges cached overflow events (from signals that were passive this
-    /// run) with the live ones, restoring chronological order and the
-    /// retention cap — so a partially re-simulated run carries the same
-    /// event set a full run would have produced. The sort is stable, so
-    /// same-cycle events keep live-before-cached order (the one detail a
-    /// full interleaved run could decide differently).
+    /// Merges cached overflow events into the recorded ones, restoring
+    /// chronological order and the retention cap — the incremental
+    /// engine's replay restores a previous run's events this way. The
+    /// sort is stable, so same-cycle events keep recorded-before-cached
+    /// order.
     pub fn splice_overflow_events(&self, cached: Vec<OverflowEvent>) {
         let mut inner = self.inner.borrow_mut();
         inner.overflow_events.extend(cached);
@@ -832,10 +826,11 @@ impl Design {
     /// data-dependent decision flows through recorded dataflow
     /// ([`Value::select_positive`](crate::Value::select_positive) etc.)
     /// rather than Rust-level branching on fixed values. Model
-    /// constructors that satisfy this (e.g. the LMS equalizer) declare it
-    /// to unlock dirty-cone partial re-simulation; designs with
-    /// fixed-path-steered schedules (e.g. the timing loop's strobe) must
-    /// not.
+    /// constructors that satisfy this (e.g. the LMS equalizer) declare
+    /// it; designs with fixed-path-steered schedules (e.g. the timing
+    /// loop's strobe) must not. The declaration only sets the severity of
+    /// lint's FXL001 static-schedule check: a violation is an error under
+    /// the declaration and a warning without it.
     pub fn declare_static_schedule(&self) {
         self.inner.borrow_mut().static_schedule = true;
     }
@@ -845,32 +840,8 @@ impl Design {
         self.inner.borrow().static_schedule
     }
 
-    /// Marks exactly the given signals passive (and every other signal
-    /// active). Passive signals still simulate — values, quantization,
-    /// range propagation and RNG draws are unchanged, so downstream
-    /// signals see identical inputs — but skip their own monitors
-    /// (statistics, counters, histograms, overflow events), which the
-    /// incremental engine splices from cache instead.
-    pub fn set_passive(&self, clean: &[SignalId]) {
-        let mut inner = self.inner.borrow_mut();
-        for st in &mut inner.signals {
-            st.passive = false;
-        }
-        for id in clean {
-            inner.signals[id.0 as usize].passive = true;
-        }
-    }
-
-    /// Marks every signal active again.
-    pub fn clear_passive(&self) {
-        let mut inner = self.inner.borrow_mut();
-        for st in &mut inner.signals {
-            st.passive = false;
-        }
-    }
-
     /// Overwrites the monitors of the named signals with cached snapshots
-    /// — the splice step after a passive (partial) re-simulation. Unlike
+    /// — the incremental engine's replay step. Unlike
     /// [`Design::absorb_stats`] this *replaces* instead of merging.
     ///
     /// # Errors
@@ -1182,9 +1153,7 @@ impl Design {
         let mut inner = self.inner.borrow_mut();
         let recording = inner.recording;
         let st = &mut inner.signals[id.0 as usize];
-        if !st.passive {
-            st.reads += 1;
-        }
+        st.reads += 1;
         let itv = match st.range_override {
             Some(r) => r,
             None => {
@@ -1202,30 +1171,21 @@ impl Design {
         let mut inner = self.inner.borrow_mut();
         let inner = &mut *inner;
         let st = &mut inner.signals[id.0 as usize];
-        // Passive signals skip their own monitors (the incremental engine
-        // splices cached stats instead) but everything that other signals
-        // can observe — values, quantization, range propagation and the
-        // shared RNG stream — must behave exactly as in a full run.
-        let passive = st.passive;
-        if !passive {
-            st.writes += 1;
-            st.stat.record(value.fix());
-            st.consumed.record(value.flt() - value.fix());
-            if let Some(rec) = &inner.recorder {
-                rec.inc("sim.assignments", 1);
-            }
+        st.writes += 1;
+        st.stat.record(value.fix());
+        st.consumed.record(value.flt() - value.fix());
+        if let Some(rec) = &inner.recorder {
+            rec.inc("sim.assignments", 1);
         }
 
         // LSB+MSB: quantize the fixed path through the signal's type.
         let mut new_fix = value.fix();
         if let Some(dt) = &st.dtype {
             let q = quantize(value.fix(), dt);
-            if !passive {
-                if let Some(rec) = &inner.recorder {
-                    rec.observe(&format!("sim.quant_error.{}", st.name), q.rounding_error);
-                }
+            if let Some(rec) = &inner.recorder {
+                rec.observe(&format!("sim.quant_error.{}", st.name), q.rounding_error);
             }
-            if q.overflowed && !passive {
+            if q.overflowed {
                 st.overflows += 1;
                 if let Some(rec) = &inner.recorder {
                     match dt.overflow() {
@@ -1255,8 +1215,7 @@ impl Design {
         }
 
         // Float path: either the true reference, or the explicit error
-        // model for divergent feedback signals. The RNG draw happens even
-        // for passive signals — it advances the design-wide stream.
+        // model for divergent feedback signals.
         let new_flt = match st.error_override {
             Some(sigma) if sigma > 0.0 => {
                 let half = sigma * 3f64.sqrt();
@@ -1265,19 +1224,17 @@ impl Design {
             Some(_) => new_fix,
             None => value.flt(),
         };
-        if !passive {
-            st.produced.record(new_flt - new_fix);
+        st.produced.record(new_flt - new_fix);
 
-            // Granularity: the finest LSB any assigned value actually used.
-            if new_fix != 0.0 && !st.non_dyadic {
-                match dyadic_lsb(new_fix) {
-                    Some(l) => {
-                        st.granularity = Some(st.granularity.map_or(l, |g| g.min(l)));
-                    }
-                    None => {
-                        st.non_dyadic = true;
-                        st.granularity = None;
-                    }
+        // Granularity: the finest LSB any assigned value actually used.
+        if new_fix != 0.0 && !st.non_dyadic {
+            match dyadic_lsb(new_fix) {
+                Some(l) => {
+                    st.granularity = Some(st.granularity.map_or(l, |g| g.min(l)));
+                }
+                None => {
+                    st.non_dyadic = true;
+                    st.granularity = None;
                 }
             }
         }
@@ -1545,154 +1502,6 @@ impl Design {
     }
 }
 
-/// Executes one compiled program over several scenario lanes in a single
-/// structure-of-arrays pass: the operand stack holds all lanes of each
-/// slot contiguously and one shared stack pointer advances through the
-/// identical instruction stream, so the inner lane loop stays tight while
-/// every lane's monitors fold exactly as its own sequential replay would.
-/// All lanes must share the program's shape — callers group scenarios by
-/// [`BoundTrace::fingerprint`] plus exact
-/// [`BoundTrace::shape_words`] equality before batching.
-///
-/// Returns the per-lane cycle counts, in lane order.
-///
-/// # Panics
-///
-/// Panics on program/trace/design inconsistencies (wrong signal ids,
-/// mismatched schedules); callers are expected to have proven every lane
-/// with [`Design::verify_compiled`].
-pub fn replay_compiled_batch(
-    program: &CompiledProgram,
-    lanes: &[(&Design, &BoundTrace)],
-) -> Vec<u64> {
-    if lanes.is_empty() {
-        return Vec::new();
-    }
-    let n = lanes.len();
-    let recorders: Vec<_> = lanes
-        .iter()
-        .map(|(d, _)| d.inner.borrow().recorder.clone())
-        .collect();
-    let mut borrows: Vec<std::cell::RefMut<'_, DesignInner>> =
-        lanes.iter().map(|(d, _)| d.inner.borrow_mut()).collect();
-    let mut sinks: Vec<ReplaySink> = borrows
-        .iter()
-        .map(|b| ReplaySink::new(b.signals.len()))
-        .collect();
-    let mut cursors = vec![0usize; n];
-    let mut stack: Vec<Value> = vec![Value::default(); program.max_stack() * n];
-    let mut sp = 0usize;
-
-    let schedule = &lanes[0].1.schedule;
-    for seg in schedule {
-        let kind = &program.kinds[seg.kind as usize];
-        for instr in &kind.instrs {
-            match instr {
-                Instr::Const(c) => {
-                    for slot in &mut stack[sp * n..(sp + 1) * n] {
-                        *slot = Value::with_paths(*c, *c, Interval::point(*c));
-                    }
-                    sp += 1;
-                }
-                Instr::Read(id) => {
-                    for (lane, inner) in borrows.iter().enumerate() {
-                        let st = &inner.signals[id.0 as usize];
-                        let itv = match st.range_override {
-                            Some(r) => r,
-                            None if st.prop.is_empty() => Interval::point(st.fix),
-                            None => st.prop,
-                        };
-                        stack[sp * n + lane] = Value::with_paths(st.flt, st.fix, itv);
-                    }
-                    sp += 1;
-                }
-                Instr::Add | Instr::Sub | Instr::Mul | Instr::Div | Instr::Min | Instr::Max => {
-                    for lane in 0..n {
-                        let r = std::mem::take(&mut stack[(sp - 1) * n + lane]);
-                        let l = std::mem::take(&mut stack[(sp - 2) * n + lane]);
-                        stack[(sp - 2) * n + lane] = match instr {
-                            Instr::Add => l + r,
-                            Instr::Sub => l - r,
-                            Instr::Mul => l * r,
-                            Instr::Div => l / r,
-                            Instr::Min => l.min(r),
-                            _ => l.max(r),
-                        };
-                    }
-                    sp -= 1;
-                }
-                Instr::Neg => {
-                    for slot in &mut stack[(sp - 1) * n..sp * n] {
-                        *slot = -std::mem::take(slot);
-                    }
-                }
-                Instr::Abs => {
-                    for slot in &mut stack[(sp - 1) * n..sp * n] {
-                        *slot = std::mem::take(slot).abs();
-                    }
-                }
-                Instr::Cast(k) => {
-                    let dt = &program.dtypes[*k as usize];
-                    for slot in &mut stack[(sp - 1) * n..sp * n] {
-                        *slot = std::mem::take(slot).cast(dt);
-                    }
-                }
-                Instr::Select => {
-                    for lane in 0..n {
-                        let e = std::mem::take(&mut stack[(sp - 1) * n + lane]);
-                        let t = std::mem::take(&mut stack[(sp - 2) * n + lane]);
-                        let c = std::mem::take(&mut stack[(sp - 3) * n + lane]);
-                        stack[(sp - 3) * n + lane] = c.select_positive(t, e);
-                    }
-                    sp -= 2;
-                }
-                Instr::Store(id) => {
-                    for (lane, inner) in borrows.iter_mut().enumerate() {
-                        let v = std::mem::take(&mut stack[(sp - 1) * n + lane]);
-                        assign_replay(inner, &mut sinks[lane], *id, v);
-                    }
-                    sp -= 1;
-                }
-                Instr::StoreInput(id) => {
-                    for (lane, inner) in borrows.iter_mut().enumerate() {
-                        let s = lanes[lane].1.inputs[cursors[lane]];
-                        cursors[lane] += 1;
-                        assign_replay(
-                            inner,
-                            &mut sinks[lane],
-                            *id,
-                            Value::with_paths(s.flt, s.fix, s.itv),
-                        );
-                    }
-                }
-            }
-        }
-        if seg.tick_after {
-            for (lane, inner) in borrows.iter_mut().enumerate() {
-                tick_replay(inner, &mut sinks[lane]);
-            }
-        }
-    }
-
-    let mut cycles = Vec::with_capacity(n);
-    let mut flushes = Vec::with_capacity(n);
-    for (lane, sink) in sinks.into_iter().enumerate() {
-        let inner = &mut *borrows[lane];
-        for (st, &reads) in inner.signals.iter_mut().zip(&lanes[lane].1.reads) {
-            st.reads = reads;
-        }
-        cycles.push(inner.cycle);
-        flushes.push(sink.into_flush(inner));
-    }
-    drop(borrows);
-    for (flush, rec) in flushes.into_iter().zip(&recorders) {
-        if let Some(rec) = rec {
-            flush.apply(rec.as_ref());
-        }
-    }
-    cycles
-}
-
 /// Monitor side effects of a compiled replay, buffered while the single
 /// design borrow is held and flushed to the recorder afterwards in the
 /// same per-name order the interpreter would have produced.
@@ -1844,21 +1653,16 @@ fn replay_segment(
 /// only run on non-record iterations).
 fn assign_replay(inner: &mut DesignInner, sink: &mut ReplaySink, id: SignalId, value: Value) {
     let st = &mut inner.signals[id.0 as usize];
-    let passive = st.passive;
-    if !passive {
-        st.writes += 1;
-        st.stat.record(value.fix());
-        st.consumed.record(value.flt() - value.fix());
-        sink.assignments += 1;
-    }
+    st.writes += 1;
+    st.stat.record(value.fix());
+    st.consumed.record(value.flt() - value.fix());
+    sink.assignments += 1;
 
     let mut new_fix = value.fix();
     if let Some(dt) = &st.dtype {
         let q = quantize(value.fix(), dt);
-        if !passive {
-            sink.quant[id.0 as usize].push(q.rounding_error);
-        }
-        if q.overflowed && !passive {
+        sink.quant[id.0 as usize].push(q.rounding_error);
+        if q.overflowed {
             st.overflows += 1;
             match dt.overflow() {
                 OverflowMode::Saturate => sink.saturations += 1,
@@ -1891,17 +1695,15 @@ fn assign_replay(inner: &mut DesignInner, sink: &mut ReplaySink, id: SignalId, v
         Some(_) => new_fix,
         None => value.flt(),
     };
-    if !passive {
-        st.produced.record(new_flt - new_fix);
-        if new_fix != 0.0 && !st.non_dyadic {
-            match dyadic_lsb(new_fix) {
-                Some(l) => {
-                    st.granularity = Some(st.granularity.map_or(l, |g| g.min(l)));
-                }
-                None => {
-                    st.non_dyadic = true;
-                    st.granularity = None;
-                }
+    st.produced.record(new_flt - new_fix);
+    if new_fix != 0.0 && !st.non_dyadic {
+        match dyadic_lsb(new_fix) {
+            Some(l) => {
+                st.granularity = Some(st.granularity.map_or(l, |g| g.min(l)));
+            }
+            None => {
+                st.non_dyadic = true;
+                st.granularity = None;
             }
         }
     }
@@ -2425,61 +2227,6 @@ mod incremental_tests {
     }
 
     #[test]
-    fn passive_signals_simulate_but_do_not_monitor() {
-        let d = Design::new();
-        let x = d.sig_typed("x", t(8, 4));
-        let y = d.sig("y");
-        d.set_passive(&[x.id()]);
-        x.set(0.7); // quantizes to 11/16 on the fixed path
-        y.set(x.get() * 2.0);
-        let xr = d.report_by_id(x.id());
-        assert_eq!(xr.writes, 0);
-        assert_eq!(xr.reads, 0);
-        assert_eq!(xr.stat.count(), 0);
-        // ... but the value itself flowed through quantization as usual,
-        // so the active downstream signal observed the quantized value.
-        let yr = d.report_by_id(y.id());
-        assert_eq!(yr.writes, 1);
-        assert_eq!(yr.stat.max(), 2.0 * 11.0 / 16.0);
-        d.clear_passive();
-        x.set(0.7);
-        assert_eq!(d.report_by_id(x.id()).writes, 1);
-    }
-
-    #[test]
-    fn passive_run_plus_splice_equals_full_run() {
-        let stimulus = |d: &Design| {
-            let x = d.sig_handle(d.find("x").unwrap());
-            let y = d.sig_handle(d.find("y").unwrap());
-            for i in 0..32 {
-                x.set((i as f64 * 0.37).sin());
-                y.set(x.get() * 0.5 + 0.125);
-                d.tick();
-            }
-        };
-        let build = || {
-            let d = Design::new();
-            d.sig_typed("x", t(8, 4));
-            d.sig("y");
-            d
-        };
-
-        let full = build();
-        stimulus(&full);
-        let cached = full.export_stats();
-
-        // Re-run with x passive, then splice its cached stats back.
-        let part = build();
-        part.set_passive(&[part.find("x").unwrap()]);
-        stimulus(&part);
-        part.clear_passive();
-        let spliced: Vec<SignalStats> = cached.iter().filter(|s| s.name == "x").cloned().collect();
-        part.splice_stats(&spliced).unwrap();
-
-        assert_eq!(part.export_stats(), cached);
-    }
-
-    #[test]
     fn splice_rejects_unknown_signals_without_side_effects() {
         let d = Design::new();
         let x = d.sig("x");
@@ -2510,7 +2257,7 @@ mod incremental_tests {
         x.set(100.0); // cycle 2
         let mut events = d.take_overflow_events();
         assert_eq!(events.len(), 2);
-        // Pretend the cycle-0 event came from a passive signal's cache.
+        // Splice the events back in two batches.
         let early = events.remove(0);
         d.splice_overflow_events(vec![early]);
         d.splice_overflow_events(events);

@@ -214,34 +214,6 @@ impl Graph {
         out.sort();
         out
     }
-
-    /// The affected fan-out cone of a set of changed signals: every signal
-    /// whose definitions (transitively) read one of the `roots`, plus the
-    /// roots themselves — the reverse of [`Graph::fan_in`]. This is the
-    /// set the incremental engine must re-monitor after an annotation
-    /// change; feedback cycles are handled by the visited set. Sorted.
-    pub fn affected_cone(&self, roots: &[SignalId]) -> Vec<SignalId> {
-        // Signal-level users adjacency: an edge s → t for every signal s
-        // in the dataflow fan-in of a defined signal t.
-        let mut users: HashMap<SignalId, Vec<SignalId>> = HashMap::new();
-        for t in self.defined_signals() {
-            for s in self.fan_in(t) {
-                users.entry(s).or_default().push(t);
-            }
-        }
-        let mut seen: std::collections::BTreeSet<SignalId> = roots.iter().copied().collect();
-        let mut stack: Vec<SignalId> = roots.to_vec();
-        while let Some(s) = stack.pop() {
-            if let Some(ts) = users.get(&s) {
-                for &t in ts {
-                    if seen.insert(t) {
-                        stack.push(t);
-                    }
-                }
-            }
-        }
-        seen.into_iter().collect()
-    }
 }
 
 #[cfg(test)]
@@ -315,72 +287,6 @@ mod tests {
     }
 
     #[test]
-    fn affected_cone_is_the_reverse_of_fan_in() {
-        // x(0) -> a(1) -> b(2); y(3) -> c(4); cone(x) = {x, a, b}.
-        let mut g = Graph::new();
-        let x = g.add(Op::Read(sid(0)), vec![]);
-        let n = g.add(Op::Neg, vec![x]);
-        g.record_def(sid(1), n);
-        let a = g.add(Op::Read(sid(1)), vec![]);
-        let m = g.add(Op::Abs, vec![a]);
-        g.record_def(sid(2), m);
-        let y = g.add(Op::Read(sid(3)), vec![]);
-        let c = g.add(Op::Neg, vec![y]);
-        g.record_def(sid(4), c);
-
-        assert_eq!(g.affected_cone(&[sid(0)]), vec![sid(0), sid(1), sid(2)]);
-        assert_eq!(g.affected_cone(&[sid(3)]), vec![sid(3), sid(4)]);
-        // A root with no users is its own cone.
-        assert_eq!(g.affected_cone(&[sid(2)]), vec![sid(2)]);
-        // Multiple roots union their cones.
-        assert_eq!(
-            g.affected_cone(&[sid(1), sid(3)]),
-            vec![sid(1), sid(2), sid(3), sid(4)]
-        );
-        assert!(g.affected_cone(&[]).is_empty());
-    }
-
-    #[test]
-    fn affected_cone_terminates_on_feedback_cycles() {
-        // Accumulator b(1) reads itself and x(0): b = b + x. Downstream
-        // w(2) reads b. The cone of x must include the whole cycle and
-        // its fan-out without looping forever.
-        let mut g = Graph::new();
-        let x = g.add(Op::Read(sid(0)), vec![]);
-        let b = g.add(Op::Read(sid(1)), vec![]);
-        let sum = g.add(Op::Add, vec![b, x]);
-        g.record_def(sid(1), sum);
-        let b2 = g.add(Op::Read(sid(1)), vec![]);
-        let n = g.add(Op::Neg, vec![b2]);
-        g.record_def(sid(2), n);
-
-        assert_eq!(g.affected_cone(&[sid(0)]), vec![sid(0), sid(1), sid(2)]);
-        // Starting inside the cycle also covers it (b is its own user).
-        assert_eq!(g.affected_cone(&[sid(1)]), vec![sid(1), sid(2)]);
-    }
-
-    #[test]
-    fn affected_cone_of_mutual_feedback_covers_both_directions() {
-        // a(0) reads b(1) and vice versa (a two-signal cycle), plus an
-        // unrelated island c(2) <- d(3).
-        let mut g = Graph::new();
-        let rb = g.add(Op::Read(sid(1)), vec![]);
-        let na = g.add(Op::Neg, vec![rb]);
-        g.record_def(sid(0), na);
-        let ra = g.add(Op::Read(sid(0)), vec![]);
-        let nb = g.add(Op::Abs, vec![ra]);
-        g.record_def(sid(1), nb);
-        let rd = g.add(Op::Read(sid(3)), vec![]);
-        let nc = g.add(Op::Neg, vec![rd]);
-        g.record_def(sid(2), nc);
-
-        assert_eq!(g.affected_cone(&[sid(0)]), vec![sid(0), sid(1)]);
-        assert_eq!(g.affected_cone(&[sid(1)]), vec![sid(0), sid(1)]);
-        // The island is unaffected by the cycle and vice versa.
-        assert_eq!(g.affected_cone(&[sid(3)]), vec![sid(2), sid(3)]);
-    }
-
-    #[test]
     fn fan_in_unions_over_multiple_definitions() {
         // phase(2) is multiply-defined: one branch reads x(0), the other
         // reads y(1). Its fan-in is the union of both definitions.
@@ -403,39 +309,6 @@ mod tests {
         let sum = g.add(Op::Add, vec![acc, x]);
         g.record_def(sid(1), sum);
         assert_eq!(g.fan_in(sid(1)), vec![sid(0), sid(1)]);
-    }
-
-    #[test]
-    fn affected_cone_covers_every_definition_of_a_multiply_defined_signal() {
-        // phase(2) has two defs — one reading x(0), one reading y(1) —
-        // and out(3) reads phase. Changing either input must pull in
-        // phase and everything downstream of it.
-        let mut g = Graph::new();
-        let x = g.add(Op::Read(sid(0)), vec![]);
-        let nx = g.add(Op::Neg, vec![x]);
-        g.record_def(sid(2), nx);
-        let y = g.add(Op::Read(sid(1)), vec![]);
-        let ay = g.add(Op::Abs, vec![y]);
-        g.record_def(sid(2), ay);
-        let p = g.add(Op::Read(sid(2)), vec![]);
-        let np = g.add(Op::Neg, vec![p]);
-        g.record_def(sid(3), np);
-        assert_eq!(g.affected_cone(&[sid(0)]), vec![sid(0), sid(2), sid(3)]);
-        assert_eq!(g.affected_cone(&[sid(1)]), vec![sid(1), sid(2), sid(3)]);
-    }
-
-    #[test]
-    fn affected_cone_of_a_self_loop_root_is_a_fixpoint() {
-        // acc(1) = acc + x(0): the cone of acc is {acc} plus fan-out,
-        // and re-running from that cone returns the same set.
-        let mut g = Graph::new();
-        let x = g.add(Op::Read(sid(0)), vec![]);
-        let acc = g.add(Op::Read(sid(1)), vec![]);
-        let sum = g.add(Op::Add, vec![acc, x]);
-        g.record_def(sid(1), sum);
-        let cone = g.affected_cone(&[sid(1)]);
-        assert_eq!(cone, vec![sid(1)]);
-        assert_eq!(g.affected_cone(&cone), cone);
     }
 
     #[test]

@@ -83,7 +83,6 @@ pub use analyze::{
     analyze_ranges, analyze_ranges_affine, analyze_ranges_with, AnalyzeOptions, RangeAnalysis,
     RangeMemo,
 };
-pub use design::replay_compiled_batch;
 pub use design::{
     Design, OverflowEvent, Reg, RegArray, Sig, SigArray, SignalAnnotation, SignalId, SignalKind,
     SignalRef, SignalStats, UnknownSignalError,

@@ -22,7 +22,7 @@
 //!   the read-count totals spliced in after a replay.
 //!
 //! Lowering (graph + trace → program) lives in `fixref-codegen`; the
-//! replay executors live on [`Design`](crate::Design) because they drive
+//! replay executor lives on [`Design`](crate::Design) because it drives
 //! the private assignment pipeline. Everything here is `Send` plain data,
 //! so scenario-sweep workers can compile in parallel and hand programs
 //! across threads.
@@ -116,7 +116,7 @@ pub enum Instr {
 
 impl Instr {
     /// Appends a stable word encoding of the instruction to `out` — the
-    /// key used for cycle-kind deduplication and program fingerprints.
+    /// key used for cycle-kind deduplication.
     pub fn encode(&self, out: &mut Vec<u64>) {
         match self {
             Instr::Const(c) => out.extend([0, c.to_bits()]),
@@ -166,8 +166,7 @@ pub struct CycleKind {
 }
 
 /// A lowered program: the cycle kinds plus the type table `Cast` indexes
-/// into. Plain data, shareable across scenario lanes that compiled to
-/// the same shape.
+/// into. Plain data.
 #[derive(Debug, Clone, Default)]
 pub struct CompiledProgram {
     /// Deduplicated cycle shapes.
@@ -236,54 +235,6 @@ pub struct BoundTrace {
     pub cycles: u64,
 }
 
-impl BoundTrace {
-    /// A structural fingerprint of `(program, schedule)` — lanes with
-    /// equal fingerprints (and equal encodings, which callers must
-    /// confirm) can be batched through one structure-of-arrays pass.
-    /// Inputs, expectations and read counts are deliberately excluded:
-    /// they vary per scenario without changing the executable shape.
-    pub fn fingerprint(&self, program: &CompiledProgram) -> u64 {
-        let mut words = Vec::new();
-        Self::encode_shape(program, &self.schedule, &mut words);
-        // FNV-1a over the word encoding.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for w in words {
-            for byte in w.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        h
-    }
-
-    /// The full word encoding of `(program, schedule)`, for exact
-    /// structural-equality checks behind the fingerprint.
-    pub fn shape_words(&self, program: &CompiledProgram) -> Vec<u64> {
-        let mut words = Vec::new();
-        Self::encode_shape(program, &self.schedule, &mut words);
-        words
-    }
-
-    fn encode_shape(program: &CompiledProgram, schedule: &[Segment], out: &mut Vec<u64>) {
-        for dt in &program.dtypes {
-            out.push(dt.name().len() as u64);
-            for b in dt.name().bytes() {
-                out.push(u64::from(b));
-            }
-        }
-        for kind in &program.kinds {
-            out.push(u64::MAX); // kind separator
-            for instr in &kind.instrs {
-                instr.encode(out);
-            }
-        }
-        out.push(u64::MAX - 1); // schedule separator
-        for seg in schedule {
-            out.push((u64::from(seg.kind) << 1) | u64::from(seg.tick_after));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,41 +245,5 @@ mod tests {
         assert_eq!(Instr::Add.stack_effect(), -1);
         assert_eq!(Instr::Select.stack_effect(), -2);
         assert_eq!(Instr::Store(SignalId::from_raw(0)).stack_effect(), -1);
-    }
-
-    #[test]
-    fn fingerprint_distinguishes_schedules_and_instrs() {
-        let program = CompiledProgram {
-            kinds: vec![CycleKind {
-                instrs: vec![Instr::Const(1.0), Instr::Store(SignalId::from_raw(0))],
-                max_stack: 1,
-            }],
-            dtypes: Vec::new(),
-        };
-        let a = BoundTrace {
-            schedule: vec![Segment {
-                kind: 0,
-                tick_after: true,
-            }],
-            ..BoundTrace::default()
-        };
-        let mut b = a.clone();
-        b.schedule.push(Segment {
-            kind: 0,
-            tick_after: false,
-        });
-        assert_ne!(a.fingerprint(&program), b.fingerprint(&program));
-
-        let mut program2 = program.clone();
-        program2.kinds[0].instrs[0] = Instr::Const(2.0);
-        assert_ne!(a.fingerprint(&program), a.fingerprint(&program2));
-        // Inputs do not affect the shape.
-        let mut c = a.clone();
-        c.inputs.push(InputSample {
-            flt: 1.0,
-            fix: 1.0,
-            itv: Interval::point(1.0),
-        });
-        assert_eq!(a.fingerprint(&program), c.fingerprint(&program));
     }
 }

@@ -1,11 +1,10 @@
 //! Differential conformance suite for the evaluation backends.
 //!
-//! The contract under test: selecting [`SimBackend::Compiled`] or
-//! [`SimBackend::Batched`] changes only wall-clock time — the refined
-//! types, per-signal statistics, overflow events, journal and counters
-//! are bit-identical to the interpreted backend (modulo the `backend.*`
-//! bookkeeping the backends themselves add, which this suite strips
-//! before comparing).
+//! The contract under test: selecting [`SimBackend::Compiled`] changes
+//! only wall-clock time — the refined types, per-signal statistics,
+//! overflow events, journal and counters are bit-identical to the
+//! interpreted backend (modulo the `backend.*` bookkeeping the compiled
+//! backend adds, which this suite strips before comparing).
 //!
 //! Coverage: direct capture→lower→verify→replay equality on all six
 //! example designs, plus flow-level comparisons for the LMS equalizer
@@ -426,23 +425,21 @@ fn lms_swept_backends_match_interpreted() {
         false,
         false,
     );
-    for backend in [SimBackend::Compiled, SimBackend::Batched] {
-        let other = run_swept(
-            lms_shard_builder(lms_config()),
-            &[],
-            &set,
-            workers,
-            backend,
-            false,
-            true,
-        );
-        assert_eq!(interpreted, other, "backend {backend:?}");
-    }
+    let compiled = run_swept(
+        lms_shard_builder(lms_config()),
+        &[],
+        &set,
+        workers,
+        SimBackend::Compiled,
+        false,
+        true,
+    );
+    assert_eq!(interpreted, compiled);
     assert!(!interpreted.types.is_empty(), "refinement decided types");
 }
 
 #[test]
-fn lms_swept_batched_matches_interpreted_with_cache() {
+fn lms_swept_compiled_matches_interpreted_with_cache() {
     let set = lms_seed_grid(3, LMS_SAMPLES);
     let workers = shard_count_from_env(2);
     let interpreted = run_swept(
@@ -454,20 +451,20 @@ fn lms_swept_batched_matches_interpreted_with_cache() {
         true,
         false,
     );
-    let batched = run_swept(
+    let compiled = run_swept(
         lms_shard_builder(lms_config()),
         &[],
         &set,
         workers,
-        SimBackend::Batched,
+        SimBackend::Compiled,
         true,
         true,
     );
-    assert_eq!(interpreted, batched);
+    assert_eq!(interpreted, compiled);
 }
 
 #[test]
-fn timing_swept_batched_matches_interpreted() {
+fn timing_swept_compiled_falls_back_and_matches_interpreted() {
     let saturate = ["terr", "lp", "lferr", "step", "mu"];
     let set = ScenarioSet::grid(&[31, 32], &[TIMING_SNR_DB], &[], &[TIMING_SAMPLES]);
     let workers = shard_count_from_env(2);
@@ -480,27 +477,27 @@ fn timing_swept_batched_matches_interpreted() {
         false,
         false,
     );
-    let batched = run_swept(
+    let compiled = run_swept(
         timing_shard_builder(timing_config()),
         &saturate,
         &set,
         workers,
-        SimBackend::Batched,
+        SimBackend::Compiled,
         false,
         false,
     );
-    assert_eq!(interpreted, batched);
+    assert_eq!(interpreted, compiled);
 }
 
 #[test]
-fn batched_sweep_is_invariant_under_shard_count() {
+fn compiled_sweep_is_invariant_under_shard_count() {
     let set = lms_seed_grid(3, LMS_SAMPLES);
     let one = run_swept(
         lms_shard_builder(lms_config()),
         &[],
         &set,
         1,
-        SimBackend::Batched,
+        SimBackend::Compiled,
         false,
         true,
     );
@@ -509,7 +506,7 @@ fn batched_sweep_is_invariant_under_shard_count() {
         &[],
         &set,
         shard_count_from_env(2),
-        SimBackend::Batched,
+        SimBackend::Compiled,
         false,
         true,
     );

@@ -1,16 +1,15 @@
 //! Differential conformance suite for the incremental evaluation cache.
 //!
 //! The contract under test: enabling the evaluation cache — monitor
-//! replay on clean iterations, dirty-cone partial re-simulation on
-//! designs with a declared static schedule — changes *nothing* about the
-//! refinement outcome. Decided types, the `type_applied` journal,
+//! replay on iterations that changed no annotation — changes *nothing*
+//! about the refinement outcome. Decided types, the `type_applied` journal,
 //! iteration counts and the merged per-signal monitors must be bitwise
 //! identical with the cache on, off, and across the sweep's worker
 //! counts (the CI matrix sets `FIXREF_TEST_SHARDS` to 1, 2 and 8).
 //!
 //! Deliberately *outside* the fingerprint: recorder counters
-//! (`cache.hits`, and `sim.*` — passive signals skip their own monitor
-//! bookkeeping) and the cache's own journal events, which legitimately
+//! (`cache.hits`, and `sim.*` — a replay skips the simulation that would
+//! count them) and the cache's own journal events, which legitimately
 //! differ between cached and uncached runs.
 
 use std::collections::BTreeSet;
@@ -167,8 +166,7 @@ fn lms_cached_sequential_flow_is_bit_identical_to_uncached() {
     let plain = run_sequential(lms_shard_builder(lms_config()), &[], &set, false);
     let cached = run_sequential(lms_shard_builder(lms_config()), &[], &set, true);
     assert_eq!(plain.fingerprint, cached.fingerprint);
-    // The cached run really reused monitors (the LMS declares a static
-    // schedule, so partial and replay plans are both reachable) ...
+    // The cached run really replayed monitors ...
     assert!(cached.cache_hits > 0, "cache never hit");
     // ... and annotation changes invalidated it along the way.
     assert!(cached.invalidations > 0, "no invalidation was journaled");
@@ -179,9 +177,9 @@ fn lms_cached_sequential_flow_is_bit_identical_to_uncached() {
 #[test]
 fn timing_loop_cached_sequential_flow_is_bit_identical_to_uncached() {
     // The timing loop does NOT declare a static schedule (its strobe
-    // steers data-dependent control flow), so the cache may only replay
-    // fully-clean iterations — never partial cones. The outcome must
-    // still match bitwise.
+    // steers data-dependent control flow); the cache replays its
+    // fully-clean iterations all the same. The outcome must still match
+    // bitwise.
     let set = ScenarioSet::single(31, TIMING_SNR_DB, TIMING_SAMPLES);
     let plain = run_sequential(
         timing_shard_builder(timing_config()),

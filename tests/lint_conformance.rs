@@ -3,9 +3,8 @@
 //! Pins the lint report of every example design against the golden
 //! baselines in `tests/golden/lint_*.txt`, and proves the headline
 //! static-schedule claims: the LMS equalizer verifies FXL001-clean under
-//! its declared schedule, the timing-recovery loop's strobe-gated
-//! signals are caught, and a broken schedule declaration downgrades the
-//! incremental cache from `Partial` to `Cold`.
+//! its declared schedule, and the timing-recovery loop's strobe-gated
+//! signals are caught.
 //!
 //! CI runs this suite under several `FIXREF_TEST_SHARDS` values; every
 //! assertion here compares against checked-in bytes, so any worker-count
@@ -19,9 +18,7 @@
 //! ```
 
 use fixref::lint::{Code, Linter, Severity};
-use fixref::obs::DefaultRecorder;
-use fixref::refine::{CachePlan, EvalCache};
-use fixref::sim::{Design, SignalRef};
+use fixref::sim::Design;
 use fixref_bench::lint_example_designs;
 
 /// Diffs `actual` against a golden file with a line-numbered report.
@@ -144,62 +141,5 @@ fn jsonl_rendering_is_bit_identical_across_runs() {
             assert!(line.starts_with("{\"code\":\"FXL"), "bad line: {line}");
             assert!(line.ends_with('}'), "bad line: {line}");
         }
-    }
-}
-
-#[test]
-fn broken_schedule_declaration_downgrades_the_cache_plan_to_cold() {
-    // declare_static_schedule() is the designer's promise; FXL001 is the
-    // auditor. When the promise is broken (a half-rate strobe), the
-    // incremental cache must refuse the Partial plan even though the
-    // declaration was made.
-    let rec = DefaultRecorder::new();
-    let d = Design::new();
-    let x = d.sig("x");
-    let xs = d.sig("xs");
-    let slow = d.reg("slow");
-    let tracked = d.sig("tracked");
-    d.declare_static_schedule();
-    let mut cache = EvalCache::new();
-    let _ = cache.plan(&d, false, &rec); // drain declaration dirt
-    d.record_graph(true);
-    for i in 0..64 {
-        x.set(i as f64 * 0.01);
-        xs.set(x.get() * 0.5);
-        if i % 2 == 0 {
-            slow.set(xs.get() + 1.0);
-        }
-        tracked.set(xs.get() - 0.25);
-        d.tick();
-    }
-    d.record_graph(false);
-    cache.store(&d);
-    d.set_range(tracked.id(), -2.0, 2.0);
-    match cache.plan(&d, false, &rec) {
-        CachePlan::Cold => {}
-        other => panic!("expected Cold under an FXL001 violation, got {other:?}"),
-    }
-
-    // Identical shape, honest schedule (no strobe): Partial is granted.
-    let d2 = Design::new();
-    let x2 = d2.sig("x");
-    let xs2 = d2.sig("xs");
-    let tracked2 = d2.sig("tracked");
-    d2.declare_static_schedule();
-    let mut cache2 = EvalCache::new();
-    let _ = cache2.plan(&d2, false, &rec);
-    d2.record_graph(true);
-    for i in 0..64 {
-        x2.set(i as f64 * 0.01);
-        xs2.set(x2.get() * 0.5);
-        tracked2.set(xs2.get() - 0.25);
-        d2.tick();
-    }
-    d2.record_graph(false);
-    cache2.store(&d2);
-    d2.set_range(tracked2.id(), -2.0, 2.0);
-    match cache2.plan(&d2, false, &rec) {
-        CachePlan::Partial { .. } => {}
-        other => panic!("expected Partial for the clean schedule, got {other:?}"),
     }
 }
