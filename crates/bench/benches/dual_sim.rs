@@ -61,11 +61,30 @@ fn main() {
     }
 
     {
+        // One design for every pass: after the first, each intern is a hit,
+        // so this times tracing without node insertion.
         let d = Design::new();
         let eq = LmsEqualizer::new(&d, &LmsConfig::default());
         d.record_graph(true);
         h.bench("dual_sim/instrumented_graph_recording", || {
             d.reset_state();
+            eq.init();
+            let mut acc = 0.0;
+            for &x in &stimulus {
+                acc += eq.step(x).0;
+            }
+            acc
+        });
+    }
+
+    {
+        // A newly built design per pass records into an empty graph, as
+        // the first iteration of a flow (and of every sweep shard) does.
+        let config = LmsConfig::default();
+        h.bench("dual_sim/fresh_graph_recording", || {
+            let d = Design::new();
+            let eq = LmsEqualizer::new(&d, &config);
+            d.record_graph(true);
             eq.init();
             let mut acc = 0.0;
             for &x in &stimulus {

@@ -87,6 +87,8 @@ impl fmt::Display for OverflowEvent {
 #[derive(Debug)]
 struct SignalState {
     name: String,
+    /// `sim.quant_error.<name>`, the signal's recorder histogram.
+    quant_key: String,
     kind: SignalKind,
     dtype: Option<DType>,
     flt: f64,
@@ -114,6 +116,7 @@ impl SignalState {
     fn new(name: String, kind: SignalKind, dtype: Option<DType>) -> Self {
         let prop = initial_prop(&dtype);
         SignalState {
+            quant_key: format!("sim.quant_error.{name}"),
             name,
             kind,
             dtype,
@@ -551,8 +554,11 @@ impl Design {
     }
 
     /// Enables or disables signal-flow-graph recording. Typically enabled
-    /// for the first iteration of a stimulus loop only, since repeated
-    /// executions intern to the same nodes anyway but cost allocations.
+    /// for the first iteration of a stimulus loop only: repeated executions
+    /// intern to the same nodes, but every traced operator still allocates
+    /// its expression node and every assignment walks its expression
+    /// through the intern table, so a recording run costs several times a
+    /// plain one. With recording off, `Value` arithmetic allocates nothing.
     pub fn record_graph(&self, on: bool) {
         self.inner.borrow_mut().recording = on;
     }
@@ -1183,7 +1189,7 @@ impl Design {
         if let Some(dt) = &st.dtype {
             let q = quantize(value.fix(), dt);
             if let Some(rec) = &inner.recorder {
-                rec.observe(&format!("sim.quant_error.{}", st.name), q.rounding_error);
+                rec.observe(&st.quant_key, q.rounding_error);
             }
             if q.overflowed {
                 st.overflows += 1;
@@ -1304,7 +1310,7 @@ impl Design {
     /// expected to have proven the pair with [`Design::verify_compiled`].
     pub fn replay_compiled(&self, program: &CompiledProgram, trace: &BoundTrace) -> u64 {
         let recorder = self.inner.borrow().recorder.clone();
-        let (cycles, flush) = {
+        let (cycles, sink) = {
             let mut inner = self.inner.borrow_mut();
             let inner = &mut *inner;
             let mut sink = ReplaySink::new(inner.signals.len());
@@ -1328,10 +1334,10 @@ impl Design {
             for (st, &reads) in inner.signals.iter_mut().zip(&trace.reads) {
                 st.reads = reads;
             }
-            (inner.cycle, sink.into_flush(inner))
+            (inner.cycle, sink)
         };
         if let Some(rec) = &recorder {
-            flush.apply(rec.as_ref());
+            sink.flush(&self.inner.borrow(), rec.as_ref());
         }
         cycles
     }
@@ -1527,38 +1533,10 @@ impl ReplaySink {
         }
     }
 
-    fn into_flush(self, inner: &DesignInner) -> ReplayFlush {
-        let observes = self
-            .quant
-            .into_iter()
-            .enumerate()
-            .filter(|(_, v)| !v.is_empty())
-            .map(|(i, v)| (format!("sim.quant_error.{}", inner.signals[i].name), v))
-            .collect();
-        ReplayFlush {
-            assignments: self.assignments,
-            saturations: self.saturations,
-            overflows: self.overflows,
-            ticks: self.ticks,
-            observes,
-            events: self.events,
-        }
-    }
-}
-
-/// The recorder-facing residue of a [`ReplaySink`], applied after the
-/// design borrow is released.
-struct ReplayFlush {
-    assignments: u64,
-    saturations: u64,
-    overflows: u64,
-    ticks: u64,
-    observes: Vec<(String, Vec<f64>)>,
-    events: Vec<Event>,
-}
-
-impl ReplayFlush {
-    fn apply(self, rec: &dyn Recorder) {
+    /// Applies the buffered side effects to `rec`. A recorder cannot hold
+    /// the (non-`Send`) design, so flushing under a shared borrow of it
+    /// cannot re-enter the simulation.
+    fn flush(self, inner: &DesignInner, rec: &dyn Recorder) {
         // Counters are flushed only when nonzero so an untouched counter
         // stays absent, exactly as under per-assignment `inc` calls.
         if self.assignments > 0 {
@@ -1573,8 +1551,10 @@ impl ReplayFlush {
         if self.ticks > 0 {
             rec.inc("sim.ticks", self.ticks);
         }
-        for (name, values) in &self.observes {
-            rec.observe_seq(name, values);
+        for (st, values) in inner.signals.iter().zip(&self.quant) {
+            if !values.is_empty() {
+                rec.observe_seq(&st.quant_key, values);
+            }
         }
         for ev in self.events {
             rec.record_event(ev);

@@ -15,13 +15,14 @@
 //! of a code execution" requirement the paper attaches to its analytical
 //! method.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::mem::{self, Discriminant};
 
 use fixref_fixed::DType;
 
 use crate::design::SignalId;
-use crate::value::{Expr, ExprNode, ExprOp};
+use crate::value::{Expr, ExprNode};
 
 /// Index of a node in a [`Graph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -89,10 +90,30 @@ pub struct Node {
 #[derive(Debug, Clone, Default)]
 pub struct Graph {
     nodes: Vec<Node>,
+    /// Per signal, its distinct definition roots in first-seen order.
     defs: HashMap<SignalId, Vec<NodeId>>,
+    /// Membership index of `defs`, so deduplication stays O(1) when a
+    /// signal collects thousands of definitions (one `Const` per input
+    /// sample).
+    def_set: HashSet<(SignalId, NodeId)>,
     /// Structural-hash intern table so repeated loop bodies do not grow the
-    /// graph: key is (op-discriminant rendering, args).
-    intern: HashMap<(String, Vec<NodeId>), NodeId>,
+    /// graph. Two nodes share an id exactly when their `{:?}` renderings
+    /// and operands are equal: see [`NodeKey`].
+    intern: HashMap<NodeKey, NodeId>,
+    /// Index of every distinct `Cast` type, a cast's key payload.
+    cast_types: HashMap<DType, u64>,
+}
+
+/// Intern-table key: the operator's variant and payload, plus the operand
+/// ids (unused slots are 0; the variant fixes the arity). The payload is a
+/// constant's bit pattern, with every NaN mapped to one (`Debug` prints
+/// them all alike, while `0.0` and `-0.0` stay apart), a read's signal, or
+/// a cast's index in `cast_types`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct NodeKey {
+    op: Discriminant<Op>,
+    payload: u64,
+    args: [u32; 3],
 }
 
 impl Graph {
@@ -143,22 +164,61 @@ impl Graph {
     /// Adds a node (interned: structurally identical nodes share an id).
     pub fn add(&mut self, op: Op, args: Vec<NodeId>) -> NodeId {
         assert_eq!(op.arity(), args.len(), "arity mismatch for {op:?}");
-        let key = (format!("{op:?}"), args.clone());
-        if let Some(&id) = self.intern.get(&key) {
-            return id;
+        let mut slots = [0; 3];
+        for (slot, a) in slots.iter_mut().zip(&args) {
+            *slot = a.0;
         }
-        let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(Node { op, args });
-        self.intern.insert(key, id);
-        id
+        let key = self.key(&op, slots);
+        self.intern(key, || (op, args))
     }
 
     /// Records `root` as one definition of `signal` (deduplicated).
     pub fn record_def(&mut self, signal: SignalId, root: NodeId) {
-        let defs = self.defs.entry(signal).or_default();
-        if !defs.contains(&root) {
-            defs.push(root);
+        if self.def_set.insert((signal, root)) {
+            self.defs.entry(signal).or_default().push(root);
         }
+    }
+
+    fn key(&mut self, op: &Op, args: [u32; 3]) -> NodeKey {
+        let payload = match op {
+            Op::Const(c) if c.is_nan() => f64::NAN.to_bits(),
+            Op::Const(c) => c.to_bits(),
+            Op::Read(s) => u64::from(s.0),
+            Op::Cast(dt) => match self.cast_types.get(dt) {
+                Some(&k) => k,
+                None => {
+                    let k = self.cast_types.len() as u64;
+                    self.cast_types.insert(dt.clone(), k);
+                    k
+                }
+            },
+            Op::Add
+            | Op::Sub
+            | Op::Mul
+            | Op::Div
+            | Op::Neg
+            | Op::Abs
+            | Op::Min
+            | Op::Max
+            | Op::Select => 0,
+        };
+        NodeKey {
+            op: mem::discriminant(op),
+            payload,
+            args,
+        }
+    }
+
+    /// Looks `key` up, building the owned node with `make` only on a miss.
+    fn intern(&mut self, key: NodeKey, make: impl FnOnce() -> (Op, Vec<NodeId>)) -> NodeId {
+        if let Some(&id) = self.intern.get(&key) {
+            return id;
+        }
+        let id = NodeId(self.nodes.len() as u32);
+        let (op, args) = make();
+        self.nodes.push(Node { op, args });
+        self.intern.insert(key, id);
+        id
     }
 
     /// Interns an expression trace, returning its root, or `None` when the
@@ -173,23 +233,15 @@ impl Graph {
     }
 
     fn intern_node(&mut self, node: &ExprNode) -> Option<NodeId> {
-        let mut args = Vec::with_capacity(node.args.len());
-        for a in &node.args {
-            args.push(self.intern_expr(a)?);
+        let mut args = [0; 3];
+        for (slot, a) in args.iter_mut().zip(&node.args) {
+            *slot = self.intern_expr(a)?.0;
         }
-        let op = match node.op {
-            ExprOp::Add => Op::Add,
-            ExprOp::Sub => Op::Sub,
-            ExprOp::Mul => Op::Mul,
-            ExprOp::Div => Op::Div,
-            ExprOp::Neg => Op::Neg,
-            ExprOp::Abs => Op::Abs,
-            ExprOp::Min => Op::Min,
-            ExprOp::Max => Op::Max,
-            ExprOp::Select => Op::Select,
-            ExprOp::Cast => Op::Cast(node.dtype.clone().expect("cast carries dtype")),
-        };
-        Some(self.add(op, args))
+        let key = self.key(&node.op, args);
+        Some(self.intern(key, || {
+            let ids = args[..node.args.len()].iter().map(|&a| NodeId(a)).collect();
+            (node.op.clone(), ids)
+        }))
     }
 
     /// The set of signals read (transitively) by the definitions of
@@ -250,6 +302,161 @@ mod tests {
         // Different constants are different nodes.
         let c2 = g.add(Op::Const(3.0), vec![]);
         assert_ne!(c1, c2);
+    }
+
+    #[test]
+    fn signed_zeros_are_distinct_constants() {
+        let mut g = Graph::new();
+        let pos = g.add(Op::Const(0.0), vec![]);
+        let neg = g.add(Op::Const(-0.0), vec![]);
+        assert_ne!(pos, neg);
+        assert_eq!(g.add(Op::Const(-0.0), vec![]), neg);
+    }
+
+    #[test]
+    fn nans_share_one_constant_whatever_their_payload() {
+        let mut g = Graph::new();
+        let a = g.add(Op::Const(f64::NAN), vec![]);
+        let b = g.add(Op::Const(f64::from_bits(0x7FF8_0000_0000_0001)), vec![]);
+        let c = g.add(Op::Const(f64::from_bits(0xFFF0_0000_DEAD_BEEF)), vec![]);
+        assert_eq!(a, b);
+        assert_eq!(a, c);
+        assert_eq!(g.len(), 1);
+    }
+
+    #[test]
+    fn casts_share_a_node_only_for_equal_dtypes() {
+        let t = DType::tc("t", 8, 4).unwrap();
+        let renamed = DType::tc("u", 8, 4).unwrap();
+        let mut g = Graph::new();
+        let x = g.add(Op::Read(sid(0)), vec![]);
+        let c1 = g.add(Op::Cast(t.clone()), vec![x]);
+        let c2 = g.add(Op::Cast(t), vec![x]);
+        let c3 = g.add(Op::Cast(renamed), vec![x]);
+        assert_eq!(c1, c2);
+        assert_ne!(c1, c3);
+    }
+
+    /// Reference semantics for interning: nodes keyed on their `Debug`
+    /// rendering, defs deduplicated by linear search.
+    #[derive(Default)]
+    struct ReferenceInterner {
+        nodes: Vec<Node>,
+        defs: HashMap<SignalId, Vec<NodeId>>,
+        intern: HashMap<(String, Vec<NodeId>), NodeId>,
+    }
+
+    impl ReferenceInterner {
+        fn add(&mut self, op: Op, args: Vec<NodeId>) -> NodeId {
+            let key = (format!("{op:?}"), args.clone());
+            if let Some(&id) = self.intern.get(&key) {
+                return id;
+            }
+            let id = NodeId(self.nodes.len() as u32);
+            self.nodes.push(Node { op, args });
+            self.intern.insert(key, id);
+            id
+        }
+
+        fn record_def(&mut self, signal: SignalId, root: NodeId) {
+            let defs = self.defs.entry(signal).or_default();
+            if !defs.contains(&root) {
+                defs.push(root);
+            }
+        }
+    }
+
+    #[test]
+    fn typed_keys_intern_exactly_like_debug_rendered_keys() {
+        use fixref_fixed::{OverflowMode, Rng64};
+
+        let t = DType::tc("t", 8, 4).unwrap();
+        let dtypes = [
+            t.clone(),
+            DType::tc("u", 8, 4).unwrap(),
+            t.with_overflow(OverflowMode::Wrap),
+            DType::tc("t", 10, 6).unwrap(),
+        ];
+        let constants = [
+            0.0,
+            -0.0,
+            1.5,
+            -1.5,
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7FF8_0000_0000_0001),
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let mut rng = Rng64::seed_from_u64(0x1D_0C5);
+        let mut g = Graph::new();
+        let mut r = ReferenceInterner::default();
+        let mut ids: Vec<NodeId> = Vec::new();
+        let mut def_calls = 0;
+        for _ in 0..5000 {
+            let pick = |rng: &mut Rng64, ids: &[NodeId]| ids[rng.below(ids.len() as u64) as usize];
+            let choice = if ids.is_empty() { 0 } else { rng.below(8) };
+            let (op, args) = match choice {
+                0 => (
+                    Op::Const(constants[rng.below(constants.len() as u64) as usize]),
+                    vec![],
+                ),
+                1 => (Op::Const(rng.uniform(-2.0, 2.0)), vec![]),
+                2 => (Op::Read(sid(rng.below(6) as u32)), vec![]),
+                3 => {
+                    let dt = dtypes[rng.below(dtypes.len() as u64) as usize].clone();
+                    (Op::Cast(dt), vec![pick(&mut rng, &ids)])
+                }
+                4 => {
+                    let op = [Op::Neg, Op::Abs][rng.below(2) as usize].clone();
+                    (op, vec![pick(&mut rng, &ids)])
+                }
+                5 => {
+                    let op = [Op::Add, Op::Sub, Op::Mul, Op::Div, Op::Min, Op::Max]
+                        [rng.below(6) as usize]
+                        .clone();
+                    (op, vec![pick(&mut rng, &ids), pick(&mut rng, &ids)])
+                }
+                6 => (
+                    Op::Select,
+                    vec![
+                        pick(&mut rng, &ids),
+                        pick(&mut rng, &ids),
+                        pick(&mut rng, &ids),
+                    ],
+                ),
+                _ => {
+                    let signal = sid(rng.below(6) as u32);
+                    let root = pick(&mut rng, &ids);
+                    g.record_def(signal, root);
+                    r.record_def(signal, root);
+                    def_calls += 1;
+                    continue;
+                }
+            };
+            let id = g.add(op.clone(), args.clone());
+            assert_eq!(id, r.add(op, args));
+            ids.push(id);
+        }
+        // `Node`'s `PartialEq` says NaN != NaN; the renderings compare
+        // payload-insensitively, like the interner.
+        let render = |nodes: Vec<&Node>| -> Vec<String> {
+            nodes.into_iter().map(|n| format!("{n:?}")).collect()
+        };
+        assert_eq!(
+            render(g.iter().map(|(_, n)| n).collect()),
+            render(r.nodes.iter().collect())
+        );
+        assert!(g.len() < ids.len(), "the stream must revisit nodes");
+        let mut defs = 0;
+        for s in 0..6 {
+            assert_eq!(
+                g.defs(sid(s)),
+                r.defs.get(&sid(s)).map_or(&[][..], Vec::as_slice)
+            );
+            defs += g.defs(sid(s)).len();
+        }
+        assert!(defs < def_calls, "the stream must repeat defs");
     }
 
     #[test]

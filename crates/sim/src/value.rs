@@ -23,40 +23,13 @@ use std::rc::Rc;
 use fixref_fixed::{quantize, DType, FixError, Interval, OverflowError, OverflowMode};
 
 use crate::design::SignalId;
-
-/// Expression-trace operator set (a subset of [`crate::graph::Op`] built
-/// during evaluation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ExprOp {
-    /// Addition.
-    Add,
-    /// Subtraction.
-    Sub,
-    /// Multiplication.
-    Mul,
-    /// Division.
-    Div,
-    /// Negation.
-    Neg,
-    /// Absolute value.
-    Abs,
-    /// Elementwise minimum.
-    Min,
-    /// Elementwise maximum.
-    Max,
-    /// Intermediate cast (quantization) — carries the dtype separately.
-    Cast,
-    /// Fixed-path-steered selection: `args = [cond, then, else]`.
-    Select,
-}
+use crate::graph::Op;
 
 /// Expression trace node.
 #[derive(Debug, Clone)]
 pub(crate) struct ExprNode {
-    pub op: ExprOp,
+    pub op: Op,
     pub args: Vec<Expr>,
-    /// Only used by `Cast`.
-    pub dtype: Option<DType>,
 }
 
 /// Expression trace: absent (`Off`) when graph recording is disabled, so
@@ -93,17 +66,16 @@ impl Expr {
 
     /// Builds an operator node from `(expr, fixed value)` operand pairs.
     /// The node records as long as *any* operand records; a value built
-    /// purely from literals stays `Off` (nothing upstream to trace).
-    fn node(op: ExprOp, args: Vec<(Expr, f64)>, dtype: Option<DType>) -> Expr {
+    /// purely from literals stays `Off` (nothing upstream to trace), and
+    /// then neither the node nor its operator (`op`) is built.
+    fn node<const N: usize>(op: impl FnOnce() -> Op, args: [(Expr, f64); N]) -> Expr {
         if args.iter().all(|(e, _)| e.is_off()) {
-            Expr::Off
-        } else {
-            Expr::Node(Rc::new(ExprNode {
-                op,
-                args: args.into_iter().map(|(e, v)| e.or_const(v)).collect(),
-                dtype,
-            }))
+            return Expr::Off;
         }
+        Expr::Node(Rc::new(ExprNode {
+            op: op(),
+            args: args.into_iter().map(|(e, v)| e.or_const(v)).collect(),
+        }))
     }
 }
 
@@ -215,7 +187,7 @@ impl Value {
             flt: self.flt,
             fix: q.value,
             itv,
-            expr: Expr::node(ExprOp::Cast, vec![(self.expr, fix_in)], Some(dtype.clone())),
+            expr: Expr::node(|| Op::Cast(dtype.clone()), [(self.expr, fix_in)]),
         }
     }
 
@@ -245,7 +217,7 @@ impl Value {
             flt: self.flt.abs(),
             fix: self.fix.abs(),
             itv: self.itv.abs(),
-            expr: Expr::node(ExprOp::Abs, vec![(self.expr, self.fix)], None),
+            expr: Expr::node(|| Op::Abs, [(self.expr, self.fix)]),
         }
     }
 
@@ -255,11 +227,7 @@ impl Value {
             flt: self.flt.min(rhs.flt),
             fix: self.fix.min(rhs.fix),
             itv: self.itv.min(&rhs.itv),
-            expr: Expr::node(
-                ExprOp::Min,
-                vec![(self.expr, self.fix), (rhs.expr, rhs.fix)],
-                None,
-            ),
+            expr: Expr::node(|| Op::Min, [(self.expr, self.fix), (rhs.expr, rhs.fix)]),
         }
     }
 
@@ -269,11 +237,7 @@ impl Value {
             flt: self.flt.max(rhs.flt),
             fix: self.fix.max(rhs.fix),
             itv: self.itv.max(&rhs.itv),
-            expr: Expr::node(
-                ExprOp::Max,
-                vec![(self.expr, self.fix), (rhs.expr, rhs.fix)],
-                None,
-            ),
+            expr: Expr::node(|| Op::Max, [(self.expr, self.fix), (rhs.expr, rhs.fix)]),
         }
     }
 
@@ -291,13 +255,12 @@ impl Value {
             fix: if take_then { then_v.fix } else { else_v.fix },
             itv: then_v.itv.union(&else_v.itv),
             expr: Expr::node(
-                ExprOp::Select,
-                vec![
+                || Op::Select,
+                [
                     (self.expr, self.fix),
                     (then_v.expr, then_v.fix),
                     (else_v.expr, else_v.fix),
                 ],
-                None,
             ),
         }
     }
@@ -357,11 +320,7 @@ macro_rules! binop {
                     flt: self.flt $op rhs.flt,
                     fix: self.fix $op rhs.fix,
                     itv: itv(self.itv, rhs.itv),
-                    expr: Expr::node(
-                        $exprop,
-                        vec![(self.expr, self.fix), (rhs.expr, rhs.fix)],
-                        None,
-                    ),
+                    expr: Expr::node(|| $exprop, [(self.expr, self.fix), (rhs.expr, rhs.fix)]),
                 }
             }
         }
@@ -383,10 +342,10 @@ macro_rules! binop {
     };
 }
 
-binop!(Add, add, +, ExprOp::Add, |a, b| a + b);
-binop!(Sub, sub, -, ExprOp::Sub, |a, b| a - b);
-binop!(Mul, mul, *, ExprOp::Mul, |a, b| a * b);
-binop!(Div, div, /, ExprOp::Div, |a, b| a / b);
+binop!(Add, add, +, Op::Add, |a, b| a + b);
+binop!(Sub, sub, -, Op::Sub, |a, b| a - b);
+binop!(Mul, mul, *, Op::Mul, |a, b| a * b);
+binop!(Div, div, /, Op::Div, |a, b| a / b);
 
 impl Neg for Value {
     type Output = Value;
@@ -395,7 +354,7 @@ impl Neg for Value {
             flt: -self.flt,
             fix: -self.fix,
             itv: -self.itv,
-            expr: Expr::node(ExprOp::Neg, vec![(self.expr, self.fix)], None),
+            expr: Expr::node(|| Op::Neg, [(self.expr, self.fix)]),
         }
     }
 }
@@ -594,7 +553,7 @@ mod tests {
         let c = a * b;
         match &c.expr {
             Expr::Node(n) => {
-                assert_eq!(n.op, ExprOp::Mul);
+                assert_eq!(n.op, Op::Mul);
                 assert_eq!(n.args.len(), 2);
             }
             other => panic!("expected node, got {other:?}"),

@@ -1,0 +1,126 @@
+//! Allocation regression test for the dual simulation on the paper's LMS
+//! equalizer (Fig. 1, `x` typed `<7,5,tc,st,rd>`).
+//!
+//! With graph recording off, a simulation step must not touch the heap:
+//! untraced `Value` operators build no expression node, and a typed
+//! assignment hands the recorder a histogram key built once, when the
+//! signal was declared. With recording on, each traced operator may
+//! allocate its expression node and that node's operand list, and
+//! interning a structure already in the graph allocates nothing.
+//!
+//! A counting global allocator tallies allocations per thread, so the
+//! test harness's own threads cannot disturb the count.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+use fixref::dsp::lms::equalizer_stimulus;
+use fixref::dsp::{LmsConfig, LmsEqualizer};
+use fixref::fixed::DType;
+use fixref::obs::DefaultRecorder;
+use fixref::sim::Design;
+use fixref_bench::paper_input_type;
+
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+// SAFETY: every call is forwarded unchanged to the system allocator, so
+// its guarantees carry over. The counter is a const-initialized
+// thread-local `Cell` without a destructor: updating it neither allocates
+// nor re-enters this allocator, and `try_with` skips it during thread
+// teardown instead of panicking.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` above with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+const WARMUP: usize = 100;
+const MEASURED: usize = 100;
+
+/// Operators one LMS step evaluates with 3 taps: a multiply and an add
+/// per tap, `v[3] - b * s`, the slicer's select, and `b + mu * s * (w - y)`.
+const OPERATORS_PER_STEP: u64 = 3 * 2 + 2 + 1 + 4;
+
+/// Steps the paper's equalizer `WARMUP` times, then returns the
+/// allocations of each of the next `MEASURED` steps, sorted.
+fn step_allocations(setup: impl FnOnce(&Design, &LmsEqualizer)) -> Vec<u64> {
+    let stimulus = equalizer_stimulus(7, 28.0, WARMUP + MEASURED);
+    let design = Design::with_seed(0xDA7E_1999);
+    let config = LmsConfig {
+        input_dtype: Some(paper_input_type()),
+        ..LmsConfig::default()
+    };
+    let eq = LmsEqualizer::new(&design, &config);
+    setup(&design, &eq);
+    eq.init();
+    let (warmup, measured) = stimulus.split_at(WARMUP);
+    for &x in warmup {
+        eq.step(x);
+    }
+    let mut counts = Vec::with_capacity(MEASURED);
+    for &x in measured {
+        let before = allocations();
+        eq.step(x);
+        counts.push(allocations() - before);
+    }
+    counts.sort_unstable();
+    counts
+}
+
+#[test]
+fn lms_steps_allocate_nothing_untraced_and_at_most_two_per_traced_operator() {
+    let plain = step_allocations(|_, _| {});
+    let with_recorder = step_allocations(|design, _| {
+        design.attach_recorder(Arc::new(DefaultRecorder::new()));
+    });
+    let all_typed = step_allocations(|design, eq| {
+        design.attach_recorder(Arc::new(DefaultRecorder::new()));
+        let wide: DType = "<16,12,tc,st,rd>".parse().expect("valid dtype");
+        for id in eq.signal_ids() {
+            design.set_dtype(id, Some(wide.clone()));
+        }
+    });
+    let recording = step_allocations(|design, _| {
+        design.attach_recorder(Arc::new(DefaultRecorder::new()));
+        design.record_graph(true);
+    });
+
+    for (case, counts) in [
+        ("no recorder", &plain),
+        ("recorder attached", &with_recorder),
+        ("every signal typed", &all_typed),
+    ] {
+        assert_eq!(
+            counts.last(),
+            Some(&0),
+            "most allocations in an untraced step, {case}"
+        );
+    }
+    // Each step adds the new input sample's `Const` definition, so the
+    // graph's tables grow now and then; the median step shows the
+    // per-operator cost alone.
+    let median = recording[MEASURED / 2];
+    assert!(
+        median <= 2 * OPERATORS_PER_STEP,
+        "a recording step allocated {median} times, more than 2 per traced operator"
+    );
+}
