@@ -4,10 +4,14 @@
 //! whose cost stays practical, versus running separate fixed and float
 //! simulations plus a signal database.
 
+use std::sync::Arc;
+
 use fixref_bench::microbench::Harness;
 use fixref_bench::paper_input_type;
 use fixref_dsp::lms::equalizer_stimulus;
 use fixref_dsp::{LmsConfig, LmsEqualizer, LmsGolden};
+use fixref_fixed::DType;
+use fixref_obs::DefaultRecorder;
 use fixref_sim::Design;
 
 const SAMPLES: usize = 512;
@@ -56,6 +60,36 @@ fn main() {
             for &x in &stimulus {
                 acc += eq.step(x).0;
             }
+            acc
+        });
+    }
+
+    {
+        // Every refinement flow attaches a recorder, and in the LSB and
+        // verification runs every signal is typed, so each assignment
+        // also quantizes and buffers its error. One flush per pass, as a
+        // flow makes after every simulation.
+        let d = Design::new();
+        let config = LmsConfig {
+            input_dtype: Some(paper_input_type()),
+            ..LmsConfig::default()
+        };
+        let eq = LmsEqualizer::new(&d, &config);
+        let wide: DType = "<16,12,tc,st,rd>".parse().expect("valid dtype");
+        for id in eq.signal_ids() {
+            if d.dtype_of(id).is_none() {
+                d.set_dtype(id, Some(wide.clone()));
+            }
+        }
+        d.attach_recorder(Arc::new(DefaultRecorder::new()));
+        h.bench("dual_sim/instrumented_recorder_all_typed", || {
+            d.reset_state();
+            eq.init();
+            let mut acc = 0.0;
+            for &x in &stimulus {
+                acc += eq.step(x).0;
+            }
+            d.flush_monitors();
             acc
         });
     }

@@ -10,11 +10,14 @@
 //!   `Value` operator allocates expression-trace nodes and interns them
 //!   into the graph;
 //! * **interpreted** — the steady-state iteration (recording off): the
-//!   host-code stimulus walk with per-assignment registry counters;
+//!   host-code stimulus walk, one design borrow per signal access;
 //! * **compiled** — the captured execution trace lowered to a flat op
 //!   tape and replayed through [`Design::replay_compiled`]: one borrow
-//!   for the whole run, no stimulus regeneration, monitors folded through
-//!   a buffered sink.
+//!   for the whole run, no stimulus regeneration.
+//!
+//! All three buffer their recorder-bound monitors in the design's sink and
+//! flush it once at the end, as the flow does after every simulation, so
+//! the monitor pipeline costs the same in each.
 //!
 //! The headline `first_iteration_speedup` compares the compiled replay
 //! against the first-iteration cost it displaces whenever the same
@@ -204,12 +207,14 @@ pub fn run_compile_bench(samples: usize, repeats: usize) -> CompileBenchResult {
         design.record_graph(true);
         lane.drive(samples);
         design.record_graph(false);
+        design.flush_monitors();
         first_iteration_ns = first_iteration_ns.min(start.elapsed().as_nanos());
 
         design.reset_stats();
         design.reset_state();
         let start = Instant::now();
         lane.drive(samples);
+        design.flush_monitors();
         interpreted_ns = interpreted_ns.min(start.elapsed().as_nanos());
 
         design.reset_stats();

@@ -572,6 +572,8 @@ pub(crate) enum Execution<'a> {
 
 /// Runs one simulation of `design` as `execution` asks — the backend
 /// wiring both drivers share. `stimulus` runs unless a tape replays.
+/// Every path ends with the design's monitor sink flushed, so the
+/// recorder holds the simulation's `sim.*` metrics when this returns.
 /// Returns the compile verdict of an [`Execution::Capture`] (`Err` holds
 /// the fallback reason), `None` otherwise.
 pub(crate) fn execute(
@@ -581,11 +583,13 @@ pub(crate) fn execute(
 ) -> Option<Result<CompiledUnit, String>> {
     match execution {
         Execution::Replay(unit) => {
+            // The replay flushes the sink itself.
             design.replay_compiled(&unit.program, &unit.trace);
             return None;
         }
         Execution::Run => {
             stimulus(design);
+            design.flush_monitors();
             return None;
         }
         Execution::Record | Execution::Capture => {}
@@ -598,6 +602,7 @@ pub(crate) fn execute(
     }
     stimulus(design);
     design.record_graph(false);
+    design.flush_monitors();
     capture.then(|| {
         let trace = design
             .end_capture()

@@ -74,8 +74,9 @@ pub trait Recorder: Send + Sync {
     /// them in slice order. Equivalent to calling [`Recorder::observe`]
     /// once per value — implementations may override it to amortize
     /// locking and lookup, but must keep the fold bit-identical to the
-    /// one-at-a-time form (the compiled simulation backend buffers
-    /// per-signal quantization errors and flushes them through this).
+    /// one-at-a-time form. Every simulation, interpreted or compiled,
+    /// buffers its per-signal quantization errors in the design and
+    /// flushes them through this.
     fn observe_seq(&self, name: &str, values: &[f64]) {
         for &v in values {
             self.observe(name, v);
@@ -145,6 +146,16 @@ struct Hist {
     sum: f64,
     min: f64,
     max: f64,
+}
+
+impl Hist {
+    /// Folds one observation in.
+    fn add(&mut self, value: f64) {
+        self.count += 1;
+        self.sum += value;
+        self.min = self.min.min(value);
+        self.max = self.max.max(value);
+    }
 }
 
 #[derive(Default)]
@@ -353,12 +364,7 @@ impl Recorder for DefaultRecorder {
     fn observe(&self, name: &str, value: f64) {
         let mut inner = self.lock();
         match inner.hists.get_mut(name) {
-            Some(h) => {
-                h.count += 1;
-                h.sum += value;
-                h.min = h.min.min(value);
-                h.max = h.max.max(value);
-            }
+            Some(h) => h.add(value),
             None => {
                 inner.hists.insert(
                     name.to_string(),
@@ -380,26 +386,20 @@ impl Recorder for DefaultRecorder {
         let mut inner = self.lock();
         // Same sequential fold as `observe`, one value at a time
         // (including the first-observation insert), so a buffered flush is
-        // bitwise identical to per-assignment recording.
-        use std::collections::hash_map::Entry;
-        let (h, tail) = match inner.hists.entry(name.to_string()) {
-            Entry::Occupied(e) => (e.into_mut(), values),
-            Entry::Vacant(e) => (
-                e.insert(Hist {
-                    count: 1,
-                    sum: first,
-                    min: first,
-                    max: first,
-                }),
-                rest,
-            ),
-        };
-        for &v in tail {
-            h.count += 1;
-            h.sum += v;
-            h.min = h.min.min(v);
-            h.max = h.max.max(v);
+        // bitwise identical to per-assignment recording. Only a new
+        // histogram allocates its key.
+        if let Some(h) = inner.hists.get_mut(name) {
+            values.iter().for_each(|&v| h.add(v));
+            return;
         }
+        let mut h = Hist {
+            count: 1,
+            sum: first,
+            min: first,
+            max: first,
+        };
+        rest.iter().for_each(|&v| h.add(v));
+        inner.hists.insert(name.to_string(), h);
     }
 
     fn record_event(&self, event: Event) {

@@ -84,6 +84,11 @@ impl fmt::Display for OverflowEvent {
     }
 }
 
+/// Values a signal's quantization-error buffer, or the event buffer,
+/// holds before the whole monitor sink flushes: the sink's memory stays
+/// bounded however long a simulation runs between flushes.
+const MONITOR_BUFFER: usize = 256;
+
 #[derive(Debug)]
 struct SignalState {
     name: String,
@@ -254,12 +259,44 @@ struct DesignInner {
     static_schedule: bool,
     /// Optional observability sink: ticks, assignments, overflow and
     /// saturation counters, per-signal quantization-error histograms and
-    /// `OverflowDetected` events all land here when attached.
+    /// `OverflowDetected` events all land here when attached, through
+    /// `monitors`.
     recorder: Option<Arc<dyn Recorder>>,
+    /// Recorder-bound monitor output not yet flushed.
+    monitors: MonitorSink,
     /// When capturing (compiled-backend lowering), every assignment and
     /// tick appends a step here. Requires graph recording, which supplies
     /// the expression roots the steps refer to.
     capture: Option<CaptureBuf>,
+}
+
+/// The recorder-bound output of the simulations since the last flush.
+/// Both backends' assignments and ticks write here instead of calling
+/// the recorder; [`DesignInner::flush_monitors`] hands everything over in
+/// one batch. Nothing is buffered while no recorder is attached.
+#[derive(Default)]
+struct MonitorSink {
+    assignments: u64,
+    saturations: u64,
+    overflows: u64,
+    ticks: u64,
+    /// Per-signal quantization errors, in assignment order.
+    quant: Vec<Vec<f64>>,
+    events: Vec<Event>,
+}
+
+impl MonitorSink {
+    /// Buffers one quantization error of signal `id`. The signal's buffer
+    /// is allocated at its first error and reused after every flush.
+    /// Returns whether the buffer is now full.
+    fn push_quant_error(&mut self, id: SignalId, error: f64) -> bool {
+        let buffer = &mut self.quant[id.0 as usize];
+        if buffer.capacity() == 0 {
+            buffer.reserve_exact(MONITOR_BUFFER);
+        }
+        buffer.push(error);
+        buffer.len() == MONITOR_BUFFER
+    }
 }
 
 /// In-flight capture state between [`Design::begin_capture`] and
@@ -334,6 +371,7 @@ impl Design {
                 dirty: BTreeSet::new(),
                 static_schedule: false,
                 recorder: None,
+                monitors: MonitorSink::default(),
                 capture: None,
             })),
         }
@@ -345,16 +383,43 @@ impl Design {
     /// increment `sim.overflows` / `sim.saturations`, per-signal
     /// quantization error lands in a `sim.quant_error.<name>` histogram,
     /// and overflows on [`OverflowMode::Error`] types are journaled as
-    /// [`Event::OverflowDetected`]. Detach by attaching a fresh recorder
-    /// or with [`Design::detach_recorder`]; simulation behavior is
-    /// unchanged either way.
+    /// [`Event::OverflowDetected`].
+    ///
+    /// These `sim.*` metrics are buffered in the design and reach the
+    /// recorder in batches: at the end of every simulation a refinement
+    /// flow or [`Design::replay_compiled`] runs, whenever a signal has
+    /// buffered 256 values, and when the design is dropped. Each
+    /// histogram still folds its values one at a time in assignment
+    /// order, so the recorder ends up exactly as if every assignment had
+    /// called it. A design stepped by hand calls
+    /// [`Design::flush_monitors`] before reading `sim.*` metrics from its
+    /// recorder.
+    ///
+    /// Output buffered for a previously attached recorder is flushed to
+    /// it first; the new recorder sees none of it. Detach by attaching a
+    /// fresh recorder or with [`Design::detach_recorder`]; simulation
+    /// behavior is unchanged either way.
     pub fn attach_recorder(&self, recorder: Arc<dyn Recorder>) {
-        self.inner.borrow_mut().recorder = Some(recorder);
+        let mut inner = self.inner.borrow_mut();
+        inner.flush_monitors();
+        inner.recorder = Some(recorder);
     }
 
-    /// Removes the attached recorder, if any.
+    /// Flushes buffered monitor output to the attached recorder, if any,
+    /// and removes it.
     pub fn detach_recorder(&self) {
-        self.inner.borrow_mut().recorder = None;
+        let mut inner = self.inner.borrow_mut();
+        inner.flush_monitors();
+        inner.recorder = None;
+    }
+
+    /// Hands the `sim.*` monitor output buffered since the last flush to
+    /// the attached recorder (see [`Design::attach_recorder`]). Refinement
+    /// flows flush after every simulation; call this after stepping a
+    /// design by hand, before reading its recorder. A no-op without a
+    /// recorder.
+    pub fn flush_monitors(&self) {
+        self.inner.borrow_mut().flush_monitors();
     }
 
     /// The currently attached recorder, if any.
@@ -388,6 +453,7 @@ impl Design {
         inner
             .signals
             .push(SignalState::new(name.to_string(), kind, dtype));
+        inner.monitors.quant.push(Vec::new());
         inner.dirty.insert(id.0);
         Ok(id)
     }
@@ -532,20 +598,7 @@ impl Design {
     /// Advances the clock: every pending register assignment becomes
     /// visible and the cycle counter increments.
     pub fn tick(&self) {
-        let mut inner = self.inner.borrow_mut();
-        for st in &mut inner.signals {
-            if let Some((flt, fix)) = st.next.take() {
-                st.flt = flt;
-                st.fix = fix;
-            }
-        }
-        inner.cycle += 1;
-        if let Some(cap) = &mut inner.capture {
-            cap.steps.push(TraceStep::Tick);
-        }
-        if let Some(rec) = &inner.recorder {
-            rec.inc("sim.ticks", 1);
-        }
+        self.inner.borrow_mut().tick();
     }
 
     /// The current cycle (number of [`Design::tick`] calls).
@@ -1174,130 +1227,20 @@ impl Design {
     }
 
     fn assign(&self, id: SignalId, value: Value) {
-        let mut inner = self.inner.borrow_mut();
-        let inner = &mut *inner;
-        let st = &mut inner.signals[id.0 as usize];
-        st.writes += 1;
-        st.stat.record(value.fix());
-        st.consumed.record(value.flt() - value.fix());
-        if let Some(rec) = &inner.recorder {
-            rec.inc("sim.assignments", 1);
-        }
-
-        // LSB+MSB: quantize the fixed path through the signal's type.
-        let mut new_fix = value.fix();
-        if let Some(dt) = &st.dtype {
-            let q = quantize(value.fix(), dt);
-            if let Some(rec) = &inner.recorder {
-                rec.observe(&st.quant_key, q.rounding_error);
-            }
-            if q.overflowed {
-                st.overflows += 1;
-                if let Some(rec) = &inner.recorder {
-                    match dt.overflow() {
-                        OverflowMode::Saturate => rec.inc("sim.saturations", 1),
-                        _ => rec.inc("sim.overflows", 1),
-                    }
-                }
-                if dt.overflow() == OverflowMode::Error {
-                    if let Some(rec) = &inner.recorder {
-                        rec.record_event(Event::OverflowDetected {
-                            signal: st.name.clone(),
-                            value: value.fix(),
-                            cycle: inner.cycle,
-                        });
-                    }
-                    if inner.overflow_events.len() < inner.overflow_event_cap {
-                        inner.overflow_events.push(OverflowEvent {
-                            signal: id,
-                            name: st.name.clone(),
-                            value: value.fix(),
-                            cycle: inner.cycle,
-                        });
-                    }
-                }
-            }
-            new_fix = q.value;
-        }
-
-        // Float path: either the true reference, or the explicit error
-        // model for divergent feedback signals.
-        let new_flt = match st.error_override {
-            Some(sigma) if sigma > 0.0 => {
-                let half = sigma * 3f64.sqrt();
-                new_fix + inner.rng.symmetric(half)
-            }
-            Some(_) => new_fix,
-            None => value.flt(),
-        };
-        st.produced.record(new_flt - new_fix);
-
-        // Granularity: the finest LSB any assigned value actually used.
-        if new_fix != 0.0 && !st.non_dyadic {
-            match dyadic_lsb(new_fix) {
-                Some(l) => {
-                    st.granularity = Some(st.granularity.map_or(l, |g| g.min(l)));
-                }
-                None => {
-                    st.non_dyadic = true;
-                    st.granularity = None;
-                }
-            }
-        }
-
-        // Quasi-analytical range propagation (assignment rule: union).
-        if st.range_override.is_none() {
-            let mut incoming = value.interval();
-            if let Some(dt) = &st.dtype {
-                if dt.overflow() == OverflowMode::Saturate {
-                    incoming = incoming.clamp_to(&Interval::from_dtype(dt));
-                }
-            }
-            st.prop = st.prop.union(&incoming);
-        }
-
-        // Signal-flow graph. A value with no expression trace (a literal,
-        // or one built before recording was enabled) records as a constant
-        // definition — this is how coefficient initializations like
-        // `c[i] = coef[i]` enter the analytical model.
-        if inner.recording {
-            let root = inner.graph.intern_expr(value.expr()).unwrap_or_else(|| {
-                inner
-                    .graph
-                    .add(crate::graph::Op::Const(value.fix()), vec![])
-            });
-            inner.graph.record_def(id, root);
-            if let Some(cap) = &mut inner.capture {
-                cap.steps.push(TraceStep::Assign {
-                    sig: id,
-                    root,
-                    flt: value.flt(),
-                    fix: value.fix(),
-                    itv: value.interval(),
-                });
-            }
-        }
-
-        match st.kind {
-            SignalKind::Wire => {
-                st.flt = new_flt;
-                st.fix = new_fix;
-            }
-            SignalKind::Register => {
-                st.next = Some((new_flt, new_fix));
-            }
-        }
+        self.inner.borrow_mut().assign(id, &value);
     }
 
     /// Executes a lowered program against this design, reproducing one
-    /// interpreted run bit-for-bit: every `Store` runs the full monitored
-    /// assignment pipeline (quantization, range stats, propagation, error
-    /// injection from the live RNG stream), read counts are spliced from
-    /// the capture, and recorder counters / quantization-error histograms
-    /// / overflow events are flushed once at the end through the same
-    /// fold order the interpreter would have produced. Types, range
-    /// overrides and error models are read *live*, so one tape survives
-    /// annotation changes between refinement iterations.
+    /// interpreted run bit-for-bit: every `Store` runs the interpreter's
+    /// monitored assignment pipeline (quantization, range stats,
+    /// propagation, error injection from the live RNG stream, the monitor
+    /// sink), every tick the interpreter's tick, and read counts are
+    /// spliced from the capture. Types, range overrides and error models
+    /// are read *live*, so one tape survives annotation changes between
+    /// refinement iterations. A replayed store carries no expression, so
+    /// the replay records no graph and extends no capture. The monitor
+    /// sink is flushed to the attached recorder at the end, as a
+    /// refinement flow does after an interpreted run.
     ///
     /// The design must be in the same starting state the capture began
     /// from (freshly reset, or freshly built for sweep shards). Returns
@@ -1309,37 +1252,33 @@ impl Design {
     /// (wrong signal ids, malformed stack discipline) — callers are
     /// expected to have proven the pair with [`Design::verify_compiled`].
     pub fn replay_compiled(&self, program: &CompiledProgram, trace: &BoundTrace) -> u64 {
-        let recorder = self.inner.borrow().recorder.clone();
-        let (cycles, sink) = {
-            let mut inner = self.inner.borrow_mut();
-            let inner = &mut *inner;
-            let mut sink = ReplaySink::new(inner.signals.len());
-            let mut stack: Vec<Value> = Vec::with_capacity(program.max_stack());
-            let mut cursor = 0usize;
-            for seg in &trace.schedule {
-                let kind = &program.kinds[seg.kind as usize];
-                replay_segment(
-                    inner,
-                    &mut sink,
-                    kind,
-                    &program.dtypes,
-                    &trace.inputs,
-                    &mut cursor,
-                    &mut stack,
-                );
-                if seg.tick_after {
-                    tick_replay(inner, &mut sink);
-                }
+        let mut inner = self.inner.borrow_mut();
+        let inner = &mut *inner;
+        let recording = std::mem::replace(&mut inner.recording, false);
+        let capture = inner.capture.take();
+        let mut stack: Vec<Value> = Vec::with_capacity(program.max_stack());
+        let mut cursor = 0usize;
+        for seg in &trace.schedule {
+            let kind = &program.kinds[seg.kind as usize];
+            replay_segment(
+                inner,
+                kind,
+                &program.dtypes,
+                &trace.inputs,
+                &mut cursor,
+                &mut stack,
+            );
+            if seg.tick_after {
+                inner.tick();
             }
-            for (st, &reads) in inner.signals.iter_mut().zip(&trace.reads) {
-                st.reads = reads;
-            }
-            (inner.cycle, sink)
-        };
-        if let Some(rec) = &recorder {
-            sink.flush(&self.inner.borrow(), rec.as_ref());
         }
-        cycles
+        for (st, &reads) in inner.signals.iter_mut().zip(&trace.reads) {
+            st.reads = reads;
+        }
+        inner.recording = recording;
+        inner.capture = capture;
+        inner.flush_monitors();
+        inner.cycle
     }
 
     /// Replays `(program, trace)` against scratch state to prove the tape
@@ -1508,56 +1447,195 @@ impl Design {
     }
 }
 
-/// Monitor side effects of a compiled replay, buffered while the single
-/// design borrow is held and flushed to the recorder afterwards in the
-/// same per-name order the interpreter would have produced.
-struct ReplaySink {
-    assignments: u64,
-    saturations: u64,
-    overflows: u64,
-    ticks: u64,
-    /// Per-signal quantization-error observations, in assignment order.
-    quant: Vec<Vec<f64>>,
-    events: Vec<Event>,
-}
+impl DesignInner {
+    /// The monitored assignment pipeline of paper Fig. 2, shared by the
+    /// interpreter ([`Sig::set`], [`Reg::set`]) and the compiled replay's
+    /// stores: quantization, range statistics, error statistics, error
+    /// injection, range propagation, graph recording and the write
+    /// itself. Recorder-bound output goes to the monitor sink.
+    ///
+    /// The value comes by reference: taken by value, it was copied onto
+    /// this function's stack on every call, and a steady simulation
+    /// without a recorder ran about 20% slower.
+    fn assign(&mut self, id: SignalId, value: &Value) {
+        let monitored = self.recorder.is_some();
+        let mut sink_full = false;
+        let st = &mut self.signals[id.0 as usize];
+        st.writes += 1;
+        st.stat.record(value.fix());
+        st.consumed.record(value.flt() - value.fix());
+        if monitored {
+            self.monitors.assignments += 1;
+        }
 
-impl ReplaySink {
-    fn new(num_signals: usize) -> Self {
-        ReplaySink {
-            assignments: 0,
-            saturations: 0,
-            overflows: 0,
-            ticks: 0,
-            quant: vec![Vec::new(); num_signals],
-            events: Vec::new(),
+        // LSB+MSB: quantize the fixed path through the signal's type.
+        let mut new_fix = value.fix();
+        if let Some(dt) = &st.dtype {
+            let q = quantize(value.fix(), dt);
+            if monitored {
+                sink_full = self.monitors.push_quant_error(id, q.rounding_error);
+            }
+            if q.overflowed {
+                st.overflows += 1;
+                if monitored {
+                    match dt.overflow() {
+                        OverflowMode::Saturate => self.monitors.saturations += 1,
+                        _ => self.monitors.overflows += 1,
+                    }
+                }
+                if dt.overflow() == OverflowMode::Error {
+                    if monitored {
+                        self.monitors.events.push(Event::OverflowDetected {
+                            signal: st.name.clone(),
+                            value: value.fix(),
+                            cycle: self.cycle,
+                        });
+                        sink_full |= self.monitors.events.len() == MONITOR_BUFFER;
+                    }
+                    if self.overflow_events.len() < self.overflow_event_cap {
+                        self.overflow_events.push(OverflowEvent {
+                            signal: id,
+                            name: st.name.clone(),
+                            value: value.fix(),
+                            cycle: self.cycle,
+                        });
+                    }
+                }
+            }
+            new_fix = q.value;
+        }
+
+        // Float path: either the true reference, or the explicit error
+        // model for divergent feedback signals.
+        let new_flt = match st.error_override {
+            Some(sigma) if sigma > 0.0 => {
+                let half = sigma * 3f64.sqrt();
+                new_fix + self.rng.symmetric(half)
+            }
+            Some(_) => new_fix,
+            None => value.flt(),
+        };
+        st.produced.record(new_flt - new_fix);
+
+        // Granularity: the finest LSB any assigned value actually used.
+        if new_fix != 0.0 && !st.non_dyadic {
+            match dyadic_lsb(new_fix) {
+                Some(l) => {
+                    st.granularity = Some(st.granularity.map_or(l, |g| g.min(l)));
+                }
+                None => {
+                    st.non_dyadic = true;
+                    st.granularity = None;
+                }
+            }
+        }
+
+        // Quasi-analytical range propagation (assignment rule: union).
+        if st.range_override.is_none() {
+            let mut incoming = value.interval();
+            if let Some(dt) = &st.dtype {
+                if dt.overflow() == OverflowMode::Saturate {
+                    incoming = incoming.clamp_to(&Interval::from_dtype(dt));
+                }
+            }
+            st.prop = st.prop.union(&incoming);
+        }
+
+        // Signal-flow graph. A value with no expression trace (a literal,
+        // or one built before recording was enabled) records as a constant
+        // definition — this is how coefficient initializations like
+        // `c[i] = coef[i]` enter the analytical model.
+        if self.recording {
+            let root = self
+                .graph
+                .intern_expr(value.expr())
+                .unwrap_or_else(|| self.graph.add(crate::graph::Op::Const(value.fix()), vec![]));
+            self.graph.record_def(id, root);
+            if let Some(cap) = &mut self.capture {
+                cap.steps.push(TraceStep::Assign {
+                    sig: id,
+                    root,
+                    flt: value.flt(),
+                    fix: value.fix(),
+                    itv: value.interval(),
+                });
+            }
+        }
+
+        match st.kind {
+            SignalKind::Wire => {
+                st.flt = new_flt;
+                st.fix = new_fix;
+            }
+            SignalKind::Register => {
+                st.next = Some((new_flt, new_fix));
+            }
+        }
+        if sink_full {
+            self.flush_monitors();
         }
     }
 
-    /// Applies the buffered side effects to `rec`. A recorder cannot hold
-    /// the (non-`Send`) design, so flushing under a shared borrow of it
-    /// cannot re-enter the simulation.
-    fn flush(self, inner: &DesignInner, rec: &dyn Recorder) {
-        // Counters are flushed only when nonzero so an untouched counter
-        // stays absent, exactly as under per-assignment `inc` calls.
-        if self.assignments > 0 {
-            rec.inc("sim.assignments", self.assignments);
-        }
-        if self.saturations > 0 {
-            rec.inc("sim.saturations", self.saturations);
-        }
-        if self.overflows > 0 {
-            rec.inc("sim.overflows", self.overflows);
-        }
-        if self.ticks > 0 {
-            rec.inc("sim.ticks", self.ticks);
-        }
-        for (st, values) in inner.signals.iter().zip(&self.quant) {
-            if !values.is_empty() {
-                rec.observe_seq(&st.quant_key, values);
+    /// The clock tick of both backends: pending register assignments
+    /// become visible and the cycle counter increments.
+    fn tick(&mut self) {
+        for st in &mut self.signals {
+            if let Some((flt, fix)) = st.next.take() {
+                st.flt = flt;
+                st.fix = fix;
             }
         }
-        for ev in self.events {
-            rec.record_event(ev);
+        self.cycle += 1;
+        if let Some(cap) = &mut self.capture {
+            cap.steps.push(TraceStep::Tick);
+        }
+        if self.recorder.is_some() {
+            self.monitors.ticks += 1;
+        }
+    }
+
+    /// Hands the monitor sink to the attached recorder and empties it.
+    /// Counters go as one increment each, and only when nonzero, so an
+    /// untouched counter stays absent. Each signal's quantization errors
+    /// go through [`Recorder::observe_seq`], which folds them one at a
+    /// time onto the histogram's current state — pre-summing them would
+    /// change the sum's last bit. Events follow in the order they
+    /// occurred. A recorder cannot hold the (non-`Send`) design, so
+    /// calling it here cannot re-enter the simulation.
+    fn flush_monitors(&mut self) {
+        let Some(rec) = &self.recorder else {
+            return;
+        };
+        let sink = &mut self.monitors;
+        for (name, count) in [
+            ("sim.assignments", &mut sink.assignments),
+            ("sim.saturations", &mut sink.saturations),
+            ("sim.overflows", &mut sink.overflows),
+            ("sim.ticks", &mut sink.ticks),
+        ] {
+            if *count > 0 {
+                rec.inc(name, std::mem::take(count));
+            }
+        }
+        for (st, values) in self.signals.iter().zip(&mut sink.quant) {
+            if !values.is_empty() {
+                rec.observe_seq(&st.quant_key, values);
+                values.clear();
+            }
+        }
+        for event in sink.events.drain(..) {
+            rec.record_event(event);
+        }
+    }
+}
+
+impl Drop for DesignInner {
+    fn drop(&mut self) {
+        // Not while the thread panics: the panic may have cut an
+        // assignment short, and a recorder call that panicked again
+        // during unwinding would abort the process.
+        if !std::thread::panicking() {
+            self.flush_monitors();
         }
     }
 }
@@ -1565,7 +1643,6 @@ impl ReplaySink {
 /// One cycle-kind execution for the single-lane replay.
 fn replay_segment(
     inner: &mut DesignInner,
-    sink: &mut ReplaySink,
     kind: &crate::tape::CycleKind,
     dtypes: &[DType],
     inputs: &[InputSample],
@@ -1617,109 +1694,15 @@ fn replay_segment(
             }
             Instr::Store(id) => {
                 let v = stack.pop().expect(UNDERFLOW);
-                assign_replay(inner, sink, *id, v);
+                inner.assign(*id, &v);
             }
             Instr::StoreInput(id) => {
                 let s = inputs[*cursor];
                 *cursor += 1;
-                assign_replay(inner, sink, *id, Value::with_paths(s.flt, s.fix, s.itv));
+                inner.assign(*id, &Value::with_paths(s.flt, s.fix, s.itv));
             }
         }
     }
-}
-
-/// The monitored assignment pipeline of [`Design::assign`], with recorder
-/// calls redirected into the [`ReplaySink`] (no graph recording: replays
-/// only run on non-record iterations).
-fn assign_replay(inner: &mut DesignInner, sink: &mut ReplaySink, id: SignalId, value: Value) {
-    let st = &mut inner.signals[id.0 as usize];
-    st.writes += 1;
-    st.stat.record(value.fix());
-    st.consumed.record(value.flt() - value.fix());
-    sink.assignments += 1;
-
-    let mut new_fix = value.fix();
-    if let Some(dt) = &st.dtype {
-        let q = quantize(value.fix(), dt);
-        sink.quant[id.0 as usize].push(q.rounding_error);
-        if q.overflowed {
-            st.overflows += 1;
-            match dt.overflow() {
-                OverflowMode::Saturate => sink.saturations += 1,
-                _ => sink.overflows += 1,
-            }
-            if dt.overflow() == OverflowMode::Error {
-                sink.events.push(Event::OverflowDetected {
-                    signal: st.name.clone(),
-                    value: value.fix(),
-                    cycle: inner.cycle,
-                });
-                if inner.overflow_events.len() < inner.overflow_event_cap {
-                    inner.overflow_events.push(OverflowEvent {
-                        signal: id,
-                        name: st.name.clone(),
-                        value: value.fix(),
-                        cycle: inner.cycle,
-                    });
-                }
-            }
-        }
-        new_fix = q.value;
-    }
-
-    let new_flt = match st.error_override {
-        Some(sigma) if sigma > 0.0 => {
-            let half = sigma * 3f64.sqrt();
-            new_fix + inner.rng.symmetric(half)
-        }
-        Some(_) => new_fix,
-        None => value.flt(),
-    };
-    st.produced.record(new_flt - new_fix);
-    if new_fix != 0.0 && !st.non_dyadic {
-        match dyadic_lsb(new_fix) {
-            Some(l) => {
-                st.granularity = Some(st.granularity.map_or(l, |g| g.min(l)));
-            }
-            None => {
-                st.non_dyadic = true;
-                st.granularity = None;
-            }
-        }
-    }
-
-    if st.range_override.is_none() {
-        let mut incoming = value.interval();
-        if let Some(dt) = &st.dtype {
-            if dt.overflow() == OverflowMode::Saturate {
-                incoming = incoming.clamp_to(&Interval::from_dtype(dt));
-            }
-        }
-        st.prop = st.prop.union(&incoming);
-    }
-
-    match st.kind {
-        SignalKind::Wire => {
-            st.flt = new_flt;
-            st.fix = new_fix;
-        }
-        SignalKind::Register => {
-            st.next = Some((new_flt, new_fix));
-        }
-    }
-}
-
-/// The [`Design::tick`] pipeline with the tick counter redirected into
-/// the [`ReplaySink`].
-fn tick_replay(inner: &mut DesignInner, sink: &mut ReplaySink) {
-    for st in &mut inner.signals {
-        if let Some((flt, fix)) = st.next.take() {
-            st.flt = flt;
-            st.fix = fix;
-        }
-    }
-    inner.cycle += 1;
-    sink.ticks += 1;
 }
 
 /// Common interface of [`Sig`] and [`Reg`] handles.
@@ -2116,6 +2099,267 @@ mod sweep_snapshot_tests {
         assert_eq!(dst.graph().len(), 0);
         dst.install_graph(g.clone());
         assert_eq!(dst.graph().len(), g.len());
+    }
+}
+
+#[cfg(test)]
+mod monitor_sink_tests {
+    use super::*;
+    use fixref_obs::{DefaultRecorder, HistogramSummary, SpanId};
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// A [`DefaultRecorder`] that counts every call made to it.
+    #[derive(Default)]
+    struct CountingRecorder {
+        inner: DefaultRecorder,
+        calls: AtomicU64,
+    }
+
+    impl CountingRecorder {
+        fn count(&self) -> &DefaultRecorder {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            &self.inner
+        }
+    }
+
+    impl Recorder for CountingRecorder {
+        fn inc(&self, name: &str, by: u64) {
+            self.count().inc(name, by);
+        }
+        fn observe(&self, name: &str, value: f64) {
+            self.count().observe(name, value);
+        }
+        fn observe_seq(&self, name: &str, values: &[f64]) {
+            self.count().observe_seq(name, values);
+        }
+        fn record_event(&self, event: Event) {
+            self.count().record_event(event);
+        }
+        fn span_begin(&self, name: &str) -> SpanId {
+            self.count().span_begin(name)
+        }
+        fn span_end(&self, id: SpanId, cycles: u64) {
+            self.count().span_end(id, cycles);
+        }
+    }
+
+    /// The paper's Fig. 1 equalizer with three taps, built and stepped as
+    /// `fixref-dsp`'s `LmsEqualizer` does: 15 signals, 12 assignments and
+    /// one tick per step.
+    struct Lms {
+        x: Sig,
+        c: SigArray,
+        d: RegArray,
+        v: SigArray,
+        w: Sig,
+        y: Sig,
+        b: Reg,
+        s: Reg,
+    }
+
+    impl Lms {
+        fn new(design: &Design) -> Self {
+            Lms {
+                x: design.sig("x"),
+                c: design.sig_array("c", 3),
+                d: design.reg_array("d", 3),
+                v: design.sig_array("v", 4),
+                w: design.sig("w"),
+                y: design.sig("y"),
+                b: design.reg("b"),
+                s: design.reg("s"),
+            }
+        }
+
+        fn run(&self, stimulus: &[f64], mut after_step: impl FnMut()) {
+            for (c, coef) in self.c.iter().zip([-0.11, 1.2, -0.11]) {
+                c.set(coef);
+            }
+            for &input in stimulus {
+                self.x.set(input);
+                self.d[0].set(self.x.get());
+                for i in 1..3 {
+                    self.d[i].set(self.d[i - 1].get());
+                }
+                self.v[0].set(0.0);
+                for i in 1..4 {
+                    self.v[i].set(self.v[i - 1].get() + self.d[i - 1].get() * self.c[i - 1].get());
+                }
+                self.w.set(self.v[3].get() - self.b.get() * self.s.get());
+                self.y.set(
+                    self.w
+                        .get()
+                        .select_positive(Value::from(1.0), Value::from(-1.0)),
+                );
+                self.b
+                    .set(self.b.get() + 1.0 / 16.0 * self.s.get() * (self.w.get() - self.y.get()));
+                self.s.set(self.y.get());
+                self.x.design().tick();
+                after_step();
+            }
+        }
+    }
+
+    /// 2-PAM symbols through a mild echo plus uniform noise, within ±1.5,
+    /// under a gain that fades down to 1/1000. The small samples have
+    /// low-order bits that make a sum of their rounding errors depend on
+    /// the order of its terms.
+    fn stimulus(len: usize) -> Vec<f64> {
+        let mut rng = Rng64::seed_from_u64(7);
+        let mut previous = 0.0;
+        (0..len)
+            .map(|_| {
+                let symbol = if rng.next_u64() & 1 == 1 { 1.0 } else { -1.0 };
+                let x = symbol + 0.3 * previous + rng.symmetric(0.2);
+                previous = symbol;
+                (x * rng.uniform(0.001, 1.0)).clamp(-1.5, 1.5)
+            })
+            .collect()
+    }
+
+    fn dtype(text: &str) -> DType {
+        text.parse().expect("valid dtype")
+    }
+
+    fn bits(h: &HistogramSummary) -> [u64; 4] {
+        [h.count, h.sum.to_bits(), h.min.to_bits(), h.max.to_bits()]
+    }
+
+    #[test]
+    fn a_monitored_simulation_calls_the_recorder_per_flush_not_per_assignment() {
+        const STEPS: usize = 4000;
+        let design = Design::with_seed(1);
+        let lms = Lms::new(&design);
+        let wide = dtype("<16,12,tc,st,rd>");
+        for i in 0..design.num_signals() {
+            design.set_dtype(SignalId(i as u32), Some(wide.clone()));
+        }
+        let rec = Arc::new(CountingRecorder::default());
+        design.attach_recorder(rec.clone());
+        lms.run(&stimulus(STEPS), || {});
+        design.flush_monitors();
+
+        assert_eq!(rec.inner.counter("sim.assignments"), 3 + 12 * STEPS as u64);
+        assert_eq!(rec.inner.counter("sim.ticks"), STEPS as u64);
+        // A flush calls the recorder at most once per signal and once per
+        // counter, and the sink flushes about once per MONITOR_BUFFER
+        // steps. Calling it per assignment and per tick would take 25
+        // calls a step.
+        let signals = design.num_signals();
+        let bound = (signals + 4) * (STEPS / MONITOR_BUFFER + 1);
+        let calls = rec.calls.load(Ordering::Relaxed);
+        assert!(
+            calls <= bound as u64,
+            "{calls} recorder calls for {STEPS} steps of {signals} signals (bound {bound})"
+        );
+    }
+
+    #[test]
+    fn histograms_fold_each_value_in_order_however_often_the_sink_flushes() {
+        let paper = dtype("<7,5,tc,st,rd>");
+        let input = stimulus(4000);
+        let run = |flush_every_step: bool| {
+            let design = Design::with_seed(1);
+            let lms = Lms::new(&design);
+            design.set_dtype(lms.x.id(), Some(paper.clone()));
+            // `w` swings past ±1, so this type overflows and journals
+            // `OverflowDetected` events.
+            design.set_dtype(lms.w.id(), Some(dtype("<4,3,tc,er,rd>")));
+            design.set_dtype(lms.b.id(), Some(dtype("<8,6,tc,st,rd>")));
+            let rec = Arc::new(DefaultRecorder::new());
+            design.attach_recorder(rec.clone());
+            lms.run(&input, || {
+                if flush_every_step {
+                    design.flush_monitors();
+                }
+            });
+            design.flush_monitors();
+            rec
+        };
+        let once = run(false);
+        let per_step = run(true);
+
+        let mut want: Option<HistogramSummary> = None;
+        for &x in &input {
+            let e = quantize(x, &paper).rounding_error;
+            want = Some(match want {
+                None => HistogramSummary {
+                    count: 1,
+                    sum: e,
+                    min: e,
+                    max: e,
+                },
+                Some(h) => HistogramSummary {
+                    count: h.count + 1,
+                    sum: h.sum + e,
+                    min: h.min.min(e),
+                    max: h.max.max(e),
+                },
+            });
+        }
+        let got = once.histogram("sim.quant_error.x").expect("x is typed");
+        assert_eq!(bits(&got), bits(&want.expect("nonempty stimulus")));
+
+        assert_eq!(once.counters(), per_step.counters());
+        let hist_bits = |rec: &DefaultRecorder| {
+            rec.histograms()
+                .iter()
+                .map(|(name, h)| (name.clone(), bits(h)))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(hist_bits(&once), hist_bits(&per_step));
+        let events = once.events();
+        assert!(
+            events.len() > MONITOR_BUFFER,
+            "{} overflow events; the event buffer must fill",
+            events.len()
+        );
+        assert_eq!(events, per_step.events());
+    }
+
+    #[test]
+    fn recorder_changes_and_drops_flush_to_the_outgoing_recorder() {
+        let design = Design::new();
+        let x = design.sig_typed("x", dtype("<7,5,tc,st,rd>"));
+        let first = Arc::new(DefaultRecorder::new());
+        design.attach_recorder(first.clone());
+        x.set(0.3);
+        design.tick();
+        assert_eq!(
+            first.counter("sim.assignments"),
+            0,
+            "buffered until a flush"
+        );
+        design.detach_recorder();
+        assert_eq!(first.counter("sim.assignments"), 1);
+        assert_eq!(first.counter("sim.ticks"), 1);
+        assert_eq!(
+            first.histogram("sim.quant_error.x").map(|h| h.count),
+            Some(1)
+        );
+
+        // Nothing is buffered while no recorder is attached, and a newly
+        // attached recorder sees none of the earlier output.
+        x.set(0.4);
+        let second = Arc::new(DefaultRecorder::new());
+        design.attach_recorder(second.clone());
+        design.flush_monitors();
+        assert!(second.counters().is_empty());
+        assert!(second.histograms().is_empty());
+
+        x.set(0.5);
+        let third = Arc::new(DefaultRecorder::new());
+        design.attach_recorder(third.clone());
+        assert_eq!(second.counter("sim.assignments"), 1);
+        design.flush_monitors();
+        assert!(third.counters().is_empty());
+
+        // Dropping the last handle to the design flushes.
+        x.set(0.6);
+        drop(x);
+        drop(design);
+        assert_eq!(third.counter("sim.assignments"), 1);
+        assert_eq!(first.counter("sim.assignments"), 1);
     }
 }
 

@@ -3,10 +3,13 @@
 //!
 //! With graph recording off, a simulation step must not touch the heap:
 //! untraced `Value` operators build no expression node, and a typed
-//! assignment hands the recorder a histogram key built once, when the
-//! signal was declared. With recording on, each traced operator may
-//! allocate its expression node and that node's operand list, and
-//! interning a structure already in the graph allocates nothing.
+//! assignment buffers its quantization error in a per-signal buffer
+//! allocated once. Flushing that buffer hands the recorder a histogram
+//! key built when the signal was declared, and a histogram that already
+//! exists takes the values without allocating. With recording on, each
+//! traced operator may allocate its expression node and that node's
+//! operand list, and interning a structure already in the graph
+//! allocates nothing.
 //!
 //! A counting global allocator tallies allocations per thread, so the
 //! test harness's own threads cannot disturb the count.
@@ -54,15 +57,21 @@ fn allocations() -> u64 {
 }
 
 const WARMUP: usize = 100;
-const MEASURED: usize = 100;
+/// Longer than the 256 values a signal's monitor buffer holds, so a
+/// buffer-full flush falls inside the measured steps.
+const MEASURED: usize = 400;
 
 /// Operators one LMS step evaluates with 3 taps: a multiply and an add
 /// per tap, `v[3] - b * s`, the slicer's select, and `b + mu * s * (w - y)`.
 const OPERATORS_PER_STEP: u64 = 3 * 2 + 2 + 1 + 4;
 
-/// Steps the paper's equalizer `WARMUP` times, then returns the
-/// allocations of each of the next `MEASURED` steps, sorted.
-fn step_allocations(setup: impl FnOnce(&Design, &LmsEqualizer)) -> Vec<u64> {
+/// Steps the paper's equalizer `WARMUP` times with `recorder` attached
+/// and flushes its monitors, so every recorder key exists. Then returns
+/// the allocations of each of the next `MEASURED` steps, sorted.
+fn step_allocations(
+    recorder: Option<Arc<DefaultRecorder>>,
+    setup: impl FnOnce(&Design, &LmsEqualizer),
+) -> Vec<u64> {
     let stimulus = equalizer_stimulus(7, 28.0, WARMUP + MEASURED);
     let design = Design::with_seed(0xDA7E_1999);
     let config = LmsConfig {
@@ -70,37 +79,44 @@ fn step_allocations(setup: impl FnOnce(&Design, &LmsEqualizer)) -> Vec<u64> {
         ..LmsConfig::default()
     };
     let eq = LmsEqualizer::new(&design, &config);
+    if let Some(rec) = &recorder {
+        design.attach_recorder(rec.clone());
+    }
     setup(&design, &eq);
     eq.init();
     let (warmup, measured) = stimulus.split_at(WARMUP);
     for &x in warmup {
         eq.step(x);
     }
+    design.flush_monitors();
+    let flushed = || recorder.as_ref().map(|rec| rec.counter("sim.assignments"));
+    let before_window = flushed();
     let mut counts = Vec::with_capacity(MEASURED);
     for &x in measured {
         let before = allocations();
         eq.step(x);
         counts.push(allocations() - before);
     }
+    assert!(
+        flushed() > before_window || recorder.is_none(),
+        "no buffer-full flush fell inside the measured steps"
+    );
     counts.sort_unstable();
     counts
 }
 
 #[test]
 fn lms_steps_allocate_nothing_untraced_and_at_most_two_per_traced_operator() {
-    let plain = step_allocations(|_, _| {});
-    let with_recorder = step_allocations(|design, _| {
-        design.attach_recorder(Arc::new(DefaultRecorder::new()));
-    });
-    let all_typed = step_allocations(|design, eq| {
-        design.attach_recorder(Arc::new(DefaultRecorder::new()));
+    let recorder = || Some(Arc::new(DefaultRecorder::new()));
+    let plain = step_allocations(None, |_, _| {});
+    let with_recorder = step_allocations(recorder(), |_, _| {});
+    let all_typed = step_allocations(recorder(), |design, eq| {
         let wide: DType = "<16,12,tc,st,rd>".parse().expect("valid dtype");
         for id in eq.signal_ids() {
             design.set_dtype(id, Some(wide.clone()));
         }
     });
-    let recording = step_allocations(|design, _| {
-        design.attach_recorder(Arc::new(DefaultRecorder::new()));
+    let recording = step_allocations(recorder(), |design, _| {
         design.record_graph(true);
     });
 
