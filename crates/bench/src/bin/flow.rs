@@ -1,7 +1,7 @@
 //! Runs the full refinement flow (MSB + LSB + verification) on the paper
-//! equalizer and prints the flow's [`MetricsReport`]
-//! (`fixref_obs::MetricsReport`) — span timings, event counts, simulation
-//! counters — named `flow`.
+//! equalizer and prints the flow's
+//! [`MetricsReport`](fixref_obs::MetricsReport) — span timings, event
+//! counts, simulation counters — named `flow`.
 //!
 //! With `--json`, prints the report as JSON and writes it to
 //! `BENCH_flow.json` for downstream tooling; otherwise prints a plain

@@ -7,7 +7,8 @@
 //! equivalent of the paper's `b.range(-0.2, 0.2)`) resolves both in
 //! iteration 2.
 //!
-//! With `--json`, prints the flow's [`MetricsReport`] as JSON instead and
+//! With `--json`, prints the flow's
+//! [`MetricsReport`](fixref_obs::MetricsReport) as JSON instead and
 //! writes it to `BENCH_table1.json` for downstream tooling.
 
 use fixref_bench::{run_table1_report, table1_text, write_bench_json, LMS_SAMPLES};

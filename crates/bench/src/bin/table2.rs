@@ -5,7 +5,8 @@
 //! every signal; the slicer output `y` is exact (all-zero error
 //! statistics) with LSB 0.
 //!
-//! With `--json`, prints the flow's [`MetricsReport`] as JSON instead and
+//! With `--json`, prints the flow's
+//! [`MetricsReport`](fixref_obs::MetricsReport) as JSON instead and
 //! writes it to `BENCH_table2.json` for downstream tooling.
 
 use fixref_bench::{run_table2_report, table2_text, write_bench_json, LMS_SAMPLES};

@@ -50,8 +50,7 @@ pub fn lms_scenario_stimulus(scenario: &Scenario) -> Vec<f64> {
 
 /// Shard builder for the Fig. 1 LMS equalizer.
 ///
-/// Every shard gets a fresh design with the same seed as [`lms_setup`],
-/// so its `error()` injection streams line up with the master design's —
+/// Every shard gets a fresh design with the master design's seed, so its `error()` injection streams line up with the master design's —
 /// only the stimulus varies with the scenario.
 pub fn lms_shard_builder(config: LmsConfig) -> Box<ShardBuilder> {
     Box::new(move |scenario: &Scenario| {

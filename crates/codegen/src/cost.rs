@@ -12,7 +12,7 @@
 //! policies, not area prediction.
 
 use fixref_fixed::{OverflowMode, RoundingMode};
-use fixref_sim::{Design, Graph, NodeId, Op, SignalId, SignalKind};
+use fixref_sim::{Design, Graph, NodeId, Op, Role, SignalId};
 
 use crate::format::Fmt;
 
@@ -32,9 +32,10 @@ pub struct CostEstimate {
     pub saturator_bits: u64,
     /// Total rounding-adder bits (round-off assignments; floor is free).
     pub rounder_bits: u64,
-    /// Signals that contributed (typed, with recorded definitions).
+    /// Signals that contributed (typed wires, registers and
+    /// conditionally written signals).
     pub costed_signals: usize,
-    /// Signals skipped (untyped or without definitions).
+    /// Signals skipped (input ports, unused or untyped signals).
     pub skipped_signals: usize,
 }
 
@@ -51,12 +52,15 @@ impl CostEstimate {
     }
 }
 
-/// Estimates the datapath cost of every typed, defined signal in the
-/// design, from the recorded signal-flow graph.
+/// Estimates the datapath cost of every typed signal in the design, from
+/// the recorded signal-flow graph.
 ///
-/// Untyped signals and signals without recorded definitions are skipped
-/// (and counted in [`CostEstimate::skipped_signals`]), so the estimate is
-/// usable on partially refined designs.
+/// Each signal is costed by its netlist [`Role`]: a wire or register by
+/// its definition, a [`Role::Conditional`] signal by all of its
+/// definitions plus the mux that selects between them. Input ports,
+/// unused signals and untyped signals cost nothing and are counted in
+/// [`CostEstimate::skipped_signals`], so the estimate is usable on
+/// partially refined designs.
 pub fn estimate_cost(design: &Design, graph: &Graph) -> CostEstimate {
     crate::observed(design, "codegen.estimate_cost", || {
         estimate_cost_impl(design, graph)
@@ -65,24 +69,23 @@ pub fn estimate_cost(design: &Design, graph: &Graph) -> CostEstimate {
 
 fn estimate_cost_impl(design: &Design, graph: &Graph) -> CostEstimate {
     let mut est = CostEstimate::default();
-    for i in 0..design.num_signals() as u32 {
-        let id = SignalId::from_raw(i);
-        let report = design.report_by_id(id);
-        let (dtype, defs) = match (&report.dtype, graph.defs(id)) {
-            (Some(t), defs) if !defs.is_empty() => (t.clone(), defs),
-            _ => {
-                est.skipped_signals += 1;
-                continue;
-            }
+    for (i, role) in Role::all(design, graph).into_iter().enumerate() {
+        let id = SignalId::from_raw(i as u32);
+        let (Some(dtype), Role::Wire(_) | Role::Register(_) | Role::Conditional) =
+            (design.dtype_of(id), role)
+        else {
+            est.skipped_signals += 1;
+            continue;
         };
         est.costed_signals += 1;
         let target = Fmt::from_dtype(&dtype);
 
-        if report.kind == SignalKind::Register {
+        if matches!(role, Role::Register(_)) {
             est.register_bits += target.width() as u64;
         }
         // Several recorded defs (conditional writes) share the target via
         // an implicit mux.
+        let defs = graph.defs(id);
         if defs.len() > 1 {
             est.mux_bits += target.width() as u64 * (defs.len() as u64 - 1);
         }
@@ -184,7 +187,7 @@ mod tests {
         x.set(0.5);
         y.set(x.get() * 0.25 + 0.125);
         let est = estimate_cost(&d, &d.graph());
-        assert_eq!(est.costed_signals, 2); // x (const defs) and y
+        assert_eq!(est.costed_signals, 2); // x (a constant wire) and y
         assert!(est.multiplier_bits > 0);
         assert!(est.adder_bits > 0);
         assert!(est.saturator_bits > 0, "saturating type needs a clamp");
@@ -267,6 +270,21 @@ mod tests {
         }
         let est = estimate_cost(&d, &d.graph());
         assert!(est.mux_bits >= 8, "two defs imply a mux: {est:?}");
+    }
+
+    #[test]
+    fn stimulus_inputs_are_ports_not_muxes() {
+        let d = Design::new();
+        let x = d.sig_typed("x", tc(8, 6));
+        let y = d.sig_typed("y", tc(8, 6));
+        d.record_graph(true);
+        for i in 0..16 {
+            x.set(i as f64 * 0.05); // one constant definition per sample
+            y.set(x.get() * 0.5);
+        }
+        let est = estimate_cost(&d, &d.graph());
+        assert_eq!(est.mux_bits, 0, "{est:?}");
+        assert_eq!((est.costed_signals, est.skipped_signals), (1, 1));
     }
 
     #[test]

@@ -9,30 +9,23 @@
 //! `rtl_interpreter_matches_simulation` integration test) without an
 //! external VHDL simulator.
 //!
-//! Evaluation order: combinational signals are evaluated in topological
-//! order of their wire-read dependencies (derived from the recorded
-//! graph), so models that assign wires out of declaration order still
-//! evaluate like their simulation. Register reads are state, not
-//! combinational dependencies — registers evaluate after the wires they
-//! sample and latch at [`RtlInterpreter::tick`]. A genuine combinational
-//! cycle (wires feeding each other with no register in the loop) has no
-//! valid order and is rejected with
-//! [`CodegenError::CombinationalCycle`].
-
-use std::collections::HashMap;
+//! Signal roles, the wire evaluation order and the bit-true evaluation of
+//! each definition come from the [`fixref_sim::netlist`] the model checker
+//! shares. Register reads are state, not combinational dependencies —
+//! registers evaluate after the wires and latch at
+//! [`RtlInterpreter::tick`]. A genuine combinational cycle (wires feeding
+//! each other with no register in the loop) has no valid order and is
+//! rejected with [`CodegenError::CombinationalCycle`].
 
 use fixref_fixed::{quantize, DType};
-use fixref_sim::{Design, Graph, NodeId, Op, SignalId, SignalKind};
+use fixref_sim::{Design, Graph, Netlist, Role, SignalId};
 
 use crate::expr::CodegenError;
 
 #[derive(Debug, Clone)]
 struct SigInfo {
-    id: SignalId,
     name: String,
-    kind: SignalKind,
     dtype: DType,
-    defs: Vec<NodeId>,
     is_input: bool,
 }
 
@@ -65,101 +58,85 @@ struct SigInfo {
 /// ```
 #[derive(Debug, Clone)]
 pub struct RtlInterpreter {
-    graph: Graph,
+    netlist: Netlist,
+    /// Per value slot of the netlist.
     signals: Vec<SigInfo>,
-    /// Current on-grid values, indexed like `signals`.
+    /// Current on-grid values, per value slot.
     values: Vec<f64>,
-    /// Pending register values, committed at `tick`.
+    /// Pending register values, per netlist register, committed at
+    /// `tick`.
     next: Vec<Option<f64>>,
-    index: HashMap<SignalId, usize>,
-    /// Indices of the evaluated (non-input, defined) signals in
-    /// topological order of their wire-read dependencies.
-    order: Vec<usize>,
+    /// Intermediate results of the definition being evaluated.
+    temps: Vec<f64>,
 }
 
 impl RtlInterpreter {
     /// Builds an interpreter from a design's decided types and recorded
-    /// graph.
-    ///
-    /// Signals are classified like the VHDL generator: externally driven
-    /// (several distinct constant definitions, or none at all but read) ⇒
-    /// inputs; one definition ⇒ wires/registers; anything else is an
-    /// error.
+    /// graph, over every signal whose [`Role`] is not `Unused`.
     ///
     /// # Errors
     ///
+    /// * [`CodegenError::MultipleDefinitions`] — a signal's role is
+    ///   [`Role::Conditional`];
     /// * [`CodegenError::UntypedSignal`] — a participating signal has no
     ///   decided type;
-    /// * [`CodegenError::MultipleDefinitions`] — a signal has several
-    ///   structurally different definitions;
     /// * [`CodegenError::CombinationalCycle`] — the wires form a
     ///   dependency cycle with no register in the loop.
     pub fn new(design: &Design, graph: &Graph) -> Result<Self, CodegenError> {
+        let mut members = Vec::new();
         let mut signals = Vec::new();
-        let mut index = HashMap::new();
-
-        let mut read_somewhere: Vec<SignalId> = graph
-            .iter()
-            .filter_map(|(_, n)| match n.op {
-                Op::Read(s) => Some(s),
-                _ => None,
-            })
-            .collect();
-        read_somewhere.sort();
-        read_somewhere.dedup();
-
-        for i in 0..design.num_signals() as u32 {
-            let id = SignalId::from_raw(i);
-            let defs = graph.defs(id).to_vec();
-            let participates = !defs.is_empty() || read_somewhere.contains(&id);
-            if !participates {
-                continue;
-            }
-            let all_const = !defs.is_empty()
-                && defs
-                    .iter()
-                    .all(|&d| matches!(graph.node(d).op, Op::Const(_)));
-            let is_input = defs.is_empty() || (defs.len() > 1 && all_const);
-            if defs.len() > 1 && !is_input {
-                return Err(CodegenError::MultipleDefinitions {
-                    name: design.name_of(id),
-                });
+        for (i, role) in Role::all(design, graph).into_iter().enumerate() {
+            let id = SignalId::from_raw(i as u32);
+            match role {
+                Role::Unused => continue,
+                Role::Conditional => {
+                    return Err(CodegenError::MultipleDefinitions {
+                        name: design.name_of(id),
+                    })
+                }
+                Role::Input | Role::Wire(_) | Role::Register(_) => {}
             }
             let dtype = design
                 .dtype_of(id)
                 .ok_or_else(|| CodegenError::UntypedSignal {
                     name: design.name_of(id),
                 })?;
-            index.insert(id, signals.len());
+            members.push((id, role));
             signals.push(SigInfo {
-                id,
                 name: design.name_of(id),
-                kind: design.report_by_id(id).kind,
                 dtype,
-                defs: if is_input { Vec::new() } else { defs },
-                is_input,
+                is_input: role == Role::Input,
             });
         }
-
-        let n = signals.len();
-        let order = eval_order(graph, &signals, &index)?;
+        let netlist =
+            Netlist::new(graph, &members).map_err(|wire| CodegenError::CombinationalCycle {
+                name: design.name_of(wire),
+            })?;
         Ok(RtlInterpreter {
-            graph: graph.clone(),
+            values: vec![0.0; signals.len()],
+            next: vec![None; netlist.registers().len()],
+            netlist,
             signals,
-            values: vec![0.0; n],
-            next: vec![None; n],
-            index,
-            order,
+            temps: Vec::new(),
         })
     }
 
     /// The ids of the inferred input signals.
     pub fn inputs(&self) -> Vec<SignalId> {
-        self.signals
+        self.netlist
+            .signals()
             .iter()
-            .filter(|s| s.is_input)
-            .map(|s| s.id)
+            .zip(&self.signals)
+            .filter(|(_, s)| s.is_input)
+            .map(|(&id, _)| id)
             .collect()
+    }
+
+    /// The value slot of a participating signal.
+    fn slot(&self, id: SignalId) -> usize {
+        self.netlist
+            .slot(id)
+            .unwrap_or_else(|| panic!("{id} does not participate in the dataflow"))
     }
 
     /// Drives an input signal; the value is quantized through the input's
@@ -169,39 +146,31 @@ impl RtlInterpreter {
     ///
     /// Panics if `id` is not one of the interpreter's input signals.
     pub fn set_input(&mut self, id: SignalId, value: f64) {
-        let idx = *self
-            .index
-            .get(&id)
-            .unwrap_or_else(|| panic!("{id} does not participate in the dataflow"));
-        assert!(
-            self.signals[idx].is_input,
-            "{} is not an input",
-            self.signals[idx].name
-        );
-        self.values[idx] = quantize(value, &self.signals[idx].dtype).value;
+        let slot = self.slot(id);
+        let signal = &self.signals[slot];
+        assert!(signal.is_input, "{} is not an input", signal.name);
+        self.values[slot] = quantize(value, &signal.dtype).value;
     }
 
-    /// Evaluates one combinational cycle: every wire in topological
-    /// dependency order, every register's next value. Call
+    /// Evaluates one combinational cycle: every wire in the netlist's
+    /// evaluation order, then every register's next value. Call
     /// [`RtlInterpreter::tick`] to latch the registers.
     pub fn step(&mut self) {
-        for k in 0..self.order.len() {
-            let i = self.order[k];
-            let def = self.signals[i].defs[0];
-            let raw = self.eval(def);
-            let q = quantize(raw, &self.signals[i].dtype).value;
-            match self.signals[i].kind {
-                SignalKind::Wire => self.values[i] = q,
-                SignalKind::Register => self.next[i] = Some(q),
-            }
+        for wire in self.netlist.wires() {
+            let raw = wire.eval(&self.values, &mut self.temps);
+            self.values[wire.slot] = quantize(raw, &self.signals[wire.slot].dtype).value;
+        }
+        for (next, reg) in self.next.iter_mut().zip(self.netlist.registers()) {
+            let raw = reg.eval(&self.values, &mut self.temps);
+            *next = Some(quantize(raw, &self.signals[reg.slot].dtype).value);
         }
     }
 
     /// Commits the registers (the clock edge).
     pub fn tick(&mut self) {
-        for (v, n) in self.values.iter_mut().zip(&mut self.next) {
-            if let Some(x) = n.take() {
-                *v = x;
+        for (next, reg) in self.next.iter_mut().zip(self.netlist.registers()) {
+            if let Some(x) = next.take() {
+                self.values[reg.slot] = x;
             }
         }
     }
@@ -212,116 +181,18 @@ impl RtlInterpreter {
     ///
     /// Panics if `id` does not participate in the dataflow.
     pub fn value(&self, id: SignalId) -> f64 {
-        self.values[*self
-            .index
-            .get(&id)
-            .unwrap_or_else(|| panic!("{id} does not participate in the dataflow"))]
+        self.values[self.slot(id)]
     }
 
-    /// The evaluation order over all evaluated signals, for tests.
+    /// The wires in evaluation order, for tests.
     #[cfg(test)]
     fn order_names(&self) -> Vec<String> {
-        self.order
+        self.netlist
+            .wires()
             .iter()
-            .map(|&i| self.signals[i].name.clone())
+            .map(|w| self.signals[w.slot].name.clone())
             .collect()
     }
-
-    fn eval(&self, root: NodeId) -> f64 {
-        let node = self.graph.node(root).clone();
-        match &node.op {
-            Op::Const(c) => *c,
-            Op::Read(s) => self.index.get(s).map(|&i| self.values[i]).unwrap_or(0.0),
-            Op::Add => self.eval(node.args[0]) + self.eval(node.args[1]),
-            Op::Sub => self.eval(node.args[0]) - self.eval(node.args[1]),
-            Op::Mul => self.eval(node.args[0]) * self.eval(node.args[1]),
-            Op::Div => self.eval(node.args[0]) / self.eval(node.args[1]),
-            Op::Neg => -self.eval(node.args[0]),
-            Op::Abs => self.eval(node.args[0]).abs(),
-            Op::Min => self.eval(node.args[0]).min(self.eval(node.args[1])),
-            Op::Max => self.eval(node.args[0]).max(self.eval(node.args[1])),
-            Op::Cast(dt) => quantize(self.eval(node.args[0]), dt).value,
-            Op::Select => {
-                if self.eval(node.args[0]) > 0.0 {
-                    self.eval(node.args[1])
-                } else {
-                    self.eval(node.args[2])
-                }
-            }
-        }
-    }
-}
-
-/// Computes the topological evaluation order of the non-input, defined
-/// signals: a signal is ready once every *wire* it reads has been
-/// evaluated. Register reads are latched state (not combinational
-/// dependencies) and input values are externally driven, so neither
-/// constrains the order; among ready signals, declaration order breaks
-/// ties, keeping the order deterministic.
-fn eval_order(
-    graph: &Graph,
-    signals: &[SigInfo],
-    index: &HashMap<SignalId, usize>,
-) -> Result<Vec<usize>, CodegenError> {
-    // deps[i] = evaluated-wire indices signal i's definition reads.
-    let mut deps: Vec<Vec<usize>> = vec![Vec::new(); signals.len()];
-    for (i, info) in signals.iter().enumerate() {
-        let Some(&def) = info.defs.first() else {
-            continue;
-        };
-        let mut stack = vec![def];
-        let mut seen = vec![def];
-        while let Some(node) = stack.pop() {
-            let n = graph.node(node);
-            if let Op::Read(sig) = n.op {
-                if let Some(&j) = index.get(&sig) {
-                    let dep = &signals[j];
-                    if !dep.is_input
-                        && !dep.defs.is_empty()
-                        && dep.kind == SignalKind::Wire
-                        && !deps[i].contains(&j)
-                    {
-                        deps[i].push(j);
-                    }
-                }
-            }
-            for &arg in &n.args {
-                if !seen.contains(&arg) {
-                    seen.push(arg);
-                    stack.push(arg);
-                }
-            }
-        }
-    }
-
-    let evaluated: Vec<usize> = (0..signals.len())
-        .filter(|&i| !signals[i].is_input && !signals[i].defs.is_empty())
-        .collect();
-    let mut placed = vec![false; signals.len()];
-    let mut order = Vec::with_capacity(evaluated.len());
-    while order.len() < evaluated.len() {
-        let mut progressed = false;
-        for &i in &evaluated {
-            if !placed[i] && deps[i].iter().all(|&j| placed[j]) {
-                placed[i] = true;
-                order.push(i);
-                progressed = true;
-            }
-        }
-        if !progressed {
-            // Every unplaced signal waits on another unplaced wire: a
-            // genuine combinational cycle. Report a wire on it.
-            let culprit = evaluated
-                .iter()
-                .find(|&&i| !placed[i] && signals[i].kind == SignalKind::Wire)
-                .or_else(|| evaluated.iter().find(|&&i| !placed[i]))
-                .expect("unplaced signal exists when no progress is made");
-            return Err(CodegenError::CombinationalCycle {
-                name: signals[*culprit].name.clone(),
-            });
-        }
-    }
-    Ok(order)
 }
 
 #[cfg(test)]

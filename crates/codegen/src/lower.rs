@@ -19,7 +19,7 @@
 //!   tree (`Const`/`Read` leaves, operator interior nodes, `Cast` via a
 //!   deduplicated type table) followed by [`Instr::Store`];
 //! * each tick closes a cycle; structurally identical cycles share one
-//!   deduplicated [`CycleKind`](fixref_sim::CycleKind), so a 4000-sample
+//!   deduplicated [`CycleKind`], so a 4000-sample
 //!   stimulus loop typically lowers to a handful of kinds;
 //! * shared subexpressions (the graph interns them) are re-expanded as
 //!   trees; an instruction budget bounds pathological expansion and

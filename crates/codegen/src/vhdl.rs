@@ -1,9 +1,8 @@
 //! Top-level VHDL entity generation.
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use fixref_sim::{Design, Op, SignalId, SignalKind};
+use fixref_sim::{Design, Role, SignalId};
 
 use crate::expr::{vhdl_name, CodegenError, ExprGen};
 use crate::format::Fmt;
@@ -20,8 +19,7 @@ pub struct VhdlOptions {
     /// Resolution (LSB position) used to encode literal constants.
     pub const_lsb: i32,
     /// Signals to force-classify as input ports, in addition to the
-    /// inferred ones (externally driven: several distinct constant
-    /// definitions, or no definition at all).
+    /// signals whose [`Role`] is `Input`.
     pub inputs: Vec<SignalId>,
 }
 
@@ -45,20 +43,13 @@ impl VhdlOptions {
     }
 }
 
-#[derive(Debug, PartialEq)]
-enum Class {
-    Input,
-    Wire,
-    Register,
-    Skip,
-}
-
 /// Generates a synthesizable VHDL entity from the design's recorded
 /// signal-flow graph and decided types.
 ///
-/// `outputs` lists the signals exposed as output ports; input ports are
-/// the externally-driven signals (inferred, plus
-/// [`VhdlOptions::inputs`]).
+/// `outputs` lists the signals exposed as output ports. Every signal is
+/// declared by its netlist [`Role`]: input ports are the `Input` signals
+/// plus [`VhdlOptions::inputs`], wires become concurrent assignments,
+/// registers one clocked process; `Unused` signals are left out.
 ///
 /// # Errors
 ///
@@ -66,8 +57,8 @@ enum Class {
 ///   has no decided type;
 /// * [`CodegenError::MissingDefinition`] — a requested output was never
 ///   assigned while recording;
-/// * [`CodegenError::MultipleDefinitions`] — a signal was assigned from
-///   several program points (restructure with `select_positive`);
+/// * [`CodegenError::MultipleDefinitions`] — a signal's role is
+///   [`Role::Conditional`] (restructure with `select_positive`);
 /// * [`CodegenError::UnsupportedOp`] — e.g. division by a non-constant.
 pub fn generate_vhdl(
     design: &Design,
@@ -85,52 +76,19 @@ fn generate_vhdl_impl(
     options: &VhdlOptions,
 ) -> Result<String, CodegenError> {
     let graph = design.graph();
-
-    // Which signals are read anywhere in the dataflow?
-    let mut read_somewhere: Vec<SignalId> = graph
-        .iter()
-        .filter_map(|(_, n)| match n.op {
-            Op::Read(s) => Some(s),
-            _ => None,
-        })
-        .collect();
-    read_somewhere.sort();
-    read_somewhere.dedup();
-
-    // Classify every signal.
-    let mut classes: HashMap<SignalId, Class> = HashMap::new();
-    for i in 0..design.num_signals() as u32 {
-        let id = SignalId::from_raw(i);
-        let defs = graph.defs(id);
-        let class = if options.inputs.contains(&id) {
-            Class::Input
-        } else if defs.is_empty() {
-            if read_somewhere.contains(&id) {
-                Class::Input
-            } else {
-                Class::Skip
-            }
-        } else if defs.len() > 1 {
-            let all_const = defs
-                .iter()
-                .all(|&d| matches!(graph.node(d).op, Op::Const(_)));
-            if all_const {
-                Class::Input
-            } else {
-                return Err(CodegenError::MultipleDefinitions {
-                    name: design.name_of(id),
-                });
-            }
-        } else {
-            match design.report_by_id(id).kind {
-                SignalKind::Wire => Class::Wire,
-                SignalKind::Register => Class::Register,
-            }
-        };
-        classes.insert(id, class);
+    let mut roles = Role::all(design, &graph);
+    for (i, role) in roles.iter_mut().enumerate() {
+        let id = SignalId::from_raw(i as u32);
+        if options.inputs.contains(&id) {
+            *role = Role::Input;
+        } else if *role == Role::Conditional {
+            return Err(CodegenError::MultipleDefinitions {
+                name: design.name_of(id),
+            });
+        }
     }
     for &out in outputs {
-        if matches!(classes.get(&out), Some(Class::Skip) | None) {
+        if matches!(roles.get(out.raw() as usize), Some(Role::Unused) | None) {
             return Err(CodegenError::MissingDefinition {
                 name: design.name_of(out),
             });
@@ -147,13 +105,13 @@ fn generate_vhdl_impl(
     let mut inputs: Vec<(SignalId, String, Fmt)> = Vec::new();
     let mut wires: Vec<(SignalId, String, Fmt)> = Vec::new();
     let mut registers: Vec<(SignalId, String, Fmt)> = Vec::new();
-    for i in 0..design.num_signals() as u32 {
-        let id = SignalId::from_raw(i);
-        let bucket = match classes[&id] {
-            Class::Skip => continue,
-            Class::Input => &mut inputs,
-            Class::Wire => &mut wires,
-            Class::Register => &mut registers,
+    for (i, role) in roles.iter().enumerate() {
+        let id = SignalId::from_raw(i as u32);
+        let bucket = match role {
+            Role::Input => &mut inputs,
+            Role::Wire(_) => &mut wires,
+            Role::Register(_) => &mut registers,
+            Role::Conditional | Role::Unused => continue,
         };
         let (name, fmt, _) = gen.signal_fmt(id)?;
         bucket.push((id, name, fmt));

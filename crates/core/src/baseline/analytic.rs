@@ -67,7 +67,7 @@ pub fn analytic_refine(
     options: &AnalyticOptions,
 ) -> AnalyticOutcome {
     // MSB side: interval fixpoint over the graph.
-    let analysis = analyze_ranges(graph, seeds, &AnalyzeOptions::default());
+    let analysis = analyze_ranges(graph, seeds, &AnalyzeOptions::default(), None);
     let mut msb = HashMap::new();
     let mut needs_annotation = Vec::new();
     let mut signals: Vec<SignalId> = graph.defined_signals().collect();
@@ -202,79 +202,62 @@ fn node_error(
     err: &HashMap<SignalId, f64>,
     q_half: f64,
 ) -> f64 {
-    // Memoized post-order over this definition.
-    let mut memo: HashMap<NodeId, (f64, f64)> = HashMap::new(); // (max_abs value, error)
-    let mut stack = vec![(root, false)];
-    while let Some((id, expanded)) = stack.pop() {
-        if memo.contains_key(&id) {
-            continue;
+    // Per node: (max |value|, error bound).
+    let (_, error) = graph.walk(root, |_, node, args| match &node.op {
+        Op::Const(c) => (c.abs(), 0.0),
+        Op::Read(s) => (
+            ranges.get(s).map(|r| r.max_abs()).unwrap_or(0.0),
+            err.get(s).copied().unwrap_or(0.0),
+        ),
+        Op::Add | Op::Sub => {
+            let (a, ea) = args[0];
+            let (b, eb) = args[1];
+            (a + b, ea + eb)
         }
-        let node = graph.node(id);
-        if !expanded && !node.args.is_empty() {
-            stack.push((id, true));
-            for &a in &node.args {
-                stack.push((a, false));
-            }
-            continue;
-        }
-        let arg = |i: usize| memo[&node.args[i]];
-        let entry = match &node.op {
-            Op::Const(c) => (c.abs(), 0.0),
-            Op::Read(s) => (
-                ranges.get(s).map(|r| r.max_abs()).unwrap_or(0.0),
-                err.get(s).copied().unwrap_or(0.0),
-            ),
-            Op::Add | Op::Sub => {
-                let (a, ea) = arg(0);
-                let (b, eb) = arg(1);
-                (a + b, ea + eb)
-            }
-            Op::Mul => {
-                let (a, ea) = arg(0);
-                let (b, eb) = arg(1);
-                // `inf * 0` is NaN in IEEE; here an exact (zero-error)
-                // factor contributes zero error regardless of the other
-                // factor's range, so NaN resolves to 0.
-                let t = |x: f64, y: f64| {
-                    let p = x * y;
-                    if p.is_nan() {
-                        0.0
-                    } else {
-                        p
-                    }
-                };
-                (t(a, b), t(a, eb) + t(b, ea) + t(ea, eb))
-            }
-            Op::Div => {
-                // Worst case unless the divisor range excludes zero widely;
-                // stay conservative.
-                let (a, ea) = arg(0);
-                let (_, eb) = arg(1);
-                if eb > 0.0 {
-                    (f64::INFINITY, f64::INFINITY)
+        Op::Mul => {
+            let (a, ea) = args[0];
+            let (b, eb) = args[1];
+            // `inf * 0` is NaN in IEEE; here an exact (zero-error)
+            // factor contributes zero error regardless of the other
+            // factor's range, so NaN resolves to 0.
+            let t = |x: f64, y: f64| {
+                let p = x * y;
+                if p.is_nan() {
+                    0.0
                 } else {
-                    (a, ea)
+                    p
                 }
+            };
+            (t(a, b), t(a, eb) + t(b, ea) + t(ea, eb))
+        }
+        Op::Div => {
+            // Worst case unless the divisor range excludes zero widely;
+            // stay conservative.
+            let (a, ea) = args[0];
+            let (_, eb) = args[1];
+            if eb > 0.0 {
+                (f64::INFINITY, f64::INFINITY)
+            } else {
+                (a, ea)
             }
-            Op::Neg | Op::Abs => arg(0),
-            Op::Min | Op::Max => {
-                let (a, ea) = arg(0);
-                let (b, eb) = arg(1);
-                (a.max(b), ea.max(eb))
-            }
-            Op::Cast(_) => {
-                let (a, ea) = arg(0);
-                (a, ea + q_half)
-            }
-            Op::Select => {
-                let (a, ea) = arg(1);
-                let (b, eb) = arg(2);
-                (a.max(b), ea.max(eb))
-            }
-        };
-        memo.insert(id, entry);
-    }
-    memo[&root].1
+        }
+        Op::Neg | Op::Abs => args[0],
+        Op::Min | Op::Max => {
+            let (a, ea) = args[0];
+            let (b, eb) = args[1];
+            (a.max(b), ea.max(eb))
+        }
+        Op::Cast(_) => {
+            let (a, ea) = args[0];
+            (a, ea + q_half)
+        }
+        Op::Select => {
+            let (a, ea) = args[1];
+            let (b, eb) = args[2];
+            (a.max(b), ea.max(eb))
+        }
+    });
+    error
 }
 
 #[cfg(test)]

@@ -1,12 +1,12 @@
 //! The scenario-sweep simulation driver.
 //!
-//! [`SweepDriver`] implements [`SimDriver`](crate::flow::SimDriver) by
-//! fanning each refinement-iteration simulation out over a
-//! [`ScenarioSet`]: every scenario gets a **freshly built, private**
-//! [`Design`] on a worker thread (designs are deliberately not `Send`, so
-//! they never cross threads — only their plain-data statistic snapshots
-//! do), and the per-shard monitors are folded back into the flow's master
-//! design **in scenario order**. The refinement rules then run on the
+//! [`SweepDriver`] implements [`SimDriver`] by fanning each
+//! refinement-iteration simulation out over a [`ScenarioSet`]: every
+//! scenario gets a **freshly built, private** [`Design`] on a worker
+//! thread (designs are deliberately not `Send`, so they never cross
+//! threads — only their plain-data statistic snapshots do), and the
+//! per-shard monitors are folded back into the flow's master design **in
+//! scenario order**. The refinement rules then run on the
 //! merged statistics exactly as if one sequential simulation had seen the
 //! concatenated stimuli.
 //!
@@ -148,8 +148,8 @@ impl SweepCache {
     }
 }
 
-/// A [`SimDriver`](crate::flow::SimDriver) that runs every simulation as
-/// a parallel scenario sweep. See the module docs for the determinism
+/// A [`SimDriver`] that runs every simulation as a parallel scenario
+/// sweep. See the module docs for the determinism
 /// contract; see [`RefinementFlow::run_swept`](crate::RefinementFlow::run_swept)
 /// for the typical entry point.
 pub struct SweepDriver {

@@ -2,7 +2,7 @@
 //! injection.
 //!
 //! The design environment needs randomness in exactly three places: the
-//! `error()` injection of [`fixref_sim`]'s dual simulation (paper §4.2),
+//! `error()` injection of `fixref_sim`'s dual simulation (paper §4.2),
 //! the AWGN channel models of the evaluation workloads, and randomized
 //! tests. All of them require *reproducibility per seed* — the refinement
 //! flow re-runs the same stimulus across iterations and must see the same

@@ -15,11 +15,8 @@
 //! converged. The cure is the same as in the paper: seed the offending
 //! signal with an explicit `range()` annotation and re-analyze.
 //!
-//! Repeated analyses over the same graph (the refinement loop re-runs the
-//! fixpoint every iteration) can share a [`RangeMemo`]: definition
-//! evaluations are memoized keyed by `(node id, hash of the ranges of the
-//! node's read support)`, so subgraphs whose inputs did not move resolve
-//! in O(support) instead of O(subgraph).
+//! Each definition is evaluated with [`Graph::walk`], the post-order walk
+//! the analytical error bound shares.
 
 use std::collections::{HashMap, HashSet};
 
@@ -126,104 +123,6 @@ impl RangeAnalysis {
     }
 }
 
-/// Cross-analysis memo for definition evaluations, keyed by
-/// `(node id, hash of the node's read-support ranges)`. One memo can be
-/// shared across every [`analyze_ranges_with`] call on the same graph —
-/// across fixpoint passes *and* across refinement iterations — so
-/// subgraphs whose input ranges did not move are not re-walked. The memo
-/// resets itself when the graph changes size.
-#[derive(Debug, Default)]
-pub struct RangeMemo {
-    graph_len: usize,
-    /// Per node: the sorted transitive set of signals its subtree reads.
-    support: Vec<Vec<SignalId>>,
-    entries: HashMap<(u32, u64), (Interval, bool)>,
-    hits: u64,
-    misses: u64,
-}
-
-impl RangeMemo {
-    /// Creates an empty memo.
-    pub fn new() -> Self {
-        RangeMemo::default()
-    }
-
-    /// Number of definition evaluations answered from the memo.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Number of definition evaluations computed from scratch.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Rebuilds the per-node read support when the graph changed.
-    fn sync(&mut self, graph: &Graph) {
-        if self.graph_len == graph.len() {
-            return;
-        }
-        self.entries.clear();
-        self.support.clear();
-        // Creation order is topological: operands precede users.
-        for (_, node) in graph.iter() {
-            let mut s: Vec<SignalId> = match &node.op {
-                Op::Read(sig) => vec![*sig],
-                _ => Vec::new(),
-            };
-            for a in &node.args {
-                s.extend(self.support[a.0 as usize].iter().copied());
-            }
-            s.sort();
-            s.dedup();
-            self.support.push(s);
-        }
-        self.graph_len = graph.len();
-    }
-
-    /// FNV-1a over the effective (as seen by `Op::Read`) ranges of the
-    /// node's support signals.
-    fn support_hash(&self, root: NodeId, ranges: &HashMap<SignalId, Interval>) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        // Byte-wise FNV-1a: feeding whole words would let high-bit-only
-        // differences (e.g. f64 sign/exponent bits) collide, since they
-        // cannot propagate downward through the modular multiply.
-        let mut step = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        for s in &self.support[root.0 as usize] {
-            let itv = effective_range(ranges, *s);
-            step(u64::from(s.raw()));
-            step(itv.lo.to_bits());
-            step(itv.hi.to_bits());
-        }
-        h
-    }
-
-    /// Memoized evaluation of one definition root. Returns the interval
-    /// and whether a zero-spanning division was clamped inside it.
-    fn eval(
-        &mut self,
-        graph: &Graph,
-        root: NodeId,
-        ranges: &HashMap<SignalId, Interval>,
-    ) -> (Interval, bool) {
-        self.sync(graph);
-        let key = (root.0, self.support_hash(root, ranges));
-        if let Some(&cached) = self.entries.get(&key) {
-            self.hits += 1;
-            return cached;
-        }
-        self.misses += 1;
-        let result = eval_uncached(graph, root, ranges);
-        self.entries.insert(key, result);
-        result
-    }
-}
-
 /// The range `Op::Read` sees: missing or empty ranges read as the reset
 /// value `[0, 0]`.
 fn effective_range(ranges: &HashMap<SignalId, Interval>, s: SignalId) -> Interval {
@@ -239,31 +138,20 @@ fn effective_range(ranges: &HashMap<SignalId, Interval>, s: SignalId) -> Interva
 /// `seeds` pins the range of input or annotated signals; seeded signals
 /// never widen beyond their seed (they model `range()` annotations or
 /// saturating input converters). Signals read before any definition
-/// contribute their reset value `[0, 0]`.
+/// contribute their reset value `[0, 0]`. An attached `recorder`
+/// receives an `analyze.range_clamped` counter and an
+/// [`Event::RangeClamped`] journal entry for every signal whose
+/// zero-spanning division was clamped to a declared type bound.
 pub fn analyze_ranges(
     graph: &Graph,
     seeds: &HashMap<SignalId, Interval>,
     options: &AnalyzeOptions,
-) -> RangeAnalysis {
-    analyze_ranges_with(graph, seeds, options, &mut RangeMemo::new(), None)
-}
-
-/// [`analyze_ranges`] with an explicit shared [`RangeMemo`] and an
-/// optional recorder. The memo carries definition evaluations across
-/// calls; the recorder receives an `analyze.range_clamped` counter and a
-/// [`Event::RangeClamped`] journal entry for every signal whose
-/// zero-spanning division was clamped to a declared type bound.
-pub fn analyze_ranges_with(
-    graph: &Graph,
-    seeds: &HashMap<SignalId, Interval>,
-    options: &AnalyzeOptions,
-    memo: &mut RangeMemo,
     recorder: Option<&dyn Recorder>,
 ) -> RangeAnalysis {
-    analyze_inner(graph, seeds, options, memo, recorder, false)
+    analyze_inner(graph, seeds, options, recorder, false)
 }
 
-/// [`analyze_ranges_with`] with the **affine-arithmetic refinement**: every
+/// [`analyze_ranges`] with the **affine-arithmetic refinement**: every
 /// definition is evaluated both as a plain interval and as an
 /// [`AffineForm`] over per-signal noise symbols, and the two envelopes are
 /// intersected. Shared symbols let correlated re-reads cancel (`acc +
@@ -278,17 +166,15 @@ pub fn analyze_ranges_affine(
     graph: &Graph,
     seeds: &HashMap<SignalId, Interval>,
     options: &AnalyzeOptions,
-    memo: &mut RangeMemo,
     recorder: Option<&dyn Recorder>,
 ) -> RangeAnalysis {
-    analyze_inner(graph, seeds, options, memo, recorder, true)
+    analyze_inner(graph, seeds, options, recorder, true)
 }
 
 fn analyze_inner(
     graph: &Graph,
     seeds: &HashMap<SignalId, Interval>,
     options: &AnalyzeOptions,
-    memo: &mut RangeMemo,
     recorder: Option<&dyn Recorder>,
     affine: bool,
 ) -> RangeAnalysis {
@@ -329,11 +215,8 @@ fn analyze_inner(
     };
     // In affine mode every definition gets the tighter of the interval
     // and affine envelopes; both are sound, so their intersection is too.
-    let eval_combined = |memo: &mut RangeMemo,
-                         def: NodeId,
-                         ranges: &HashMap<SignalId, Interval>|
-     -> (Interval, bool) {
-        let (itv, was_clamped) = memo.eval(graph, def, ranges);
+    let eval_combined = |def: NodeId, ranges: &HashMap<SignalId, Interval>| -> (Interval, bool) {
+        let (itv, was_clamped) = eval_interval(graph, def, ranges);
         if !affine {
             return (itv, was_clamped);
         }
@@ -370,7 +253,7 @@ fn analyze_inner(
             let mut incoming = Interval::EMPTY;
             let mut any_clamped = false;
             for &def in graph.defs(sig) {
-                let (itv, was_clamped) = eval_combined(memo, def, &ranges);
+                let (itv, was_clamped) = eval_combined(def, &ranges);
                 incoming = incoming.union(&itv);
                 any_clamped |= was_clamped;
             }
@@ -405,7 +288,7 @@ fn analyze_inner(
             }
             let mut incoming = Interval::EMPTY;
             for &def in graph.defs(sig) {
-                let (itv, _) = eval_combined(memo, def, &ranges);
+                let (itv, _) = eval_combined(def, &ranges);
                 incoming = incoming.union(&itv);
             }
             let old = ranges.get(&sig).copied().unwrap_or(Interval::EMPTY);
@@ -443,63 +326,42 @@ fn analyze_inner(
 /// [`RangeAnalysis::clamped_signals`]), mirroring how the hardware cannot
 /// hold more than the declared wordlength either way; with no declared
 /// type in sight the quotient stays honestly unbounded.
-fn eval_uncached(
+fn eval_interval(
     graph: &Graph,
     root: NodeId,
     ranges: &HashMap<SignalId, Interval>,
 ) -> (Interval, bool) {
-    // Iterative post-order evaluation with a memo over this call.
-    let mut memo: HashMap<NodeId, Interval> = HashMap::new();
     let mut clamped = false;
-    let mut stack = vec![(root, false)];
-    while let Some((id, expanded)) = stack.pop() {
-        if memo.contains_key(&id) {
-            continue;
-        }
-        let node = graph.node(id);
-        if !expanded && !node.args.is_empty() {
-            stack.push((id, true));
-            for &a in &node.args {
-                stack.push((a, false));
-            }
-            continue;
-        }
-        let arg = |i: usize| memo[&node.args[i]];
-        let itv = match &node.op {
-            Op::Const(c) => Interval::point(*c),
-            Op::Read(s) => effective_range(ranges, *s),
-            Op::Add => arg(0) + arg(1),
-            Op::Sub => arg(0) - arg(1),
-            Op::Mul => arg(0) * arg(1),
-            Op::Div => {
-                let q = arg(0) / arg(1);
-                if q.is_exploded() {
-                    if let Op::Cast(dt) = &graph.node(node.args[0]).op {
-                        clamped = true;
-                        q.clamp_to(&Interval::from_dtype(dt))
-                    } else {
-                        q
-                    }
-                } else {
-                    q
+    let itv = graph.walk::<Interval>(root, |_, node, args| match &node.op {
+        Op::Const(c) => Interval::point(*c),
+        Op::Read(s) => effective_range(ranges, *s),
+        Op::Add => args[0] + args[1],
+        Op::Sub => args[0] - args[1],
+        Op::Mul => args[0] * args[1],
+        Op::Div => {
+            let q = args[0] / args[1];
+            match &graph.node(node.args[0]).op {
+                Op::Cast(dt) if q.is_exploded() => {
+                    clamped = true;
+                    q.clamp_to(&Interval::from_dtype(dt))
                 }
+                _ => q,
             }
-            Op::Neg => -arg(0),
-            Op::Abs => arg(0).abs(),
-            Op::Min => arg(0).min(&arg(1)),
-            Op::Max => arg(0).max(&arg(1)),
-            Op::Cast(dt) => {
-                if dt.overflow() == OverflowMode::Saturate {
-                    arg(0).clamp_to(&Interval::from_dtype(dt))
-                } else {
-                    arg(0)
-                }
+        }
+        Op::Neg => -args[0],
+        Op::Abs => args[0].abs(),
+        Op::Min => args[0].min(&args[1]),
+        Op::Max => args[0].max(&args[1]),
+        Op::Cast(dt) => {
+            if dt.overflow() == OverflowMode::Saturate {
+                args[0].clamp_to(&Interval::from_dtype(dt))
+            } else {
+                args[0]
             }
-            Op::Select => arg(1).union(&arg(2)),
-        };
-        memo.insert(id, itv);
-    }
-    (memo[&root], clamped)
+        }
+        Op::Select => args[1].union(&args[2]),
+    });
+    (itv, clamped)
 }
 
 /// High bit marks noise symbols that belong to graph nodes (nonlinear
@@ -516,65 +378,45 @@ const NODE_SYMBOL: u32 = 0x8000_0000;
 /// their operands' concretizations, anchored on a per-node symbol; the
 /// result is sound but uncorrelated, exactly like the interval path.
 fn eval_affine(graph: &Graph, root: NodeId, ranges: &HashMap<SignalId, Interval>) -> AffineForm {
-    let mut memo: HashMap<NodeId, AffineForm> = HashMap::new();
-    let mut stack = vec![(root, false)];
-    while let Some((id, expanded)) = stack.pop() {
-        if memo.contains_key(&id) {
-            continue;
-        }
-        let node = graph.node(id);
-        if !expanded && !node.args.is_empty() {
-            stack.push((id, true));
-            for &a in &node.args {
-                stack.push((a, false));
-            }
-            continue;
-        }
+    graph.walk::<AffineForm>(root, |id, node, args| {
         let fresh = NODE_SYMBOL | id.0;
-        let arg = |i: usize| &memo[&node.args[i]];
-        let form = match &node.op {
+        match &node.op {
             Op::Const(c) => AffineForm::constant(*c),
             Op::Read(s) => AffineForm::from_interval(&effective_range(ranges, *s), s.raw()),
-            Op::Add => arg(0).add(arg(1)),
-            Op::Sub => arg(0).sub(arg(1)),
-            Op::Mul => arg(0).mul(arg(1)),
+            Op::Add => args[0].add(&args[1]),
+            Op::Sub => args[0].sub(&args[1]),
+            Op::Mul => args[0].mul(&args[1]),
             Op::Div => {
                 // Same clamp rule as the interval path: a zero-spanning
                 // quotient with a cast dividend bounds to the cast type.
-                let q = arg(0).to_interval() / arg(1).to_interval();
-                let q = if q.is_exploded() {
-                    if let Op::Cast(dt) = &graph.node(node.args[0]).op {
-                        q.clamp_to(&Interval::from_dtype(dt))
-                    } else {
-                        q
-                    }
-                } else {
-                    q
+                let q = args[0].to_interval() / args[1].to_interval();
+                let q = match &graph.node(node.args[0]).op {
+                    Op::Cast(dt) if q.is_exploded() => q.clamp_to(&Interval::from_dtype(dt)),
+                    _ => q,
                 };
                 AffineForm::from_interval(&q, fresh)
             }
-            Op::Neg => arg(0).neg(),
-            Op::Abs => AffineForm::from_interval(&arg(0).to_interval().abs(), fresh),
+            Op::Neg => args[0].neg(),
+            Op::Abs => AffineForm::from_interval(&args[0].to_interval().abs(), fresh),
             Op::Min => {
-                AffineForm::from_interval(&arg(0).to_interval().min(&arg(1).to_interval()), fresh)
+                AffineForm::from_interval(&args[0].to_interval().min(&args[1].to_interval()), fresh)
             }
             Op::Max => {
-                AffineForm::from_interval(&arg(0).to_interval().max(&arg(1).to_interval()), fresh)
+                AffineForm::from_interval(&args[0].to_interval().max(&args[1].to_interval()), fresh)
             }
             Op::Cast(dt) => {
                 if dt.overflow() == OverflowMode::Saturate {
-                    arg(0).clamp_to(&Interval::from_dtype(dt), fresh)
+                    args[0].clamp_to(&Interval::from_dtype(dt), fresh)
                 } else {
-                    arg(0).clone()
+                    args[0].clone()
                 }
             }
-            Op::Select => {
-                AffineForm::from_interval(&arg(1).to_interval().union(&arg(2).to_interval()), fresh)
-            }
-        };
-        memo.insert(id, form);
-    }
-    memo[&root].clone()
+            Op::Select => AffineForm::from_interval(
+                &args[1].to_interval().union(&args[2].to_interval()),
+                fresh,
+            ),
+        }
+    })
 }
 
 #[cfg(test)]
@@ -602,7 +444,7 @@ mod tests {
         let mut seeds = HashMap::new();
         seeds.insert(sid(0), Interval::new(-1.0, 1.0));
         seeds.insert(sid(1), Interval::new(0.0, 2.0));
-        let r = analyze_ranges(&g, &seeds, &AnalyzeOptions::default());
+        let r = analyze_ranges(&g, &seeds, &AnalyzeOptions::default(), None);
         assert!(r.converged());
         // a*0.5 in [-0.5,0.5]; b*-2 in [-4,0]; sum in [-4.5, 0.5]
         assert_eq!(r.range_of(sid(2)).unwrap(), Interval::new(-4.5, 0.5));
@@ -617,7 +459,7 @@ mod tests {
         let one = g.add(Op::Const(1.0), vec![]);
         let s = g.add(Op::Add, vec![a, one]);
         g.record_def(sid(1), s);
-        let r = analyze_ranges(&g, &HashMap::new(), &AnalyzeOptions::default());
+        let r = analyze_ranges(&g, &HashMap::new(), &AnalyzeOptions::default(), None);
         assert_eq!(r.range_of(sid(1)).unwrap(), Interval::point(1.0));
     }
 
@@ -635,7 +477,7 @@ mod tests {
 
         let mut seeds = HashMap::new();
         seeds.insert(sid(1), Interval::new(-1.0, 1.0));
-        let r = analyze_ranges(&g, &seeds, &AnalyzeOptions::default());
+        let r = analyze_ranges(&g, &seeds, &AnalyzeOptions::default(), None);
         assert!(r.converged());
         let acc_range = r.range_of(sid(0)).unwrap();
         assert!(!r.is_exploded(sid(0)));
@@ -660,7 +502,7 @@ mod tests {
             max_passes: 100,
             widen_after: 16,
         };
-        let r = analyze_ranges(&g, &seeds, &opts);
+        let r = analyze_ranges(&g, &seeds, &opts, None);
         assert!(r.is_exploded(sid(0)));
         assert!(r.range_of(sid(0)).unwrap().is_exploded());
         assert!(r.exploded_signals().any(|s| s == sid(0)));
@@ -685,7 +527,7 @@ mod tests {
             max_passes: 100,
             widen_after: 16,
         };
-        let r = analyze_ranges(&g, &seeds, &opts);
+        let r = analyze_ranges(&g, &seeds, &opts, None);
         // The loop stabilized (widening snapped the range) well within
         // the pass budget ...
         assert!(r.passes() < 100);
@@ -710,7 +552,7 @@ mod tests {
         let mut seeds = HashMap::new();
         seeds.insert(sid(1), Interval::new(-1.0, 1.0));
         seeds.insert(sid(0), Interval::new(-0.2, 0.2)); // the b.range() fix
-        let r = analyze_ranges(&g, &seeds, &AnalyzeOptions::default());
+        let r = analyze_ranges(&g, &seeds, &AnalyzeOptions::default(), None);
         assert!(r.converged());
         assert!(!r.is_exploded(sid(0)));
         assert_eq!(r.range_of(sid(0)).unwrap(), Interval::new(-0.2, 0.2));
@@ -729,7 +571,7 @@ mod tests {
 
         let mut seeds = HashMap::new();
         seeds.insert(sid(1), Interval::new(-1.0, 1.0));
-        let r = analyze_ranges(&g, &seeds, &AnalyzeOptions::default());
+        let r = analyze_ranges(&g, &seeds, &AnalyzeOptions::default(), None);
         assert!(r.converged());
         assert!(!r.is_exploded(sid(0)));
         let range = r.range_of(sid(0)).unwrap();
@@ -746,7 +588,7 @@ mod tests {
         let mone = g.add(Op::Const(-1.0), vec![]);
         let sel = g.add(Op::Select, vec![w, one, mone]);
         g.record_def(sid(1), sel);
-        let r = analyze_ranges(&g, &HashMap::new(), &AnalyzeOptions::default());
+        let r = analyze_ranges(&g, &HashMap::new(), &AnalyzeOptions::default(), None);
         assert_eq!(r.range_of(sid(1)).unwrap(), Interval::new(-1.0, 1.0));
     }
 
@@ -758,7 +600,7 @@ mod tests {
         let b = g.add(Op::Const(-5.0), vec![]);
         g.record_def(sid(0), a);
         g.record_def(sid(0), b);
-        let r = analyze_ranges(&g, &HashMap::new(), &AnalyzeOptions::default());
+        let r = analyze_ranges(&g, &HashMap::new(), &AnalyzeOptions::default(), None);
         assert_eq!(r.range_of(sid(0)).unwrap(), Interval::new(-5.0, 3.0));
     }
 
@@ -773,7 +615,7 @@ mod tests {
         g.record_def(sid(1), q);
         let mut seeds = HashMap::new();
         seeds.insert(sid(0), Interval::new(-1.0, 1.0));
-        let r = analyze_ranges(&g, &seeds, &AnalyzeOptions::default());
+        let r = analyze_ranges(&g, &seeds, &AnalyzeOptions::default(), None);
         assert!(r.is_exploded(sid(1)));
         assert!(!r.is_clamped(sid(1)));
     }
@@ -798,7 +640,7 @@ mod tests {
         let mut seeds = HashMap::new();
         seeds.insert(sid(0), Interval::new(-1.0, 1.0));
         seeds.insert(sid(1), Interval::new(-1.0, 1.0)); // spans zero
-        let r = analyze_ranges(&g, &seeds, &AnalyzeOptions::default());
+        let r = analyze_ranges(&g, &seeds, &AnalyzeOptions::default(), None);
         assert!(r.converged());
         assert!(r.is_clamped(sid(2)));
         assert!(!r.is_exploded(sid(2)));
@@ -827,13 +669,7 @@ mod tests {
         seeds.insert(sid(0), Interval::new(-1.0, 1.0));
         seeds.insert(sid(1), Interval::new(-0.5, 0.5));
         let rec = DefaultRecorder::new();
-        let r = analyze_ranges_with(
-            &g,
-            &seeds,
-            &AnalyzeOptions::default(),
-            &mut RangeMemo::new(),
-            Some(&rec),
-        );
+        let r = analyze_ranges(&g, &seeds, &AnalyzeOptions::default(), Some(&rec));
         assert!(r.is_clamped(sid(2)));
         assert_eq!(rec.counter("analyze.range_clamped"), 1);
         let clamp_events: Vec<_> = rec
@@ -849,45 +685,6 @@ mod tests {
             }
             _ => unreachable!(),
         }
-    }
-
-    /// A shared memo answers unchanged definitions from cache across
-    /// calls, bit-identically.
-    #[test]
-    fn shared_memo_hits_across_analyses_without_changing_results() {
-        let mut g = Graph::new();
-        let a = g.add(Op::Read(sid(0)), vec![]);
-        let c = g.add(Op::Const(0.25), vec![]);
-        let m = g.add(Op::Mul, vec![a, c]);
-        g.record_def(sid(1), m);
-        let b = g.add(Op::Read(sid(1)), vec![]);
-        let s = g.add(Op::Add, vec![b, c]);
-        g.record_def(sid(2), s);
-
-        let mut seeds = HashMap::new();
-        seeds.insert(sid(0), Interval::new(-2.0, 2.0));
-
-        let cold = analyze_ranges(&g, &seeds, &AnalyzeOptions::default());
-
-        let mut memo = RangeMemo::new();
-        let first = analyze_ranges_with(&g, &seeds, &AnalyzeOptions::default(), &mut memo, None);
-        let cold_misses = memo.misses();
-        assert!(cold_misses > 0);
-        let second = analyze_ranges_with(&g, &seeds, &AnalyzeOptions::default(), &mut memo, None);
-        // The repeat run re-derived nothing.
-        assert_eq!(memo.misses(), cold_misses);
-        assert!(memo.hits() > 0);
-        for id in [sid(1), sid(2)] {
-            assert_eq!(first.range_of(id), cold.range_of(id));
-            assert_eq!(second.range_of(id), first.range_of(id));
-        }
-
-        // Changing a seed invalidates exactly the dependent entries and
-        // still computes the right ranges.
-        seeds.insert(sid(0), Interval::new(-4.0, 4.0));
-        let third = analyze_ranges_with(&g, &seeds, &AnalyzeOptions::default(), &mut memo, None);
-        assert_eq!(third.range_of(sid(1)).unwrap(), Interval::new(-1.0, 1.0));
-        assert!(memo.misses() > cold_misses);
     }
 
     /// Satellite: explosion is journaled (event + counter), not silent.
@@ -907,7 +704,7 @@ mod tests {
             widen_after: 16,
         };
         let rec = DefaultRecorder::new();
-        let r = analyze_ranges_with(&g, &seeds, &opts, &mut RangeMemo::new(), Some(&rec));
+        let r = analyze_ranges(&g, &seeds, &opts, Some(&rec));
         assert!(r.is_exploded(sid(0)));
         assert_eq!(rec.counter("analyze.range_exploded"), 1);
         let ev: Vec<_> = rec
@@ -952,14 +749,14 @@ mod tests {
             widen_after: 256,
         };
 
-        let interval = analyze_ranges(&g, &seeds, &opts);
+        let interval = analyze_ranges(&g, &seeds, &opts, None);
         assert!(
             interval.is_exploded(sid(0)),
             "interval analysis should rail: {:?}",
             interval.range_of(sid(0))
         );
 
-        let affine = analyze_ranges_affine(&g, &seeds, &opts, &mut RangeMemo::new(), None);
+        let affine = analyze_ranges_affine(&g, &seeds, &opts, None);
         assert!(affine.converged(), "affine analysis should converge");
         let r = affine.range_of(sid(0)).expect("range derived");
         assert!(r.is_bounded(), "affine range still unbounded: {r}");
@@ -984,15 +781,9 @@ mod tests {
         let mut seeds = HashMap::new();
         seeds.insert(sid(0), Interval::new(-1.0, 1.0));
         seeds.insert(sid(1), Interval::new(0.0, 2.0));
-        let interval = analyze_ranges(&g, &seeds, &AnalyzeOptions::default());
+        let interval = analyze_ranges(&g, &seeds, &AnalyzeOptions::default(), None);
         let rec = DefaultRecorder::new();
-        let affine = analyze_ranges_affine(
-            &g,
-            &seeds,
-            &AnalyzeOptions::default(),
-            &mut RangeMemo::new(),
-            Some(&rec),
-        );
+        let affine = analyze_ranges_affine(&g, &seeds, &AnalyzeOptions::default(), Some(&rec));
         let ir = interval.range_of(sid(2)).expect("interval range");
         let ar = affine.range_of(sid(2)).expect("affine range");
         assert!(
@@ -1003,25 +794,5 @@ mod tests {
         // affine envelope is strictly tighter and the counter says so.
         assert!(ar.width() < ir.width());
         assert!(rec.counter("analyze.affine_tightened") > 0);
-    }
-
-    /// The memo resets itself when the graph changes underneath it.
-    #[test]
-    fn memo_resets_when_graph_changes() {
-        let mut g = Graph::new();
-        let a = g.add(Op::Read(sid(0)), vec![]);
-        let n = g.add(Op::Neg, vec![a]);
-        g.record_def(sid(1), n);
-        let mut seeds = HashMap::new();
-        seeds.insert(sid(0), Interval::new(0.0, 1.0));
-        let mut memo = RangeMemo::new();
-        let r1 = analyze_ranges_with(&g, &seeds, &AnalyzeOptions::default(), &mut memo, None);
-        assert_eq!(r1.range_of(sid(1)).unwrap(), Interval::new(-1.0, 0.0));
-
-        // Grow the graph: a second definition through new nodes.
-        let c = g.add(Op::Const(5.0), vec![]);
-        g.record_def(sid(1), c);
-        let r2 = analyze_ranges_with(&g, &seeds, &AnalyzeOptions::default(), &mut memo, None);
-        assert_eq!(r2.range_of(sid(1)).unwrap(), Interval::new(-1.0, 5.0));
     }
 }

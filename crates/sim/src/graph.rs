@@ -18,6 +18,7 @@
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::mem::{self, Discriminant};
+use std::ops::Index;
 
 use fixref_fixed::DType;
 
@@ -83,6 +84,23 @@ pub struct Node {
     pub op: Op,
     /// Operand nodes, `op.arity()` of them.
     pub args: Vec<NodeId>,
+}
+
+/// The operand values a [`Graph::walk`] visitor receives: `operands[i]`
+/// is the value of the node's `i`-th operand.
+pub struct Operands<'a, T> {
+    args: &'a [NodeId],
+    order: &'a [NodeId],
+    values: &'a [T],
+}
+
+impl<T> Index<usize> for Operands<'_, T> {
+    type Output = T;
+
+    fn index(&self, i: usize) -> &T {
+        // Operands precede their users in the ascending post-order.
+        &self.values[self.order.partition_point(|n| n < &self.args[i])]
+    }
 }
 
 /// A recorded signal-flow graph: nodes plus, per signal, the set of
@@ -242,6 +260,46 @@ impl Graph {
             let ids = args[..node.args.len()].iter().map(|&a| NodeId(a)).collect();
             (node.op.clone(), ids)
         }))
+    }
+
+    /// The distinct nodes of the subtree under `root`, operands first: in
+    /// ascending id order, which is topological, with `root` last.
+    pub(crate) fn post_order(&self, root: NodeId) -> Vec<NodeId> {
+        let mut order = vec![root];
+        let mut stack = vec![root];
+        while let Some(id) = stack.pop() {
+            for &arg in &self.nodes[id.0 as usize].args {
+                if let Err(pos) = order.binary_search(&arg) {
+                    order.insert(pos, arg);
+                    stack.push(arg);
+                }
+            }
+        }
+        order
+    }
+
+    /// Evaluates the subtree under `root` bottom-up: each distinct node
+    /// once, operands before their users, in ascending id order. `visit`
+    /// receives the node's id, the node and its operands' values, and
+    /// returns the node's value; the walk returns the root's.
+    pub fn walk<T>(
+        &self,
+        root: NodeId,
+        mut visit: impl FnMut(NodeId, &Node, Operands<'_, T>) -> T,
+    ) -> T {
+        let order = self.post_order(root);
+        let mut values = Vec::with_capacity(order.len());
+        for &id in &order {
+            let node = self.node(id);
+            let operands = Operands {
+                args: &node.args,
+                order: &order,
+                values: &values,
+            };
+            let value = visit(id, node, operands);
+            values.push(value);
+        }
+        values.pop().expect("the root closes its own post-order")
     }
 
     /// The set of signals read (transitively) by the definitions of
@@ -516,6 +574,39 @@ mod tests {
         let sum = g.add(Op::Add, vec![acc, x]);
         g.record_def(sid(1), sum);
         assert_eq!(g.fan_in(sid(1)), vec![sid(0), sid(1)]);
+    }
+
+    #[test]
+    fn post_order_lists_each_shared_node_once_operands_first() {
+        let mut g = Graph::new();
+        let x = g.add(Op::Read(sid(0)), vec![]);
+        let _unrelated = g.add(Op::Const(7.0), vec![]);
+        let sq = g.add(Op::Mul, vec![x, x]);
+        let quad = g.add(Op::Mul, vec![sq, sq]);
+        let sum = g.add(Op::Add, vec![quad, sq]);
+        assert_eq!(g.post_order(sum), vec![x, sq, quad, sum]);
+        assert_eq!(g.post_order(x), vec![x]);
+    }
+
+    #[test]
+    fn walk_hands_each_visit_its_operands_in_argument_order() {
+        let mut g = Graph::new();
+        let a = g.add(Op::Const(8.0), vec![]);
+        let b = g.add(Op::Const(2.0), vec![]);
+        let q = g.add(Op::Div, vec![a, b]);
+        let d = g.add(Op::Sub, vec![b, q]);
+        let mut visits = 0;
+        let value = g.walk(d, |_, node, args| {
+            visits += 1;
+            match node.op {
+                Op::Const(c) => c,
+                Op::Div => args[0] / args[1],
+                Op::Sub => args[0] - args[1],
+                _ => unreachable!("not in this graph"),
+            }
+        });
+        assert_eq!(value, 2.0 - 8.0 / 2.0);
+        assert_eq!(visits, 4);
     }
 
     #[test]

@@ -71,6 +71,7 @@ pub mod analyze;
 pub mod design;
 pub mod fault;
 pub mod graph;
+pub mod netlist;
 pub mod pool;
 pub mod report;
 pub mod scenario;
@@ -79,16 +80,14 @@ pub mod tape;
 pub mod trace;
 pub mod value;
 
-pub use analyze::{
-    analyze_ranges, analyze_ranges_affine, analyze_ranges_with, AnalyzeOptions, RangeAnalysis,
-    RangeMemo,
-};
+pub use analyze::{analyze_ranges, analyze_ranges_affine, AnalyzeOptions, RangeAnalysis};
 pub use design::{
     Design, OverflowEvent, Reg, RegArray, Sig, SigArray, SignalAnnotation, SignalId, SignalKind,
     SignalRef, SignalStats, UnknownSignalError,
 };
 pub use fault::FaultPlan;
 pub use graph::{Graph, NodeId, Op};
+pub use netlist::{Assignment, Netlist, Role};
 pub use pool::{
     run_shards, run_shards_isolated, shard_count_from_env, RetryPolicy, ShardError, ShardFailure,
     ShardOutcome,

@@ -14,7 +14,7 @@
 //!   (with its signal-flow-graph root and incoming value) or tick, plus
 //!   final read counts and the cycle total;
 //! - [`Instr`] / [`CycleKind`] / [`CompiledProgram`] — the bytecode: a
-//!   stack machine over [`Value`] operands whose `Store` ops feed the
+//!   stack machine over [`Value`](crate::Value) operands whose `Store` ops feed the
 //!   same monitored assignment pipeline the interpreter uses;
 //! - [`BoundTrace`] — one design-run binding of a program: the cycle
 //!   schedule, the captured input stream consumed by `StoreInput`, the
@@ -60,7 +60,8 @@ pub enum TraceStep {
 /// count at the end of the run.
 #[derive(Debug, Clone, Default)]
 pub struct ExecTrace {
-    /// Per-signal `(flt, fix)` state at [`Design::begin_capture`]
+    /// Per-signal `(flt, fix)` state at
+    /// [`Design::begin_capture`](crate::Design::begin_capture)
     /// (raw-id indexed) — the state a verification replay starts from.
     pub start: Vec<(f64, f64)>,
     /// Assignments and ticks in execution order.

@@ -12,15 +12,12 @@
 //!   and the clamped range never leaves the declared type's interval;
 //! * a divisor bounded away from zero never clamps, and the analyzed
 //!   quotient contains every sampled concrete quotient (soundness);
-//! * clamped ranges keep downstream propagation bounded;
-//! * the memoized analysis replays the clamp bit-identically.
+//! * clamped ranges keep downstream propagation bounded.
 
 use std::collections::HashMap;
 
 use fixref_fixed::{DType, Interval, Rng64};
-use fixref_sim::{
-    analyze_ranges, analyze_ranges_with, AnalyzeOptions, Graph, Op, RangeMemo, SignalId,
-};
+use fixref_sim::{analyze_ranges, AnalyzeOptions, Graph, Op, SignalId};
 
 fn sid(i: u32) -> SignalId {
     SignalId::from_raw(i)
@@ -76,6 +73,7 @@ fn zero_straddling_divisor_always_clamps_to_the_declared_type() {
                 straddling_interval(&mut rng, 4.0),
             ),
             &AnalyzeOptions::default(),
+            None,
         );
         let q = analysis.range_of(sid(2)).expect("q is defined");
         assert!(
@@ -105,7 +103,7 @@ fn divisor_bounded_away_from_zero_never_clamps_and_is_sound() {
         } else {
             Interval::new(-hi, -lo)
         };
-        let analysis = analyze_ranges(&g, &seeds(a, d), &AnalyzeOptions::default());
+        let analysis = analyze_ranges(&g, &seeds(a, d), &AnalyzeOptions::default(), None);
         let q = analysis.range_of(sid(2)).expect("q is defined");
         assert!(
             !analysis.is_clamped(sid(2)),
@@ -157,6 +155,7 @@ fn clamped_ranges_keep_downstream_propagation_bounded() {
                 straddling_interval(&mut rng, 2.0),
             ),
             &AnalyzeOptions::default(),
+            None,
         );
         let yr = analysis.range_of(sid(3)).expect("y is defined");
         assert!(!yr.is_exploded(), "seed {seed}: downstream stayed bounded");
@@ -166,36 +165,6 @@ fn clamped_ranges_keep_downstream_propagation_bounded() {
             "seed {seed}: q*q bound {yr:?} exceeds {}",
             m * m
         );
-    }
-}
-
-#[test]
-fn memoized_rerun_replays_the_clamp_bit_identically() {
-    let mut memo = RangeMemo::new();
-    for seed in 0..16u64 {
-        let mut rng = Rng64::seed_from_u64(seed + 90);
-        let dt = random_dtype(&mut rng, seed);
-        let g = div_graph(&dt);
-        let s = seeds(
-            random_interval(&mut rng, 8.0),
-            straddling_interval(&mut rng, 4.0),
-        );
-        let first = analyze_ranges_with(&g, &s, &AnalyzeOptions::default(), &mut memo, None);
-        let misses = memo.misses();
-        let second = analyze_ranges_with(&g, &s, &AnalyzeOptions::default(), &mut memo, None);
-        assert_eq!(memo.misses(), misses, "seed {seed}: rerun must hit");
-        assert!(memo.hits() > 0, "seed {seed}");
-        assert_eq!(
-            first.is_clamped(sid(2)),
-            second.is_clamped(sid(2)),
-            "seed {seed}: clamp flag replays"
-        );
-        let (a, b) = (
-            first.range_of(sid(2)).expect("defined"),
-            second.range_of(sid(2)).expect("defined"),
-        );
-        assert_eq!(a.lo.to_bits(), b.lo.to_bits(), "seed {seed}");
-        assert_eq!(a.hi.to_bits(), b.hi.to_bits(), "seed {seed}");
     }
 }
 
@@ -213,6 +182,7 @@ fn const_dividend_without_a_declared_type_stays_unbounded() {
         &g,
         &HashMap::from([(sid(0), Interval::new(-1.0, 1.0))]),
         &AnalyzeOptions::default(),
+        None,
     );
     assert!(analysis.is_exploded(sid(1)));
     assert!(!analysis.is_clamped(sid(1)));

@@ -332,7 +332,7 @@ fn graph_recording_and_analytical_ranges_match_quasi_analytical() {
     let mut seeds = HashMap::new();
     let xid = d.find("x").unwrap();
     seeds.insert(xid, Interval::new(-1.0, 1.0));
-    let analysis = analyze_ranges(&g, &seeds, &Default::default());
+    let analysis = analyze_ranges(&g, &seeds, &Default::default(), None);
     let yid = d.find("y").unwrap();
     assert_eq!(analysis.range_of(yid).unwrap(), Interval::new(-0.25, 0.75));
     // Quasi-analytical agreed.

@@ -6,8 +6,9 @@
 //! settles the question with a bounded model checker: an explicit-state
 //! reachability engine whose transition relation is bit-exact against the
 //! simulator's fixed-point semantics (every typed assignment runs the
-//! same [`fixref_fixed::quantize`] pipeline, wires evaluate in
-//! topological order, registers latch at the tick).
+//! same [`fixref_fixed::quantize()`] pipeline, wires evaluate in the
+//! netlist order the RTL interpreter shares, registers latch at the
+//! tick).
 //!
 //! Three verdicts are possible, attached to each checked diagnostic:
 //!

@@ -2,27 +2,24 @@
 //!
 //! The checker works on the *cone of influence* of a diagnostic: the
 //! flagged signals plus everything they transitively read. Each cone
-//! signal is classified exactly like the RTL back-end classifies signals
-//! for VHDL generation:
+//! signal takes its [`Role`] from the netlist the RTL back-end shares:
 //!
-//! * externally driven (no definitions, or several distinct constant
-//!   definitions from a stimulus loop) ⇒ **input** — its fixed-point type
-//!   gives a finite alphabet to enumerate;
-//! * one non-constant definition, register kind ⇒ **state** — one i64
-//!   mantissa in the state vector, reset to 0 like the simulator;
-//! * one non-constant definition, wire kind ⇒ **combinational** —
-//!   re-evaluated every tick in topological order.
+//! * an **input** — its fixed-point type gives a finite alphabet to
+//!   enumerate;
+//! * a **register** — one i64 mantissa in the state vector, reset to 0
+//!   like the simulator;
+//! * a **wire** — re-evaluated every tick in the netlist's wire order.
 //!
 //! Anything that breaks the classification (an untyped register, an input
-//! too wide to enumerate, multiple data-flow definitions, a combinational
+//! too wide to enumerate, a conditionally written signal, a combinational
 //! cycle) aborts extraction with a [`ModelError`] that the verifier
 //! reports honestly as `Verdict::Unknown`.
 
-use std::collections::HashMap;
+use std::cell::RefCell;
 
 use fixref_fixed::{quantize, DType};
 use fixref_lint::LintInput;
-use fixref_sim::{Graph, NodeId, Op, SignalId, SignalKind};
+use fixref_sim::{Netlist, NodeId, Role, SignalId};
 
 /// Why a design (cone) could not be turned into a finite-state model.
 #[derive(Debug, Clone, PartialEq)]
@@ -131,7 +128,6 @@ pub struct ModelLimits {
 /// A finite-state transition system extracted from one diagnostic's cone.
 #[derive(Debug, Clone)]
 pub struct Model {
-    graph: Graph,
     /// State variables, sorted by signal id. The state vector holds their
     /// mantissas in this order; the initial state is all zeros.
     pub registers: Vec<RegVar>,
@@ -139,10 +135,14 @@ pub struct Model {
     pub wires: Vec<WireVar>,
     /// Free inputs, sorted by signal id.
     pub inputs: Vec<InputVar>,
-    /// Dense value-table index for every cone signal.
-    index: HashMap<SignalId, usize>,
-    /// Names per dense slot (diagnostics/witnesses).
-    names: Vec<String>,
+    /// The cone as a netlist: its wires and registers line up with
+    /// `wires` and `registers`.
+    netlist: Netlist,
+    /// The value slot of each input, in `inputs` order.
+    input_slots: Vec<usize>,
+    /// Per-step buffers, reused across steps: the value slots and the
+    /// intermediate results of the definition being evaluated.
+    buffers: RefCell<(Vec<f64>, Vec<f64>)>,
 }
 
 /// One step's outcome: the successor state plus which monitored signals
@@ -157,11 +157,16 @@ pub struct StepOutput {
 }
 
 impl Model {
-    /// Extracts the cone of `scope` signals from a lint snapshot.
+    /// Extracts the cone of `scope` signals from a lint snapshot. Every
+    /// cone signal takes its netlist [`Role`]; a cone signal without
+    /// definitions is a free input.
     ///
     /// # Errors
     ///
-    /// Any [`ModelError`] classification failure; the verifier maps it to
+    /// The first cone signal, in id order, that cannot be modelled (an
+    /// untyped input or register, an input alphabet over the limit, a
+    /// [`Role::Conditional`] signal); then a branching product over the
+    /// limit; then a combinational cycle. The verifier maps the error to
     /// `Verdict::Unknown { reason }`.
     pub fn extract(
         input: &LintInput,
@@ -187,6 +192,7 @@ impl Model {
             }
         }
 
+        let mut members = Vec::with_capacity(cone.len());
         let mut registers = Vec::new();
         let mut wires = Vec::new();
         let mut inputs = Vec::new();
@@ -194,45 +200,41 @@ impl Model {
             let Some(info) = input.signals.get(sig.raw() as usize) else {
                 return Err(ModelError::EmptyScope);
             };
-            let defs = graph.defs(sig);
-            let all_const = !defs.is_empty()
-                && defs
-                    .iter()
-                    .all(|&d| matches!(graph.node(d).op, Op::Const(_)));
-            let is_input = defs.is_empty() || (defs.len() > 1 && all_const);
-            if is_input {
-                let Some(dt) = info.dtype.clone() else {
-                    return Err(ModelError::UntypedInput {
-                        signal: info.name.clone(),
-                    });
-                };
-                let size = (dt.max_mantissa() - dt.min_mantissa() + 1) as u64;
-                if size > limits.max_alphabet {
-                    return Err(ModelError::AlphabetTooLarge {
-                        signal: info.name.clone(),
-                        size,
+            // Every cone signal is read by the cone or named by the
+            // scope, so one without definitions is an input.
+            let role = Role::of(graph, sig, info.kind, true);
+            members.push((sig, role));
+            match role {
+                Role::Input | Role::Unused => {
+                    let Some(dt) = info.dtype.clone() else {
+                        return Err(ModelError::UntypedInput {
+                            signal: info.name.clone(),
+                        });
+                    };
+                    let size = (dt.max_mantissa() - dt.min_mantissa() + 1) as u64;
+                    if size > limits.max_alphabet {
+                        return Err(ModelError::AlphabetTooLarge {
+                            signal: info.name.clone(),
+                            size,
+                        });
+                    }
+                    let step = dt.resolution();
+                    let alphabet = (dt.min_mantissa()..=dt.max_mantissa())
+                        .map(|m| m as f64 * step)
+                        .collect();
+                    inputs.push(InputVar {
+                        id: sig,
+                        name: info.name.clone(),
+                        dtype: dt,
+                        alphabet,
                     });
                 }
-                let step = dt.resolution();
-                let alphabet = (dt.min_mantissa()..=dt.max_mantissa())
-                    .map(|m| m as f64 * step)
-                    .collect();
-                inputs.push(InputVar {
-                    id: sig,
-                    name: info.name.clone(),
-                    dtype: dt,
-                    alphabet,
-                });
-                continue;
-            }
-            if defs.len() > 1 {
-                return Err(ModelError::MultipleDefinitions {
-                    signal: info.name.clone(),
-                });
-            }
-            let def = defs[0];
-            match info.kind {
-                SignalKind::Register => {
+                Role::Conditional => {
+                    return Err(ModelError::MultipleDefinitions {
+                        signal: info.name.clone(),
+                    });
+                }
+                Role::Register(def) => {
                     let Some(dt) = info.dtype.clone() else {
                         return Err(ModelError::StateTooLarge {
                             signal: info.name.clone(),
@@ -245,7 +247,7 @@ impl Model {
                         def,
                     });
                 }
-                SignalKind::Wire => {
+                Role::Wire(def) => {
                     wires.push(WireVar {
                         id: sig,
                         name: info.name.clone(),
@@ -265,24 +267,19 @@ impl Model {
             return Err(ModelError::BranchingTooLarge { product: branching });
         }
 
-        registers.sort_by_key(|r| r.id);
-        inputs.sort_by_key(|i| i.id);
-        wires = topo_sort_wires(graph, wires)?;
-
-        let mut index = HashMap::new();
-        let mut names = Vec::new();
-        for &sig in &cone {
-            index.insert(sig, names.len());
-            names.push(input.name(sig).to_string());
-        }
+        let netlist = Netlist::new(graph, &members).map_err(|_| ModelError::CombinationalCycle)?;
+        // The netlist holds the wires in evaluation order.
+        wires.sort_by_key(|w| netlist.wires().iter().position(|a| a.signal == w.id));
+        let input_slots = inputs.iter().filter_map(|i| netlist.slot(i.id)).collect();
+        let buffers = RefCell::new((vec![0.0; cone.len()], Vec::new()));
 
         Ok(Model {
-            graph: graph.clone(),
             registers,
             wires,
             inputs,
-            index,
-            names,
+            netlist,
+            input_slots,
+            buffers,
         })
     }
 
@@ -331,26 +328,32 @@ impl Model {
     }
 
     /// Executes one clock cycle bit-exactly: drive `input_values` (one per
-    /// [`Model::inputs`] entry), evaluate wires in topological order,
+    /// [`Model::inputs`] entry), evaluate wires in the netlist's order,
     /// evaluate register definitions against the *current* state, latch.
     /// Quantization at every typed assignment matches the simulator's
-    /// assignment pipeline ([`fixref_fixed::quantize`]); any typed wire or
-    /// register whose assignment overflows is reported in
-    /// [`StepOutput::overflows`].
+    /// assignment pipeline ([`fixref_fixed::quantize()`]); any typed wire
+    /// or register whose assignment overflows is reported in
+    /// [`StepOutput::overflows`], in evaluation order.
     pub fn step(&self, state: &[i64], input_values: &[f64]) -> StepOutput {
-        let mut values = vec![0.0f64; self.names.len()];
-        for (reg, &m) in self.registers.iter().zip(state) {
-            values[self.index[&reg.id]] = m as f64 * reg.dtype.resolution();
+        let mut buffers = self.buffers.borrow_mut();
+        let (values, temps) = &mut *buffers;
+        for ((reg, a), &m) in self
+            .registers
+            .iter()
+            .zip(self.netlist.registers())
+            .zip(state)
+        {
+            values[a.slot] = m as f64 * reg.dtype.resolution();
         }
-        for (input, &v) in self.inputs.iter().zip(input_values) {
+        for ((input, &slot), &v) in self.inputs.iter().zip(&self.input_slots).zip(input_values) {
             // Inputs pass through their own quantizer, like set() on a
             // typed stimulus signal; alphabet values are exact already.
-            values[self.index[&input.id]] = quantize(v, &input.dtype).value;
+            values[slot] = quantize(v, &input.dtype).value;
         }
         let mut overflows = Vec::new();
-        for wire in &self.wires {
-            let raw = eval(&self.graph, wire.def, &self.index, &values);
-            let v = match &wire.dtype {
+        for (wire, a) in self.wires.iter().zip(self.netlist.wires()) {
+            let raw = a.eval(values, temps);
+            values[a.slot] = match &wire.dtype {
                 Some(dt) => {
                     let q = quantize(raw, dt);
                     if q.overflowed {
@@ -360,17 +363,19 @@ impl Model {
                 }
                 None => raw,
             };
-            values[self.index[&wire.id]] = v;
         }
-        let mut next = Vec::with_capacity(self.registers.len());
-        for reg in &self.registers {
-            let raw = eval(&self.graph, reg.def, &self.index, &values);
-            let q = quantize(raw, &reg.dtype);
-            if q.overflowed {
-                overflows.push(reg.name.clone());
-            }
-            next.push(q.mantissa);
-        }
+        let next = self
+            .registers
+            .iter()
+            .zip(self.netlist.registers())
+            .map(|(reg, a)| {
+                let q = quantize(a.eval(values, temps), &reg.dtype);
+                if q.overflowed {
+                    overflows.push(reg.name.clone());
+                }
+                q.mantissa
+            })
+            .collect();
         StepOutput { next, overflows }
     }
 
@@ -382,108 +387,5 @@ impl Model {
             .zip(state)
             .map(|(r, &m)| (r.name.clone(), m as f64 * r.dtype.resolution()))
             .collect()
-    }
-}
-
-/// Orders wires so every wire is evaluated after the wires its definition
-/// reads (register and input reads are state, not dependencies).
-fn topo_sort_wires(graph: &Graph, wires: Vec<WireVar>) -> Result<Vec<WireVar>, ModelError> {
-    let wire_ids: HashMap<SignalId, usize> =
-        wires.iter().enumerate().map(|(i, w)| (w.id, i)).collect();
-    // deps[i] = wire indices wire i reads.
-    let mut deps: Vec<Vec<usize>> = vec![Vec::new(); wires.len()];
-    for (i, w) in wires.iter().enumerate() {
-        let mut stack = vec![w.def];
-        while let Some(n) = stack.pop() {
-            let node = graph.node(n);
-            if let Op::Read(s) = node.op {
-                if let Some(&j) = wire_ids.get(&s) {
-                    if i != j && !deps[i].contains(&j) {
-                        deps[i].push(j);
-                    }
-                }
-            }
-            stack.extend(node.args.iter().copied());
-        }
-    }
-    // Kahn's algorithm, smallest signal id first for determinism.
-    let mut indegree: Vec<usize> = deps.iter().map(|d| d.len()).collect();
-    let mut users: Vec<Vec<usize>> = vec![Vec::new(); wires.len()];
-    for (i, ds) in deps.iter().enumerate() {
-        for &j in ds {
-            users[j].push(i);
-        }
-    }
-    let mut ready: Vec<usize> = indegree
-        .iter()
-        .enumerate()
-        .filter(|&(_, &d)| d == 0)
-        .map(|(i, _)| i)
-        .collect();
-    ready.sort_by_key(|&i| wires[i].id);
-    let mut order = Vec::with_capacity(wires.len());
-    while let Some(i) = ready.first().copied() {
-        ready.remove(0);
-        order.push(i);
-        for &u in &users[i] {
-            indegree[u] -= 1;
-            if indegree[u] == 0 {
-                let pos = ready
-                    .binary_search_by_key(&wires[u].id, |&r| wires[r].id)
-                    .unwrap_or_else(|p| p);
-                ready.insert(pos, u);
-            }
-        }
-    }
-    if order.len() != wires.len() {
-        return Err(ModelError::CombinationalCycle);
-    }
-    let mut sorted = Vec::with_capacity(wires.len());
-    let mut wires = wires.into_iter().map(Some).collect::<Vec<_>>();
-    for i in order {
-        if let Some(w) = wires[i].take() {
-            sorted.push(w);
-        }
-    }
-    Ok(sorted)
-}
-
-/// Bit-exact expression evaluation — the same semantics as the RTL
-/// interpreter and the simulator's fixed path: float arithmetic between
-/// quantization points, `cast` quantizes, `select` takes the then-branch
-/// for a strictly positive condition.
-fn eval(graph: &Graph, root: NodeId, index: &HashMap<SignalId, usize>, values: &[f64]) -> f64 {
-    let node = graph.node(root);
-    match &node.op {
-        Op::Const(c) => *c,
-        Op::Read(s) => index.get(s).map(|&i| values[i]).unwrap_or(0.0),
-        Op::Add => {
-            eval(graph, node.args[0], index, values) + eval(graph, node.args[1], index, values)
-        }
-        Op::Sub => {
-            eval(graph, node.args[0], index, values) - eval(graph, node.args[1], index, values)
-        }
-        Op::Mul => {
-            eval(graph, node.args[0], index, values) * eval(graph, node.args[1], index, values)
-        }
-        Op::Div => {
-            eval(graph, node.args[0], index, values) / eval(graph, node.args[1], index, values)
-        }
-        Op::Neg => -eval(graph, node.args[0], index, values),
-        Op::Abs => eval(graph, node.args[0], index, values).abs(),
-        Op::Min => {
-            eval(graph, node.args[0], index, values).min(eval(graph, node.args[1], index, values))
-        }
-        Op::Max => {
-            eval(graph, node.args[0], index, values).max(eval(graph, node.args[1], index, values))
-        }
-        Op::Cast(dt) => quantize(eval(graph, node.args[0], index, values), dt).value,
-        Op::Select => {
-            if eval(graph, node.args[0], index, values) > 0.0 {
-                eval(graph, node.args[1], index, values)
-            } else {
-                eval(graph, node.args[2], index, values)
-            }
-        }
     }
 }

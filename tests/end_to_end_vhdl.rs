@@ -139,3 +139,28 @@ fn conditionally_written_designs_are_rejected_with_guidance() {
         other => panic!("expected MultipleDefinitions, got {other}"),
     }
 }
+
+#[test]
+fn stimulus_length_does_not_change_the_cost_estimate() {
+    // The stimulus input records one constant definition per sample. It
+    // is an input port, not a mux over its samples, so the datapath
+    // estimate must not grow with the stimulus.
+    use fixref::codegen::estimate_cost;
+
+    let (design, eq) = refined_equalizer();
+    let estimate = |samples: usize| {
+        design.reset_state();
+        design.clear_graph();
+        design.record_graph(true);
+        eq.init();
+        for &x in &equalizer_stimulus(11, 28.0, samples) {
+            eq.step(x);
+        }
+        design.record_graph(false);
+        estimate_cost(&design, &design.graph())
+    };
+    let short = estimate(500);
+    let long = estimate(3000);
+    assert_eq!(short, long);
+    assert!(short.gate_score() > 0.0);
+}
