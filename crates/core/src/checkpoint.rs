@@ -9,8 +9,8 @@
 //! are bit-identical to the uninterrupted run, modulo the leading
 //! `resumed_from_checkpoint` marker event.
 //!
-//! The format is hand-rolled JSON over the same zero-dependency
-//! [`fixref_obs::Json`] model the event journal uses. Signal identity is
+//! The format is JSON through the same `fixref_obs::json` codec the
+//! event journal uses. Signal identity is
 //! stored **by name**: a checkpoint is valid for any design built from
 //! the same description, and every name is re-resolved (and every
 //! embedded `SignalId` rebound) against the resuming design. What is
@@ -28,8 +28,7 @@ use std::path::{Path, PathBuf};
 use fixref_fixed::{
     DType, ErrorStats, Interval, OverflowMode, RangeStats, RoundingMode, Signedness,
 };
-use fixref_obs::json::{escape, fmt_f64};
-use fixref_obs::{Event, Json};
+use fixref_obs::{Event, FromJson, Json, JsonError, ToJson};
 use fixref_sim::{OverflowEvent, SignalAnnotation, SignalId, SignalStats};
 
 use crate::lsb::{LsbAnalysis, LsbStatus};
@@ -274,235 +273,13 @@ impl CheckpointStore {
 }
 
 // ---------------------------------------------------------------------------
-// Writer
+// JSON codec
 // ---------------------------------------------------------------------------
-
-fn cursor_json(c: Cursor) -> String {
-    match c {
-        Cursor::Msb { next } => format!("{{\"phase\":\"msb\",\"next\":{next}}}"),
-        Cursor::Lsb { next } => format!("{{\"phase\":\"lsb\",\"next\":{next}}}"),
-        Cursor::Apply => "{\"phase\":\"apply\"}".to_string(),
-    }
-}
-
-fn str_arr(items: &[String]) -> String {
-    let body: Vec<String> = items.iter().map(|s| format!("\"{}\"", escape(s))).collect();
-    format!("[{}]", body.join(","))
-}
-
-fn itv_json(i: &Interval) -> String {
-    format!("[{},{}]", fmt_f64(i.lo), fmt_f64(i.hi))
-}
-
-fn opt_itv_json(o: &Option<Interval>) -> String {
-    o.as_ref().map(itv_json).unwrap_or_else(|| "null".into())
-}
-
-fn opt_i32_json(o: Option<i32>) -> String {
-    o.map(|v| v.to_string()).unwrap_or_else(|| "null".into())
-}
-
-fn opt_f64_json(o: Option<f64>) -> String {
-    o.map(fmt_f64).unwrap_or_else(|| "null".into())
-}
-
-fn opt_usize_json(o: Option<usize>) -> String {
-    o.map(|v| v.to_string()).unwrap_or_else(|| "null".into())
-}
-
-fn dtype_json(t: &DType) -> String {
-    format!(
-        "{{\"name\":\"{}\",\"n\":{},\"f\":{},\"vt\":\"{}\",\"ovf\":\"{}\",\"rnd\":\"{}\"}}",
-        escape(t.name()),
-        t.n(),
-        t.f(),
-        t.signedness().token(),
-        t.overflow().token(),
-        t.rounding().token()
-    )
-}
-
-fn annotation_json(a: &SignalAnnotation) -> String {
-    format!(
-        "{{\"name\":\"{}\",\"dtype\":{},\"range\":{},\"error_sigma\":{}}}",
-        escape(&a.name),
-        a.dtype
-            .as_ref()
-            .map(dtype_json)
-            .unwrap_or_else(|| "null".into()),
-        opt_itv_json(&a.range),
-        opt_f64_json(a.error_sigma),
-    )
-}
-
-fn decision_json(d: &MsbDecision) -> String {
-    match d {
-        MsbDecision::Agree { msb } => format!("{{\"kind\":\"agree\",\"msb\":{msb}}}"),
-        MsbDecision::Saturate { msb, guard, forced } => format!(
-            "{{\"kind\":\"saturate\",\"msb\":{msb},\"guard\":{},\"forced\":{forced}}}",
-            itv_json(guard)
-        ),
-        MsbDecision::Tradeoff {
-            stat_msb,
-            prop_msb,
-            chosen,
-            saturate,
-        } => format!(
-            "{{\"kind\":\"tradeoff\",\"stat_msb\":{stat_msb},\"prop_msb\":{prop_msb},\
-             \"chosen\":{chosen},\"saturate\":{saturate}}}"
-        ),
-        MsbDecision::Unresolved { reason } => {
-            format!(
-                "{{\"kind\":\"unresolved\",\"reason\":\"{}\"}}",
-                escape(reason)
-            )
-        }
-    }
-}
-
-fn msb_json(a: &MsbAnalysis) -> String {
-    format!(
-        "{{\"name\":\"{}\",\"accesses\":{},\"stat\":{},\"stat_msb\":{},\"prop\":{},\
-         \"prop_msb\":{},\"exploded\":{},\"decision\":{},\"mode\":\"{}\",\"signedness\":\"{}\"}}",
-        escape(&a.name),
-        a.accesses,
-        opt_itv_json(&a.stat),
-        opt_i32_json(a.stat_msb),
-        opt_itv_json(&a.prop),
-        opt_i32_json(a.prop_msb),
-        a.exploded,
-        decision_json(&a.decision),
-        a.mode.token(),
-        a.signedness.token(),
-    )
-}
-
-fn lsb_status_token(s: &LsbStatus) -> &'static str {
-    match s {
-        LsbStatus::Resolved => "resolved",
-        LsbStatus::Exact => "exact",
-        LsbStatus::Diverged => "diverged",
-        LsbStatus::NoData => "no-data",
-    }
-}
-
-fn lsb_json(a: &LsbAnalysis) -> String {
-    format!(
-        "{{\"name\":\"{}\",\"assigns\":{},\"max_abs\":{},\"mean\":{},\"std\":{},\"lsb\":{},\
-         \"status\":\"{}\",\"precision_loss\":{},\"floor_mean_shift\":{},\"rounding\":\"{}\"}}",
-        escape(&a.name),
-        a.assigns,
-        fmt_f64(a.max_abs),
-        fmt_f64(a.mean),
-        fmt_f64(a.std),
-        opt_i32_json(a.lsb),
-        lsb_status_token(&a.status),
-        a.precision_loss,
-        opt_f64_json(a.floor_mean_shift),
-        a.rounding.token(),
-    )
-}
-
-fn stats_json(s: &SignalStats) -> String {
-    let (min, max, count) = s.stat.to_raw();
-    let (cc, cm, cm2, cx) = s.consumed.to_raw();
-    let (pc, pm, pm2, px) = s.produced.to_raw();
-    format!(
-        "{{\"name\":\"{}\",\"stat\":[{},{},{count}],\"prop\":{},\
-         \"consumed\":[{cc},{},{},{}],\"produced\":[{pc},{},{},{}],\
-         \"overflows\":{},\"reads\":{},\"writes\":{},\"granularity\":{},\"non_dyadic\":{}}}",
-        escape(&s.name),
-        fmt_f64(min),
-        fmt_f64(max),
-        itv_json(&s.prop),
-        fmt_f64(cm),
-        fmt_f64(cm2),
-        fmt_f64(cx),
-        fmt_f64(pm),
-        fmt_f64(pm2),
-        fmt_f64(px),
-        s.overflows,
-        s.reads,
-        s.writes,
-        opt_i32_json(s.granularity),
-        s.non_dyadic,
-    )
-}
-
-fn overflow_json(e: &OverflowEvent) -> String {
-    format!(
-        "{{\"name\":\"{}\",\"value\":{},\"cycle\":{}}}",
-        escape(&e.name),
-        fmt_f64(e.value),
-        e.cycle
-    )
-}
 
 impl Checkpoint {
     /// Serializes the checkpoint to its JSON document.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(8192);
-        out.push_str(&format!("{{\"version\":{VERSION}"));
-        out.push_str(&format!(",\"cursor\":{}", cursor_json(self.cursor)));
-        out.push_str(&format!(",\"msb_done\":{}", self.msb_done));
-        out.push_str(&format!(",\"lsb_done\":{}", self.lsb_done));
-        out.push_str(&format!(",\"next_sequence\":{}", self.next_sequence));
-        out.push_str(&format!(
-            ",\"msb_journal_start\":{}",
-            self.msb_journal_start
-        ));
-        out.push_str(&format!(
-            ",\"lsb_journal_start\":{}",
-            opt_usize_json(self.lsb_journal_start)
-        ));
-        let annotations: Vec<String> = self.annotations.iter().map(annotation_json).collect();
-        out.push_str(&format!(",\"annotations\":[{}]", annotations.join(",")));
-        out.push_str(&format!(
-            ",\"pinned_explosion\":{}",
-            str_arr(&self.pinned_explosion)
-        ));
-        out.push_str(&format!(
-            ",\"force_saturate\":{}",
-            str_arr(&self.force_saturate)
-        ));
-        out.push_str(&format!(",\"excluded\":{}", str_arr(&self.excluded)));
-        out.push_str(&format!(",\"feedback\":{}", str_arr(&self.feedback)));
-        out.push_str(&format!(",\"troubled\":{}", str_arr(&self.troubled)));
-        match &self.msb_final {
-            None => out.push_str(",\"msb_final\":null"),
-            Some(list) => {
-                let items: Vec<String> = list.iter().map(msb_json).collect();
-                out.push_str(&format!(",\"msb_final\":[{}]", items.join(",")));
-            }
-        }
-        match &self.lsb_final {
-            None => out.push_str(",\"lsb_final\":null"),
-            Some(list) => {
-                let items: Vec<String> = list.iter().map(lsb_json).collect();
-                out.push_str(&format!(",\"lsb_final\":[{}]", items.join(",")));
-            }
-        }
-        let data = match &self.cache.data {
-            None => "null".to_string(),
-            Some((stats, events, cycles)) => {
-                let stats: Vec<String> = stats.iter().map(stats_json).collect();
-                let events: Vec<String> = events.iter().map(overflow_json).collect();
-                format!(
-                    "{{\"stats\":[{}],\"overflow\":[{}],\"cycles\":{cycles}}}",
-                    stats.join(","),
-                    events.join(",")
-                )
-            }
-        };
-        out.push_str(&format!(
-            ",\"cache\":{{\"warm\":{},\"dirty\":{},\"data\":{data}}}",
-            self.cache.warm,
-            str_arr(&self.cache.dirty)
-        ));
-        let journal: Vec<String> = self.journal.iter().map(Event::to_json).collect();
-        out.push_str(&format!(",\"journal\":[{}]", journal.join(",")));
-        out.push('}');
-        out
+        self.encode().to_string()
     }
 
     /// Parses a checkpoint document produced by [`Checkpoint::to_json`].
@@ -512,291 +289,377 @@ impl Checkpoint {
     /// [`CheckpointError::Parse`] on malformed documents or unsupported
     /// versions.
     pub fn from_json(text: &str) -> Result<Checkpoint, CheckpointError> {
-        let v = Json::parse(text).map_err(|e| perr(e.to_string()))?;
-        let version = get_u64(&v, "version")?;
+        Json::parse(text)
+            .and_then(|v| Checkpoint::decode(&v))
+            .map_err(|e| CheckpointError::Parse(e.to_string()))
+    }
+}
+
+impl ToJson for Checkpoint {
+    fn encode(&self) -> Json {
+        Json::obj([
+            ("version", VERSION.encode()),
+            ("cursor", self.cursor.encode()),
+            ("msb_done", self.msb_done.encode()),
+            ("lsb_done", self.lsb_done.encode()),
+            ("next_sequence", self.next_sequence.encode()),
+            ("msb_journal_start", self.msb_journal_start.encode()),
+            ("lsb_journal_start", self.lsb_journal_start.encode()),
+            ("annotations", array(&self.annotations, annotation)),
+            ("pinned_explosion", self.pinned_explosion.encode()),
+            ("force_saturate", self.force_saturate.encode()),
+            ("excluded", self.excluded.encode()),
+            ("feedback", self.feedback.encode()),
+            ("troubled", self.troubled.encode()),
+            ("msb_final", self.msb_final.encode()),
+            ("lsb_final", self.lsb_final.encode()),
+            ("cache", self.cache.encode()),
+            ("journal", self.journal.encode()),
+        ])
+    }
+}
+
+impl FromJson for Checkpoint {
+    fn decode(v: &Json) -> Result<Self, JsonError> {
+        let version: u64 = v.field("version")?;
         if version != VERSION {
-            return Err(perr(format!("unsupported checkpoint version {version}")));
+            return Err(JsonError::new(format!(
+                "unsupported checkpoint version {version}"
+            )));
         }
-        let cursor = cursor_of(get(&v, "cursor")?)?;
-        let annotations = get_arr(&v, "annotations")?
-            .iter()
-            .map(annotation_of)
-            .collect::<Result<Vec<_>, _>>()?;
-        let msb_final = match opt_member(&v, "msb_final") {
-            None => None,
-            Some(j) => Some(
-                j.as_arr()
-                    .ok_or_else(|| perr("msb_final is not an array".to_string()))?
-                    .iter()
-                    .map(msb_of)
-                    .collect::<Result<Vec<_>, _>>()?,
-            ),
-        };
-        let lsb_final = match opt_member(&v, "lsb_final") {
-            None => None,
-            Some(j) => Some(
-                j.as_arr()
-                    .ok_or_else(|| perr("lsb_final is not an array".to_string()))?
-                    .iter()
-                    .map(lsb_of)
-                    .collect::<Result<Vec<_>, _>>()?,
-            ),
-        };
-        let cache_v = get(&v, "cache")?;
-        let data = match opt_member(cache_v, "data") {
-            None => None,
-            Some(d) => {
-                let stats = get_arr(d, "stats")?
-                    .iter()
-                    .map(stats_of)
-                    .collect::<Result<Vec<_>, _>>()?;
-                let overflow = get_arr(d, "overflow")?
-                    .iter()
-                    .map(overflow_event_of)
-                    .collect::<Result<Vec<_>, _>>()?;
-                Some((stats, overflow, get_u64(d, "cycles")?))
-            }
-        };
-        let cache = CacheState {
-            warm: get_bool(cache_v, "warm")?,
-            dirty: str_list(get(cache_v, "dirty")?)?,
-            data,
-        };
-        let journal = get_arr(&v, "journal")?
-            .iter()
-            .map(|j| Event::from_value(j).map_err(|e| perr(e.to_string())))
-            .collect::<Result<Vec<_>, _>>()?;
         Ok(Checkpoint {
-            cursor,
-            msb_done: get_usize(&v, "msb_done")?,
-            lsb_done: get_usize(&v, "lsb_done")?,
-            next_sequence: get_usize(&v, "next_sequence")?,
-            msb_journal_start: get_usize(&v, "msb_journal_start")?,
-            lsb_journal_start: match opt_member(&v, "lsb_journal_start") {
-                None => None,
-                Some(j) => Some(
-                    j.as_u64()
-                        .map(|n| n as usize)
-                        .ok_or_else(|| perr("lsb_journal_start is not an integer".to_string()))?,
-                ),
-            },
-            annotations,
-            pinned_explosion: str_list(get(&v, "pinned_explosion")?)?,
-            force_saturate: str_list(get(&v, "force_saturate")?)?,
-            excluded: str_list(get(&v, "excluded")?)?,
-            feedback: str_list(get(&v, "feedback")?)?,
-            troubled: str_list(get(&v, "troubled")?)?,
-            msb_final,
-            lsb_final,
-            cache,
-            journal,
+            cursor: v.field("cursor")?,
+            msb_done: v.field("msb_done")?,
+            lsb_done: v.field("lsb_done")?,
+            next_sequence: v.field("next_sequence")?,
+            msb_journal_start: v.field("msb_journal_start")?,
+            lsb_journal_start: v.opt_field("lsb_journal_start")?,
+            annotations: v.field_with("annotations", |a| a.items(annotation_of))?,
+            pinned_explosion: v.field("pinned_explosion")?,
+            force_saturate: v.field("force_saturate")?,
+            excluded: v.field("excluded")?,
+            feedback: v.field("feedback")?,
+            troubled: v.field("troubled")?,
+            msb_final: v.opt_field("msb_final")?,
+            lsb_final: v.opt_field("lsb_final")?,
+            cache: v.field("cache")?,
+            journal: v.field("journal")?,
         })
     }
 }
 
-// ---------------------------------------------------------------------------
-// Parser helpers
-// ---------------------------------------------------------------------------
-
-fn perr(msg: impl Into<String>) -> CheckpointError {
-    CheckpointError::Parse(msg.into())
-}
-
-fn get<'a>(v: &'a Json, key: &str) -> Result<&'a Json, CheckpointError> {
-    v.get(key)
-        .ok_or_else(|| perr(format!("missing member {key:?}")))
-}
-
-/// Member lookup treating an explicit `null` the same as absence.
-fn opt_member<'a>(v: &'a Json, key: &str) -> Option<&'a Json> {
-    match v.get(key) {
-        None | Some(Json::Null) => None,
-        Some(j) => Some(j),
+impl ToJson for Cursor {
+    fn encode(&self) -> Json {
+        match *self {
+            Cursor::Msb { next } => Json::obj([("phase", "msb".encode()), ("next", next.encode())]),
+            Cursor::Lsb { next } => Json::obj([("phase", "lsb".encode()), ("next", next.encode())]),
+            Cursor::Apply => Json::obj([("phase", "apply".encode())]),
+        }
     }
 }
 
-fn get_u64(v: &Json, key: &str) -> Result<u64, CheckpointError> {
-    get(v, key)?
-        .as_u64()
-        .ok_or_else(|| perr(format!("member {key:?} is not a non-negative integer")))
-}
-
-fn get_usize(v: &Json, key: &str) -> Result<usize, CheckpointError> {
-    get_u64(v, key).map(|n| n as usize)
-}
-
-fn get_f64(v: &Json, key: &str) -> Result<f64, CheckpointError> {
-    get(v, key)?
-        .as_f64()
-        .ok_or_else(|| perr(format!("member {key:?} is not a number")))
-}
-
-fn get_str<'a>(v: &'a Json, key: &str) -> Result<&'a str, CheckpointError> {
-    get(v, key)?
-        .as_str()
-        .ok_or_else(|| perr(format!("member {key:?} is not a string")))
-}
-
-fn get_bool(v: &Json, key: &str) -> Result<bool, CheckpointError> {
-    match get(v, key)? {
-        Json::Bool(b) => Ok(*b),
-        _ => Err(perr(format!("member {key:?} is not a boolean"))),
+impl FromJson for Cursor {
+    fn decode(v: &Json) -> Result<Self, JsonError> {
+        match v.field::<String>("phase")?.as_str() {
+            "msb" => Ok(Cursor::Msb {
+                next: v.field("next")?,
+            }),
+            "lsb" => Ok(Cursor::Lsb {
+                next: v.field("next")?,
+            }),
+            "apply" => Ok(Cursor::Apply),
+            other => Err(JsonError::new(format!("unknown cursor phase {other:?}"))),
+        }
     }
 }
 
-fn get_arr<'a>(v: &'a Json, key: &str) -> Result<&'a [Json], CheckpointError> {
-    get(v, key)?
-        .as_arr()
-        .ok_or_else(|| perr(format!("member {key:?} is not an array")))
+impl ToJson for CacheState {
+    fn encode(&self) -> Json {
+        let data = self
+            .data
+            .as_ref()
+            .map_or(Json::Null, |(stats, events, cycles)| {
+                Json::obj([
+                    ("stats", array(stats, signal_stats)),
+                    ("overflow", array(events, overflow_event)),
+                    ("cycles", cycles.encode()),
+                ])
+            });
+        Json::obj([
+            ("warm", self.warm.encode()),
+            ("dirty", self.dirty.encode()),
+            ("data", data),
+        ])
+    }
 }
 
-fn i32_of(j: &Json, what: &str) -> Result<i32, CheckpointError> {
-    j.as_f64()
-        .filter(|n| n.fract() == 0.0 && (i32::MIN as f64..=i32::MAX as f64).contains(n))
-        .map(|n| n as i32)
-        .ok_or_else(|| perr(format!("{what} is not an integer")))
-}
-
-fn get_i32(v: &Json, key: &str) -> Result<i32, CheckpointError> {
-    i32_of(get(v, key)?, key)
-}
-
-fn opt_i32_of(v: &Json, key: &str) -> Result<Option<i32>, CheckpointError> {
-    opt_member(v, key).map(|j| i32_of(j, key)).transpose()
-}
-
-fn opt_f64_of(v: &Json, key: &str) -> Result<Option<f64>, CheckpointError> {
-    opt_member(v, key)
-        .map(|j| {
-            j.as_f64()
-                .ok_or_else(|| perr(format!("member {key:?} is not a number")))
+impl FromJson for CacheState {
+    fn decode(v: &Json) -> Result<Self, JsonError> {
+        Ok(CacheState {
+            warm: v.field("warm")?,
+            dirty: v.field("dirty")?,
+            data: v.opt_field_with("data", |d| {
+                Ok((
+                    d.field_with("stats", |s| s.items(signal_stats_of))?,
+                    d.field_with("overflow", |o| o.items(overflow_event_of))?,
+                    d.field("cycles")?,
+                ))
+            })?,
         })
-        .transpose()
+    }
 }
 
-fn str_list(j: &Json) -> Result<Vec<String>, CheckpointError> {
-    j.as_arr()
-        .ok_or_else(|| perr("expected a string array".to_string()))?
-        .iter()
-        .map(|s| {
-            s.as_str()
-                .map(str::to_string)
-                .ok_or_else(|| perr("expected a string array".to_string()))
+impl ToJson for MsbDecision {
+    fn encode(&self) -> Json {
+        match self {
+            MsbDecision::Agree { msb } => {
+                Json::obj([("kind", "agree".encode()), ("msb", msb.encode())])
+            }
+            MsbDecision::Saturate { msb, guard, forced } => Json::obj([
+                ("kind", "saturate".encode()),
+                ("msb", msb.encode()),
+                ("guard", interval(guard)),
+                ("forced", forced.encode()),
+            ]),
+            MsbDecision::Tradeoff {
+                stat_msb,
+                prop_msb,
+                chosen,
+                saturate,
+            } => Json::obj([
+                ("kind", "tradeoff".encode()),
+                ("stat_msb", stat_msb.encode()),
+                ("prop_msb", prop_msb.encode()),
+                ("chosen", chosen.encode()),
+                ("saturate", saturate.encode()),
+            ]),
+            MsbDecision::Unresolved { reason } => {
+                Json::obj([("kind", "unresolved".encode()), ("reason", reason.encode())])
+            }
+        }
+    }
+}
+
+impl FromJson for MsbDecision {
+    fn decode(v: &Json) -> Result<Self, JsonError> {
+        match v.field::<String>("kind")?.as_str() {
+            "agree" => Ok(MsbDecision::Agree {
+                msb: v.field("msb")?,
+            }),
+            "saturate" => Ok(MsbDecision::Saturate {
+                msb: v.field("msb")?,
+                guard: v.field_with("guard", interval_of)?,
+                forced: v.field("forced")?,
+            }),
+            "tradeoff" => Ok(MsbDecision::Tradeoff {
+                stat_msb: v.field("stat_msb")?,
+                prop_msb: v.field("prop_msb")?,
+                chosen: v.field("chosen")?,
+                saturate: v.field("saturate")?,
+            }),
+            "unresolved" => Ok(MsbDecision::Unresolved {
+                reason: v.field("reason")?,
+            }),
+            other => Err(JsonError::new(format!(
+                "unknown MSB decision kind {other:?}"
+            ))),
+        }
+    }
+}
+
+impl ToJson for MsbAnalysis {
+    fn encode(&self) -> Json {
+        Json::obj([
+            ("name", self.name.encode()),
+            ("accesses", self.accesses.encode()),
+            ("stat", self.stat.as_ref().map_or(Json::Null, interval)),
+            ("stat_msb", self.stat_msb.encode()),
+            ("prop", self.prop.as_ref().map_or(Json::Null, interval)),
+            ("prop_msb", self.prop_msb.encode()),
+            ("exploded", self.exploded.encode()),
+            ("decision", self.decision.encode()),
+            ("mode", self.mode.token().encode()),
+            ("signedness", self.signedness.token().encode()),
+        ])
+    }
+}
+
+impl FromJson for MsbAnalysis {
+    fn decode(v: &Json) -> Result<Self, JsonError> {
+        Ok(MsbAnalysis {
+            id: unbound_id(),
+            name: v.field("name")?,
+            accesses: v.field("accesses")?,
+            stat: v.opt_field_with("stat", interval_of)?,
+            stat_msb: v.opt_field("stat_msb")?,
+            prop: v.opt_field_with("prop", interval_of)?,
+            prop_msb: v.opt_field("prop_msb")?,
+            exploded: v.field("exploded")?,
+            decision: v.field("decision")?,
+            mode: token(v, "mode", OverflowMode::from_token)?,
+            signedness: token(v, "signedness", Signedness::from_token)?,
         })
-        .collect()
-}
-
-/// `[lo, hi]` → [`Interval`]. Built as a raw pair (not via
-/// [`Interval::new`]) because the empty interval legitimately serializes
-/// as `["Infinity","-Infinity"]`.
-fn itv_of(j: &Json, what: &str) -> Result<Interval, CheckpointError> {
-    let arr = j
-        .as_arr()
-        .filter(|a| a.len() == 2)
-        .ok_or_else(|| perr(format!("{what} is not a two-element array")))?;
-    let lo = arr[0]
-        .as_f64()
-        .ok_or_else(|| perr(format!("{what} bound is not a number")))?;
-    let hi = arr[1]
-        .as_f64()
-        .ok_or_else(|| perr(format!("{what} bound is not a number")))?;
-    Ok(Interval { lo, hi })
-}
-
-fn opt_itv_of(v: &Json, key: &str) -> Result<Option<Interval>, CheckpointError> {
-    opt_member(v, key).map(|j| itv_of(j, key)).transpose()
-}
-
-fn signedness_of(s: &str) -> Result<Signedness, CheckpointError> {
-    match s {
-        "tc" => Ok(Signedness::TwosComplement),
-        "ns" => Ok(Signedness::Unsigned),
-        _ => Err(perr(format!("unknown signedness token {s:?}"))),
     }
 }
 
-fn overflow_of(s: &str) -> Result<OverflowMode, CheckpointError> {
-    match s {
-        "wp" => Ok(OverflowMode::Wrap),
-        "st" => Ok(OverflowMode::Saturate),
-        "er" => Ok(OverflowMode::Error),
-        _ => Err(perr(format!("unknown overflow token {s:?}"))),
+impl ToJson for LsbAnalysis {
+    fn encode(&self) -> Json {
+        Json::obj([
+            ("name", self.name.encode()),
+            ("assigns", self.assigns.encode()),
+            ("max_abs", self.max_abs.encode()),
+            ("mean", self.mean.encode()),
+            ("std", self.std.encode()),
+            ("lsb", self.lsb.encode()),
+            ("status", self.status.token().encode()),
+            ("precision_loss", self.precision_loss.encode()),
+            ("floor_mean_shift", self.floor_mean_shift.encode()),
+            ("rounding", self.rounding.token().encode()),
+        ])
     }
 }
 
-fn rounding_of(s: &str) -> Result<RoundingMode, CheckpointError> {
-    match s {
-        "rd" => Ok(RoundingMode::Round),
-        "fl" => Ok(RoundingMode::Floor),
-        _ => Err(perr(format!("unknown rounding token {s:?}"))),
+impl FromJson for LsbAnalysis {
+    fn decode(v: &Json) -> Result<Self, JsonError> {
+        Ok(LsbAnalysis {
+            id: unbound_id(),
+            name: v.field("name")?,
+            assigns: v.field("assigns")?,
+            max_abs: v.field("max_abs")?,
+            mean: v.field("mean")?,
+            std: v.field("std")?,
+            lsb: v.opt_field("lsb")?,
+            status: token(v, "status", LsbStatus::from_token)?,
+            precision_loss: v.field("precision_loss")?,
+            floor_mean_shift: v.opt_field("floor_mean_shift")?,
+            rounding: token(v, "rounding", RoundingMode::from_token)?,
+        })
     }
 }
 
-fn status_of(s: &str) -> Result<LsbStatus, CheckpointError> {
-    match s {
-        "resolved" => Ok(LsbStatus::Resolved),
-        "exact" => Ok(LsbStatus::Exact),
-        "diverged" => Ok(LsbStatus::Diverged),
-        "no-data" => Ok(LsbStatus::NoData),
-        _ => Err(perr(format!("unknown LSB status token {s:?}"))),
-    }
+// The `fixref-fixed` and `fixref-sim` types below cannot implement the
+// codec traits in this crate, and checkpoints are their only JSON use,
+// so they encode through these private functions.
+
+fn array<T>(items: &[T], encode: fn(&T) -> Json) -> Json {
+    Json::Arr(items.iter().map(encode).collect())
 }
 
-fn cursor_of(j: &Json) -> Result<Cursor, CheckpointError> {
-    match get_str(j, "phase")? {
-        "msb" => Ok(Cursor::Msb {
-            next: get_usize(j, "next")?,
-        }),
-        "lsb" => Ok(Cursor::Lsb {
-            next: get_usize(j, "next")?,
-        }),
-        "apply" => Ok(Cursor::Apply),
-        other => Err(perr(format!("unknown cursor phase {other:?}"))),
-    }
-}
-
-fn dtype_of(j: &Json) -> Result<DType, CheckpointError> {
-    DType::new(
-        get_str(j, "name")?,
-        get_i32(j, "n")?,
-        get_i32(j, "f")?,
-        signedness_of(get_str(j, "vt")?)?,
-        overflow_of(get_str(j, "ovf")?)?,
-        rounding_of(get_str(j, "rnd")?)?,
-    )
-    .map_err(|e| perr(e.to_string()))
-}
-
-fn annotation_of(j: &Json) -> Result<SignalAnnotation, CheckpointError> {
-    Ok(SignalAnnotation {
-        name: get_str(j, "name")?.to_string(),
-        dtype: opt_member(j, "dtype").map(dtype_of).transpose()?,
-        range: opt_itv_of(j, "range")?,
-        error_sigma: opt_f64_of(j, "error_sigma")?,
+/// Decodes the token member `key` through its type's `from_token`.
+fn token<T>(v: &Json, key: &str, from_token: fn(&str) -> Option<T>) -> Result<T, JsonError> {
+    v.field_with(key, |t| {
+        let s = t
+            .as_str()
+            .ok_or_else(|| JsonError::expected("a token", t))?;
+        from_token(s).ok_or_else(|| JsonError::new(format!("unknown token {s:?}")))
     })
 }
 
-fn decision_of(j: &Json) -> Result<MsbDecision, CheckpointError> {
-    match get_str(j, "kind")? {
-        "agree" => Ok(MsbDecision::Agree {
-            msb: get_i32(j, "msb")?,
-        }),
-        "saturate" => Ok(MsbDecision::Saturate {
-            msb: get_i32(j, "msb")?,
-            guard: itv_of(get(j, "guard")?, "guard")?,
-            forced: get_bool(j, "forced")?,
-        }),
-        "tradeoff" => Ok(MsbDecision::Tradeoff {
-            stat_msb: get_i32(j, "stat_msb")?,
-            prop_msb: get_i32(j, "prop_msb")?,
-            chosen: get_i32(j, "chosen")?,
-            saturate: get_bool(j, "saturate")?,
-        }),
-        "unresolved" => Ok(MsbDecision::Unresolved {
-            reason: get_str(j, "reason")?.to_string(),
-        }),
-        other => Err(perr(format!("unknown MSB decision kind {other:?}"))),
-    }
+/// `[lo, hi]`. Decoded as a raw pair (not via [`Interval::new`])
+/// because the empty interval legitimately serializes as
+/// `["Infinity","-Infinity"]`.
+fn interval(i: &Interval) -> Json {
+    (i.lo, i.hi).encode()
+}
+
+fn interval_of(v: &Json) -> Result<Interval, JsonError> {
+    let (lo, hi) = FromJson::decode(v)?;
+    Ok(Interval { lo, hi })
+}
+
+fn dtype(t: &DType) -> Json {
+    Json::obj([
+        ("name", t.name().encode()),
+        ("n", t.n().encode()),
+        ("f", t.f().encode()),
+        ("vt", t.signedness().token().encode()),
+        ("ovf", t.overflow().token().encode()),
+        ("rnd", t.rounding().token().encode()),
+    ])
+}
+
+fn dtype_of(v: &Json) -> Result<DType, JsonError> {
+    DType::new(
+        v.field::<String>("name")?,
+        v.field("n")?,
+        v.field("f")?,
+        token(v, "vt", Signedness::from_token)?,
+        token(v, "ovf", OverflowMode::from_token)?,
+        token(v, "rnd", RoundingMode::from_token)?,
+    )
+    .map_err(|e| JsonError::new(e.to_string()))
+}
+
+fn annotation(a: &SignalAnnotation) -> Json {
+    Json::obj([
+        ("name", a.name.encode()),
+        ("dtype", a.dtype.as_ref().map_or(Json::Null, dtype)),
+        ("range", a.range.as_ref().map_or(Json::Null, interval)),
+        ("error_sigma", a.error_sigma.encode()),
+    ])
+}
+
+fn annotation_of(v: &Json) -> Result<SignalAnnotation, JsonError> {
+    Ok(SignalAnnotation {
+        name: v.field("name")?,
+        dtype: v.opt_field_with("dtype", dtype_of)?,
+        range: v.opt_field_with("range", interval_of)?,
+        error_sigma: v.opt_field("error_sigma")?,
+    })
+}
+
+/// Range statistics as `[min, max, count]`, error statistics as
+/// `[count, mean, m2, max_abs]`.
+fn signal_stats(s: &SignalStats) -> Json {
+    Json::obj([
+        ("name", s.name.encode()),
+        ("stat", s.stat.to_raw().encode()),
+        ("prop", interval(&s.prop)),
+        ("consumed", s.consumed.to_raw().encode()),
+        ("produced", s.produced.to_raw().encode()),
+        ("overflows", s.overflows.encode()),
+        ("reads", s.reads.encode()),
+        ("writes", s.writes.encode()),
+        ("granularity", s.granularity.encode()),
+        ("non_dyadic", s.non_dyadic.encode()),
+    ])
+}
+
+fn signal_stats_of(v: &Json) -> Result<SignalStats, JsonError> {
+    let (min, max, count) = v.field("stat")?;
+    let error_stats = |key| {
+        v.field(key)
+            .map(|(count, mean, m2, max_abs)| ErrorStats::from_raw(count, mean, m2, max_abs))
+    };
+    Ok(SignalStats {
+        name: v.field("name")?,
+        stat: RangeStats::from_raw(min, max, count),
+        prop: v.field_with("prop", interval_of)?,
+        consumed: error_stats("consumed")?,
+        produced: error_stats("produced")?,
+        overflows: v.field("overflows")?,
+        reads: v.field("reads")?,
+        writes: v.field("writes")?,
+        granularity: v.opt_field("granularity")?,
+        non_dyadic: v.field("non_dyadic")?,
+    })
+}
+
+fn overflow_event(e: &OverflowEvent) -> Json {
+    Json::obj([
+        ("name", e.name.encode()),
+        ("value", e.value.encode()),
+        ("cycle", e.cycle.encode()),
+    ])
+}
+
+fn overflow_event_of(v: &Json) -> Result<OverflowEvent, JsonError> {
+    Ok(OverflowEvent {
+        signal: unbound_id(),
+        name: v.field("name")?,
+        value: v.field("value")?,
+        cycle: v.field("cycle")?,
+    })
 }
 
 /// The placeholder id carried by deserialized analyses and overflow
@@ -804,94 +667,6 @@ fn decision_of(j: &Json) -> Result<MsbDecision, CheckpointError> {
 /// name against the resuming design.
 fn unbound_id() -> SignalId {
     SignalId::from_raw(u32::MAX)
-}
-
-fn msb_of(j: &Json) -> Result<MsbAnalysis, CheckpointError> {
-    Ok(MsbAnalysis {
-        id: unbound_id(),
-        name: get_str(j, "name")?.to_string(),
-        accesses: get_u64(j, "accesses")?,
-        stat: opt_itv_of(j, "stat")?,
-        stat_msb: opt_i32_of(j, "stat_msb")?,
-        prop: opt_itv_of(j, "prop")?,
-        prop_msb: opt_i32_of(j, "prop_msb")?,
-        exploded: get_bool(j, "exploded")?,
-        decision: decision_of(get(j, "decision")?)?,
-        mode: overflow_of(get_str(j, "mode")?)?,
-        signedness: signedness_of(get_str(j, "signedness")?)?,
-    })
-}
-
-fn lsb_of(j: &Json) -> Result<LsbAnalysis, CheckpointError> {
-    Ok(LsbAnalysis {
-        id: unbound_id(),
-        name: get_str(j, "name")?.to_string(),
-        assigns: get_u64(j, "assigns")?,
-        max_abs: get_f64(j, "max_abs")?,
-        mean: get_f64(j, "mean")?,
-        std: get_f64(j, "std")?,
-        lsb: opt_i32_of(j, "lsb")?,
-        status: status_of(get_str(j, "status")?)?,
-        precision_loss: get_bool(j, "precision_loss")?,
-        floor_mean_shift: opt_f64_of(j, "floor_mean_shift")?,
-        rounding: rounding_of(get_str(j, "rounding")?)?,
-    })
-}
-
-fn error_stats_of(j: &Json, what: &str) -> Result<ErrorStats, CheckpointError> {
-    let arr = j
-        .as_arr()
-        .filter(|a| a.len() == 4)
-        .ok_or_else(|| perr(format!("{what} is not a four-element array")))?;
-    let num = |i: usize| -> Result<f64, CheckpointError> {
-        arr[i]
-            .as_f64()
-            .ok_or_else(|| perr(format!("{what}[{i}] is not a number")))
-    };
-    let count = arr[0]
-        .as_u64()
-        .ok_or_else(|| perr(format!("{what}[0] is not a count")))?;
-    Ok(ErrorStats::from_raw(count, num(1)?, num(2)?, num(3)?))
-}
-
-fn stats_of(j: &Json) -> Result<SignalStats, CheckpointError> {
-    let stat = {
-        let arr = get(j, "stat")?
-            .as_arr()
-            .filter(|a| a.len() == 3)
-            .ok_or_else(|| perr("stat is not a three-element array".to_string()))?;
-        let min = arr[0]
-            .as_f64()
-            .ok_or_else(|| perr("stat[0] is not a number".to_string()))?;
-        let max = arr[1]
-            .as_f64()
-            .ok_or_else(|| perr("stat[1] is not a number".to_string()))?;
-        let count = arr[2]
-            .as_u64()
-            .ok_or_else(|| perr("stat[2] is not a count".to_string()))?;
-        RangeStats::from_raw(min, max, count)
-    };
-    Ok(SignalStats {
-        name: get_str(j, "name")?.to_string(),
-        stat,
-        prop: itv_of(get(j, "prop")?, "prop")?,
-        consumed: error_stats_of(get(j, "consumed")?, "consumed")?,
-        produced: error_stats_of(get(j, "produced")?, "produced")?,
-        overflows: get_u64(j, "overflows")?,
-        reads: get_u64(j, "reads")?,
-        writes: get_u64(j, "writes")?,
-        granularity: opt_i32_of(j, "granularity")?,
-        non_dyadic: get_bool(j, "non_dyadic")?,
-    })
-}
-
-fn overflow_event_of(j: &Json) -> Result<OverflowEvent, CheckpointError> {
-    Ok(OverflowEvent {
-        signal: unbound_id(),
-        name: get_str(j, "name")?.to_string(),
-        value: get_f64(j, "value")?,
-        cycle: get_u64(j, "cycle")?,
-    })
 }
 
 #[cfg(test)]

@@ -12,9 +12,7 @@
 
 use std::time::Duration;
 
-use fixref_obs::json::escape;
-use fixref_obs::Json;
-use fixref_sim::spec::{scenario_set_from_value, scenario_set_to_json};
+use fixref_obs::{FromJson, Json, JsonError, ToJson};
 use fixref_sim::{DesignSpec, ScenarioSet, SpecError};
 
 use crate::flow::{RefinementFlow, RunBudget, SimBackend};
@@ -94,84 +92,40 @@ impl FlowSpec {
         }
         Ok(())
     }
+}
 
-    fn to_json(&self) -> String {
-        let max_sims = self
-            .max_simulations
-            .map_or("null".into(), |v| v.to_string());
-        let wall = self.wall_ms.map_or("null".into(), |v| v.to_string());
-        let saturate: Vec<String> = self
-            .force_saturate
-            .iter()
-            .map(|n| format!(r#""{}""#, escape(n)))
-            .collect();
-        format!(
-            r#"{{"backend":"{}","cache":{},"shards":{},"max_simulations":{},"wall_ms":{},"max_attempts":{},"force_saturate":[{}]}}"#,
-            escape(&self.backend),
-            self.cache,
-            self.shards,
-            max_sims,
-            wall,
-            self.max_attempts,
-            saturate.join(",")
-        )
+impl ToJson for FlowSpec {
+    fn encode(&self) -> Json {
+        Json::obj([
+            ("backend", self.backend.encode()),
+            ("cache", self.cache.encode()),
+            ("shards", self.shards.encode()),
+            ("max_simulations", self.max_simulations.encode()),
+            ("wall_ms", self.wall_ms.encode()),
+            ("max_attempts", self.max_attempts.encode()),
+            ("force_saturate", self.force_saturate.encode()),
+        ])
     }
+}
 
-    fn from_value(v: &Json) -> Result<FlowSpec, SpecError> {
+/// Absent or `null` members take their defaults. The backend name is
+/// validated here so a bad spec is rejected at admission, not mid-run.
+impl FromJson for FlowSpec {
+    fn decode(v: &Json) -> Result<Self, JsonError> {
         let defaults = FlowSpec::default();
-        let backend = match v.get("backend") {
-            None | Some(Json::Null) => defaults.backend,
-            Some(j) => j
-                .as_str()
-                .ok_or_else(|| SpecError::new("flow spec: \"backend\" is not a string"))?
-                .to_string(),
-        };
-        let cache = match v.get("cache") {
-            None | Some(Json::Null) => defaults.cache,
-            Some(j) => j
-                .as_bool()
-                .ok_or_else(|| SpecError::new("flow spec: \"cache\" is not a boolean"))?,
-        };
-        let uint = |name: &str, default: u64| -> Result<u64, SpecError> {
-            match v.get(name) {
-                None | Some(Json::Null) => Ok(default),
-                Some(j) => j
-                    .as_u64()
-                    .ok_or_else(|| SpecError::new(format!("flow spec: {name:?} is not a number"))),
-            }
-        };
-        let opt_uint = |name: &str| -> Result<Option<u64>, SpecError> {
-            match v.get(name) {
-                None | Some(Json::Null) => Ok(None),
-                Some(j) => j
-                    .as_u64()
-                    .map(Some)
-                    .ok_or_else(|| SpecError::new(format!("flow spec: {name:?} is not a number"))),
-            }
-        };
-        let force_saturate = match v.get("force_saturate") {
-            None | Some(Json::Null) => Vec::new(),
-            Some(j) => j
-                .as_arr()
-                .ok_or_else(|| SpecError::new("flow spec: \"force_saturate\" is not an array"))?
-                .iter()
-                .map(|n| {
-                    n.as_str().map(str::to_string).ok_or_else(|| {
-                        SpecError::new("flow spec: \"force_saturate\" entries must be strings")
-                    })
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-        };
         let spec = FlowSpec {
-            backend,
-            cache,
-            shards: uint("shards", defaults.shards as u64)? as usize,
-            max_simulations: opt_uint("max_simulations")?,
-            wall_ms: opt_uint("wall_ms")?,
-            max_attempts: uint("max_attempts", defaults.max_attempts as u64)?.max(1) as usize,
-            force_saturate,
+            backend: v.opt_field("backend")?.unwrap_or(defaults.backend),
+            cache: v.opt_field("cache")?.unwrap_or(defaults.cache),
+            shards: v.opt_field("shards")?.unwrap_or(defaults.shards),
+            max_simulations: v.opt_field("max_simulations")?,
+            wall_ms: v.opt_field("wall_ms")?,
+            max_attempts: v
+                .opt_field::<usize>("max_attempts")?
+                .unwrap_or(defaults.max_attempts)
+                .max(1),
+            force_saturate: v.opt_field("force_saturate")?.unwrap_or_default(),
         };
-        spec.sim_backend()?; // validate eagerly: reject at admission, not mid-run
+        spec.sim_backend().map_err(|e| JsonError::new(e.message))?;
         Ok(spec)
     }
 }
@@ -210,13 +164,7 @@ impl JobSpec {
 
     /// Serializes the job as one JSON object.
     pub fn to_json(&self) -> String {
-        format!(
-            r#"{{"tenant":"{}","design":{},"scenarios":{},"flow":{}}}"#,
-            escape(&self.tenant),
-            self.design.to_json(),
-            scenario_set_to_json(&self.scenarios),
-            self.flow.to_json()
-        )
+        self.encode().to_string()
     }
 
     /// Decodes a job from an already-parsed JSON value.
@@ -226,35 +174,7 @@ impl JobSpec {
     /// [`SpecError`] naming the missing or mistyped member. Backend
     /// names are validated here so a bad spec is rejected at admission.
     pub fn from_value(v: &Json) -> Result<JobSpec, SpecError> {
-        let tenant = v
-            .get("tenant")
-            .and_then(Json::as_str)
-            .ok_or_else(|| SpecError::new("job spec: missing or mistyped \"tenant\""))?
-            .to_string();
-        if tenant.is_empty() {
-            return Err(SpecError::new("job spec: \"tenant\" must be non-empty"));
-        }
-        let design = DesignSpec::from_value(
-            v.get("design")
-                .ok_or_else(|| SpecError::new("job spec: missing \"design\""))?,
-        )?;
-        let scenarios = scenario_set_from_value(
-            v.get("scenarios")
-                .ok_or_else(|| SpecError::new("job spec: missing \"scenarios\""))?,
-        )?;
-        if scenarios.is_empty() {
-            return Err(SpecError::new("job spec: \"scenarios\" must be non-empty"));
-        }
-        let flow = match v.get("flow") {
-            None | Some(Json::Null) => FlowSpec::default(),
-            Some(j) => FlowSpec::from_value(j)?,
-        };
-        Ok(JobSpec {
-            tenant,
-            design,
-            scenarios,
-            flow,
-        })
+        JobSpec::decode(v).map_err(|e| SpecError::new(format!("job spec: {e}")))
     }
 
     /// Decodes a job from its JSON text form.
@@ -265,6 +185,37 @@ impl JobSpec {
     pub fn from_json(text: &str) -> Result<JobSpec, SpecError> {
         let v = Json::parse(text).map_err(|e| SpecError::new(format!("job spec: {e}")))?;
         JobSpec::from_value(&v)
+    }
+}
+
+impl ToJson for JobSpec {
+    fn encode(&self) -> Json {
+        Json::obj([
+            ("tenant", self.tenant.encode()),
+            ("design", self.design.encode()),
+            ("scenarios", self.scenarios.encode()),
+            ("flow", self.flow.encode()),
+        ])
+    }
+}
+
+impl FromJson for JobSpec {
+    fn decode(v: &Json) -> Result<Self, JsonError> {
+        let tenant: String = v.field("tenant")?;
+        if tenant.is_empty() {
+            return Err(JsonError::new("member \"tenant\" must be non-empty"));
+        }
+        let design = v.field("design")?;
+        let scenarios: ScenarioSet = v.field("scenarios")?;
+        if scenarios.is_empty() {
+            return Err(JsonError::new("member \"scenarios\" must be non-empty"));
+        }
+        Ok(JobSpec {
+            tenant,
+            design,
+            scenarios,
+            flow: v.opt_field("flow")?.unwrap_or_default(),
+        })
     }
 }
 
@@ -349,6 +300,33 @@ mod tests {
             ..FlowSpec::default()
         };
         assert!(bad.sim_backend().is_err());
+    }
+
+    #[test]
+    fn seeds_past_two_to_the_53_round_trip_exactly() {
+        for seed in [(1u64 << 53) + 1, u64::MAX] {
+            let spec = JobSpec::new(
+                "t",
+                DesignSpec::new("lms"),
+                ScenarioSet::single(seed, 28.0, 400),
+            );
+            let back = JobSpec::from_json(&spec.to_json()).expect("parses");
+            assert_eq!(back.scenarios.as_slice()[0].seed, seed);
+            assert_eq!(back, spec);
+        }
+    }
+
+    #[test]
+    fn samples_that_do_not_fit_exactly_are_errors_naming_the_member() {
+        let template = r#"{"tenant":"t","design":{"kind":"lms"},
+            "scenarios":[{"seed":1,"snr_db":28,"channel_taps":[],"samples":SAMPLES}]}"#;
+        for samples in ["1e30", "-1", "1.5", "18446744073709551616"] {
+            let err = JobSpec::from_json(&template.replace("SAMPLES", samples))
+                .expect_err("samples must fit usize exactly");
+            assert!(err.to_string().contains(r#""samples""#), "{samples}: {err}");
+        }
+        let spec = JobSpec::from_json(&template.replace("SAMPLES", "1e3")).expect("whole float");
+        assert_eq!(spec.scenarios.as_slice()[0].samples, 1000);
     }
 
     #[test]

@@ -39,15 +39,33 @@ pub enum LsbStatus {
     NoData,
 }
 
-impl fmt::Display for LsbStatus {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+impl LsbStatus {
+    /// The wire and display token (`"resolved"`, `"no-data"`, …).
+    pub fn token(&self) -> &'static str {
+        match self {
             LsbStatus::Resolved => "resolved",
             LsbStatus::Exact => "exact",
             LsbStatus::Diverged => "diverged",
             LsbStatus::NoData => "no-data",
-        };
-        f.write_str(s)
+        }
+    }
+
+    /// The status whose [`LsbStatus::token`] is `token`.
+    pub fn from_token(token: &str) -> Option<Self> {
+        [
+            LsbStatus::Resolved,
+            LsbStatus::Exact,
+            LsbStatus::Diverged,
+            LsbStatus::NoData,
+        ]
+        .into_iter()
+        .find(|s| s.token() == token)
+    }
+}
+
+impl fmt::Display for LsbStatus {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.token())
     }
 }
 

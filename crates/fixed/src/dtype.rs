@@ -29,6 +29,13 @@ impl Signedness {
             Signedness::Unsigned => "ns",
         }
     }
+
+    /// The value whose [`Signedness::token`] is `token`.
+    pub fn from_token(token: &str) -> Option<Self> {
+        [Signedness::TwosComplement, Signedness::Unsigned]
+            .into_iter()
+            .find(|v| v.token() == token)
+    }
 }
 
 impl fmt::Display for Signedness {
@@ -61,6 +68,17 @@ impl OverflowMode {
             OverflowMode::Error => "er",
         }
     }
+
+    /// The value whose [`OverflowMode::token`] is `token`.
+    pub fn from_token(token: &str) -> Option<Self> {
+        [
+            OverflowMode::Wrap,
+            OverflowMode::Saturate,
+            OverflowMode::Error,
+        ]
+        .into_iter()
+        .find(|v| v.token() == token)
+    }
 }
 
 impl fmt::Display for OverflowMode {
@@ -88,6 +106,13 @@ impl RoundingMode {
             RoundingMode::Round => "rd",
             RoundingMode::Floor => "fl",
         }
+    }
+
+    /// The value whose [`RoundingMode::token`] is `token`.
+    pub fn from_token(token: &str) -> Option<Self> {
+        [RoundingMode::Round, RoundingMode::Floor]
+            .into_iter()
+            .find(|v| v.token() == token)
     }
 }
 
@@ -372,23 +397,17 @@ impl FromStr for DType {
         let f: i32 = fields[1]
             .parse()
             .map_err(|_| ParseDTypeError::BadNumber(fields[1].to_string()))?;
-        let signedness = match fields[2] {
-            "tc" => Signedness::TwosComplement,
-            "ns" => Signedness::Unsigned,
-            other => return Err(ParseDTypeError::BadSignedness(other.to_string())),
-        };
+        let signedness = Signedness::from_token(fields[2])
+            .ok_or_else(|| ParseDTypeError::BadSignedness(fields[2].to_string()))?;
         let overflow = match fields.get(3) {
             None => OverflowMode::Error,
-            Some(&"wp") => OverflowMode::Wrap,
-            Some(&"st") => OverflowMode::Saturate,
-            Some(&"er") => OverflowMode::Error,
-            Some(other) => return Err(ParseDTypeError::BadOverflow(other.to_string())),
+            Some(t) => OverflowMode::from_token(t)
+                .ok_or_else(|| ParseDTypeError::BadOverflow(t.to_string()))?,
         };
         let rounding = match fields.get(4) {
             None => RoundingMode::Round,
-            Some(&"rd") => RoundingMode::Round,
-            Some(&"fl") => RoundingMode::Floor,
-            Some(other) => return Err(ParseDTypeError::BadRounding(other.to_string())),
+            Some(t) => RoundingMode::from_token(t)
+                .ok_or_else(|| ParseDTypeError::BadRounding(t.to_string()))?,
         };
         Ok(DType::new(
             s.to_string(),

@@ -7,7 +7,7 @@
 
 use std::fmt;
 
-use fixref_obs::json::{escape, fmt_f64};
+use fixref_obs::{Json, ToJson};
 
 /// A stable diagnostic code (`FXL###`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -238,23 +238,25 @@ impl Diagnostic {
     /// newline), using the observability crate's canonical float and
     /// string encodings so output is bit-stable across platforms.
     pub fn to_json(&self) -> String {
-        let related = self
-            .related
-            .iter()
-            .map(|r| format!("\"{}\"", escape(r)))
-            .collect::<Vec<_>>()
-            .join(",");
-        let verdict = match &self.verdict {
-            None => String::new(),
-            Some(v) => format!(r#","verdict":"{}""#, escape(&v.as_str())),
-        };
-        format!(
-            r#"{{"code":"{}","severity":"{}","signal":"{}","message":"{}","related":[{related}]{verdict}}}"#,
-            self.code,
-            self.severity,
-            escape(&self.signal),
-            escape(&self.message),
-        )
+        self.encode().to_string()
+    }
+}
+
+/// A diagnostic without a verdict has no `"verdict"` member, so it
+/// renders exactly as before the verification layer existed.
+impl ToJson for Diagnostic {
+    fn encode(&self) -> Json {
+        let mut json = Json::obj([
+            ("code", self.code.as_str().encode()),
+            ("severity", self.severity.as_str().encode()),
+            ("signal", self.signal.encode()),
+            ("message", self.message.encode()),
+            ("related", self.related.encode()),
+        ]);
+        if let (Json::Obj(members), Some(v)) = (&mut json, &self.verdict) {
+            members.push(("verdict".into(), Json::Str(v.as_str())));
+        }
+        json
     }
 }
 
@@ -278,7 +280,7 @@ impl fmt::Display for Diagnostic {
 /// Renders an interval for diagnostic messages with the canonical float
 /// encoding (shared with the JSONL journal, so text and JSON agree).
 pub(crate) fn fmt_range(lo: f64, hi: f64) -> String {
-    format!("[{}, {}]", fmt_f64(lo), fmt_f64(hi))
+    format!("[{}, {}]", Json::Num(lo), Json::Num(hi))
 }
 
 /// The outcome of a lint run: diagnostics sorted by `(code, signal,

@@ -7,7 +7,7 @@
 //! queried in-process (replacing ad-hoc bookkeeping vectors) and exported
 //! as JSON Lines for external tooling.
 
-use crate::json::{escape, fmt_f64, Json, JsonError};
+use crate::json::{FromJson, Json, JsonError, ToJson};
 use std::fmt;
 
 /// Which refinement phase an event belongs to.
@@ -27,12 +27,20 @@ impl Phase {
             Phase::Lsb => "lsb",
         }
     }
+}
 
-    fn parse(s: &str) -> Option<Phase> {
-        match s {
-            "msb" => Some(Phase::Msb),
-            "lsb" => Some(Phase::Lsb),
-            _ => None,
+impl ToJson for Phase {
+    fn encode(&self) -> Json {
+        Json::Str(self.as_str().to_string())
+    }
+}
+
+impl FromJson for Phase {
+    fn decode(v: &Json) -> Result<Self, JsonError> {
+        match v.as_str() {
+            Some("msb") => Ok(Phase::Msb),
+            Some("lsb") => Ok(Phase::Lsb),
+            _ => Err(JsonError::expected("\"msb\" or \"lsb\"", v)),
         }
     }
 }
@@ -424,325 +432,87 @@ pub enum Event {
     },
 }
 
-impl Event {
-    /// The event's wire tag (the JSON `"event"` member).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Event::OverflowDetected { .. } => "overflow_detected",
-            Event::IterationStarted { .. } => "iteration_started",
-            Event::IntervalExploded { .. } => "interval_exploded",
-            Event::AutoRange { .. } => "auto_range",
-            Event::AutoError { .. } => "auto_error",
-            Event::SignalResolved { .. } => "signal_resolved",
-            Event::PhaseConverged { .. } => "phase_converged",
-            Event::PhaseFailed { .. } => "phase_failed",
-            Event::TypeApplied { .. } => "type_applied",
-            Event::VerifyCompleted { .. } => "verify_completed",
-            Event::ShardStarted { .. } => "shard_started",
-            Event::ShardMerged { .. } => "shard_merged",
-            Event::CacheInvalidated { .. } => "cache_invalidated",
-            Event::RangeClamped { .. } => "range_clamped",
-            Event::RangeExploded { .. } => "range_exploded",
-            Event::LintDiagnostic { .. } => "lint_diagnostic",
-            Event::LintCompleted { .. } => "lint_completed",
-            Event::LintGateFailed { .. } => "lint_gate_failed",
-            Event::VerifyStarted { .. } => "verify_started",
-            Event::VerifyProved { .. } => "verify_proved",
-            Event::VerifyCounterexample { .. } => "verify_counterexample",
-            Event::VerifyBoundExhausted { .. } => "verify_bound_exhausted",
-            Event::ShardFailed { .. } => "shard_failed",
-            Event::ShardRetried { .. } => "shard_retried",
-            Event::ShardQuarantined { .. } => "shard_quarantined",
-            Event::CheckpointWritten { .. } => "checkpoint_written",
-            Event::CheckpointFailed { .. } => "checkpoint_failed",
-            Event::ResumedFromCheckpoint { .. } => "resumed_from_checkpoint",
-            Event::BudgetExhausted { .. } => "budget_exhausted",
-            Event::BackendCompiled { .. } => "backend_compiled",
-            Event::BackendFallback { .. } => "backend_fallback",
-            Event::JobAccepted { .. } => "job_accepted",
-            Event::JobRejected { .. } => "job_rejected",
-            Event::JobStarted { .. } => "job_started",
-            Event::JobRetried { .. } => "job_retried",
-            Event::JobRecovered { .. } => "job_recovered",
-            Event::JobCompleted { .. } => "job_completed",
+/// The wire table: each variant's `"event"` tag and its members in
+/// wire order. It generates [`Event::kind`] and the codec, so a
+/// variant's name, tag and members are written once.
+macro_rules! event_codec {
+    ($($variant:ident => $tag:literal { $($field:ident),* },)*) => {
+        impl Event {
+            /// The event's wire tag (the JSON `"event"` member).
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(Event::$variant { .. } => $tag,)*
+                }
+            }
         }
-    }
 
+        impl ToJson for Event {
+            fn encode(&self) -> Json {
+                match self {
+                    $(Event::$variant { $($field),* } => {
+                        Json::obj([("event", $tag.encode()), $((stringify!($field), $field.encode())),*])
+                    })*
+                }
+            }
+        }
+
+        impl FromJson for Event {
+            fn decode(v: &Json) -> Result<Self, JsonError> {
+                match v.field::<String>("event")?.as_str() {
+                    $($tag => Ok(Event::$variant {
+                        $($field: v.field(stringify!($field))?),*
+                    }),)*
+                    other => Err(JsonError::new(format!("unknown event tag {other:?}"))),
+                }
+            }
+        }
+    };
+}
+
+event_codec! {
+    OverflowDetected => "overflow_detected" { signal, value, cycle },
+    IterationStarted => "iteration_started" { phase, iteration },
+    IntervalExploded => "interval_exploded" { signal, iteration },
+    AutoRange => "auto_range" { signal, lo, hi, iteration },
+    AutoError => "auto_error" { signal, sigma, iteration },
+    SignalResolved => "signal_resolved" { signal, phase, iteration },
+    PhaseConverged => "phase_converged" { phase, iterations },
+    PhaseFailed => "phase_failed" { phase, iterations, unresolved },
+    TypeApplied => "type_applied" { signal, dtype },
+    VerifyCompleted => "verify_completed" { overflows, saturation_events },
+    ShardStarted => "shard_started" { shard, seed, snr_db, samples },
+    ShardMerged => "shard_merged" { shard, cycles, signals },
+    CacheInvalidated => "cache_invalidated" { reason, dirty },
+    RangeClamped => "range_clamped" { signal, lo, hi },
+    RangeExploded => "range_exploded" { signal, passes },
+    LintDiagnostic => "lint_diagnostic" { code, severity, signal, message },
+    LintCompleted => "lint_completed" { errors, warnings, infos },
+    LintGateFailed => "lint_gate_failed" { context, code, findings },
+    VerifyStarted => "verify_started" { code, signal, registers },
+    VerifyProved => "verify_proved" { code, signal, states, depth },
+    VerifyCounterexample => "verify_counterexample" { code, signal, steps },
+    VerifyBoundExhausted => "verify_bound_exhausted" { code, signal, reason, states },
+    ShardFailed => "shard_failed" { shard, scenario, attempts, cause },
+    ShardRetried => "shard_retried" { shard, attempt },
+    ShardQuarantined => "shard_quarantined" { shard, scenario },
+    CheckpointWritten => "checkpoint_written" { sequence, phase, iteration },
+    CheckpointFailed => "checkpoint_failed" { sequence, cause },
+    ResumedFromCheckpoint => "resumed_from_checkpoint" { sequence, phase, iteration, events },
+    BudgetExhausted => "budget_exhausted" { phase, simulations, reason },
+    BackendCompiled => "backend_compiled" { backend, kinds, instructions, cycles },
+    BackendFallback => "backend_fallback" { backend, reason },
+    JobAccepted => "job_accepted" { job, tenant, queue_depth },
+    JobRejected => "job_rejected" { tenant, reason },
+    JobStarted => "job_started" { job, tenant, attempt },
+    JobRetried => "job_retried" { job, attempt, backoff_ms },
+    JobRecovered => "job_recovered" { job, tenant, from_checkpoint },
+    JobCompleted => "job_completed" { job, status, attempts },
+}
+
+impl Event {
     /// Serializes the event as one JSON object (no trailing newline).
     pub fn to_json(&self) -> String {
-        let kind = self.kind();
-        match self {
-            Event::OverflowDetected {
-                signal,
-                value,
-                cycle,
-            } => format!(
-                r#"{{"event":"{kind}","signal":"{}","value":{},"cycle":{cycle}}}"#,
-                escape(signal),
-                fmt_f64(*value)
-            ),
-            Event::IterationStarted { phase, iteration } => {
-                format!(r#"{{"event":"{kind}","phase":"{phase}","iteration":{iteration}}}"#)
-            }
-            Event::IntervalExploded { signal, iteration } => format!(
-                r#"{{"event":"{kind}","signal":"{}","iteration":{iteration}}}"#,
-                escape(signal)
-            ),
-            Event::AutoRange {
-                signal,
-                lo,
-                hi,
-                iteration,
-            } => format!(
-                r#"{{"event":"{kind}","signal":"{}","lo":{},"hi":{},"iteration":{iteration}}}"#,
-                escape(signal),
-                fmt_f64(*lo),
-                fmt_f64(*hi)
-            ),
-            Event::AutoError {
-                signal,
-                sigma,
-                iteration,
-            } => format!(
-                r#"{{"event":"{kind}","signal":"{}","sigma":{},"iteration":{iteration}}}"#,
-                escape(signal),
-                fmt_f64(*sigma)
-            ),
-            Event::SignalResolved {
-                signal,
-                phase,
-                iteration,
-            } => format!(
-                r#"{{"event":"{kind}","signal":"{}","phase":"{phase}","iteration":{iteration}}}"#,
-                escape(signal)
-            ),
-            Event::PhaseConverged { phase, iterations } => {
-                format!(r#"{{"event":"{kind}","phase":"{phase}","iterations":{iterations}}}"#)
-            }
-            Event::PhaseFailed {
-                phase,
-                iterations,
-                unresolved,
-            } => format!(
-                r#"{{"event":"{kind}","phase":"{phase}","iterations":{iterations},"unresolved":"{}"}}"#,
-                escape(unresolved)
-            ),
-            Event::TypeApplied { signal, dtype } => format!(
-                r#"{{"event":"{kind}","signal":"{}","dtype":"{}"}}"#,
-                escape(signal),
-                escape(dtype)
-            ),
-            Event::VerifyCompleted {
-                overflows,
-                saturation_events,
-            } => format!(
-                r#"{{"event":"{kind}","overflows":{overflows},"saturation_events":{saturation_events}}}"#
-            ),
-            Event::ShardStarted {
-                shard,
-                seed,
-                snr_db,
-                samples,
-            } => format!(
-                r#"{{"event":"{kind}","shard":{shard},"seed":{seed},"snr_db":{},"samples":{samples}}}"#,
-                fmt_f64(*snr_db)
-            ),
-            Event::ShardMerged {
-                shard,
-                cycles,
-                signals,
-            } => format!(
-                r#"{{"event":"{kind}","shard":{shard},"cycles":{cycles},"signals":{signals}}}"#
-            ),
-            Event::CacheInvalidated { reason, dirty } => format!(
-                r#"{{"event":"{kind}","reason":"{}","dirty":{dirty}}}"#,
-                escape(reason)
-            ),
-            Event::RangeClamped { signal, lo, hi } => format!(
-                r#"{{"event":"{kind}","signal":"{}","lo":{},"hi":{}}}"#,
-                escape(signal),
-                fmt_f64(*lo),
-                fmt_f64(*hi)
-            ),
-            Event::RangeExploded { signal, passes } => format!(
-                r#"{{"event":"{kind}","signal":"{}","passes":{passes}}}"#,
-                escape(signal)
-            ),
-            Event::LintDiagnostic {
-                code,
-                severity,
-                signal,
-                message,
-            } => format!(
-                r#"{{"event":"{kind}","code":"{}","severity":"{}","signal":"{}","message":"{}"}}"#,
-                escape(code),
-                escape(severity),
-                escape(signal),
-                escape(message)
-            ),
-            Event::LintCompleted {
-                errors,
-                warnings,
-                infos,
-            } => format!(
-                r#"{{"event":"{kind}","errors":{errors},"warnings":{warnings},"infos":{infos}}}"#
-            ),
-            Event::LintGateFailed {
-                context,
-                code,
-                findings,
-            } => format!(
-                r#"{{"event":"{kind}","context":"{}","code":"{}","findings":{findings}}}"#,
-                escape(context),
-                escape(code)
-            ),
-            Event::VerifyStarted {
-                code,
-                signal,
-                registers,
-            } => format!(
-                r#"{{"event":"{kind}","code":"{}","signal":"{}","registers":{registers}}}"#,
-                escape(code),
-                escape(signal)
-            ),
-            Event::VerifyProved {
-                code,
-                signal,
-                states,
-                depth,
-            } => format!(
-                r#"{{"event":"{kind}","code":"{}","signal":"{}","states":{states},"depth":{depth}}}"#,
-                escape(code),
-                escape(signal)
-            ),
-            Event::VerifyCounterexample {
-                code,
-                signal,
-                steps,
-            } => format!(
-                r#"{{"event":"{kind}","code":"{}","signal":"{}","steps":{steps}}}"#,
-                escape(code),
-                escape(signal)
-            ),
-            Event::VerifyBoundExhausted {
-                code,
-                signal,
-                reason,
-                states,
-            } => format!(
-                r#"{{"event":"{kind}","code":"{}","signal":"{}","reason":"{}","states":{states}}}"#,
-                escape(code),
-                escape(signal),
-                escape(reason)
-            ),
-            Event::ShardFailed {
-                shard,
-                scenario,
-                attempts,
-                cause,
-            } => format!(
-                r#"{{"event":"{kind}","shard":{shard},"scenario":"{}","attempts":{attempts},"cause":"{}"}}"#,
-                escape(scenario),
-                escape(cause)
-            ),
-            Event::ShardRetried { shard, attempt } => {
-                format!(r#"{{"event":"{kind}","shard":{shard},"attempt":{attempt}}}"#)
-            }
-            Event::ShardQuarantined { shard, scenario } => format!(
-                r#"{{"event":"{kind}","shard":{shard},"scenario":"{}"}}"#,
-                escape(scenario)
-            ),
-            Event::CheckpointWritten {
-                sequence,
-                phase,
-                iteration,
-            } => format!(
-                r#"{{"event":"{kind}","sequence":{sequence},"phase":"{phase}","iteration":{iteration}}}"#
-            ),
-            Event::CheckpointFailed { sequence, cause } => format!(
-                r#"{{"event":"{kind}","sequence":{sequence},"cause":"{}"}}"#,
-                escape(cause)
-            ),
-            Event::ResumedFromCheckpoint {
-                sequence,
-                phase,
-                iteration,
-                events,
-            } => format!(
-                r#"{{"event":"{kind}","sequence":{sequence},"phase":"{phase}","iteration":{iteration},"events":{events}}}"#
-            ),
-            Event::BudgetExhausted {
-                phase,
-                simulations,
-                reason,
-            } => format!(
-                r#"{{"event":"{kind}","phase":"{phase}","simulations":{simulations},"reason":"{}"}}"#,
-                escape(reason)
-            ),
-            Event::BackendCompiled {
-                backend,
-                kinds,
-                instructions,
-                cycles,
-            } => format!(
-                r#"{{"event":"{kind}","backend":"{}","kinds":{kinds},"instructions":{instructions},"cycles":{cycles}}}"#,
-                escape(backend)
-            ),
-            Event::BackendFallback { backend, reason } => format!(
-                r#"{{"event":"{kind}","backend":"{}","reason":"{}"}}"#,
-                escape(backend),
-                escape(reason)
-            ),
-            Event::JobAccepted {
-                job,
-                tenant,
-                queue_depth,
-            } => format!(
-                r#"{{"event":"{kind}","job":"{}","tenant":"{}","queue_depth":{queue_depth}}}"#,
-                escape(job),
-                escape(tenant)
-            ),
-            Event::JobRejected { tenant, reason } => format!(
-                r#"{{"event":"{kind}","tenant":"{}","reason":"{}"}}"#,
-                escape(tenant),
-                escape(reason)
-            ),
-            Event::JobStarted {
-                job,
-                tenant,
-                attempt,
-            } => format!(
-                r#"{{"event":"{kind}","job":"{}","tenant":"{}","attempt":{attempt}}}"#,
-                escape(job),
-                escape(tenant)
-            ),
-            Event::JobRetried {
-                job,
-                attempt,
-                backoff_ms,
-            } => format!(
-                r#"{{"event":"{kind}","job":"{}","attempt":{attempt},"backoff_ms":{backoff_ms}}}"#,
-                escape(job)
-            ),
-            Event::JobRecovered {
-                job,
-                tenant,
-                from_checkpoint,
-            } => format!(
-                r#"{{"event":"{kind}","job":"{}","tenant":"{}","from_checkpoint":{from_checkpoint}}}"#,
-                escape(job),
-                escape(tenant)
-            ),
-            Event::JobCompleted {
-                job,
-                status,
-                attempts,
-            } => format!(
-                r#"{{"event":"{kind}","job":"{}","status":"{}","attempts":{attempts}}}"#,
-                escape(job),
-                escape(status)
-            ),
-        }
+        self.encode().to_string()
     }
 
     /// Deserializes an event from one JSON object (one journal line).
@@ -752,8 +522,7 @@ impl Event {
     /// Returns a [`JsonError`] on malformed JSON, an unknown `"event"`
     /// tag, or missing/mistyped members.
     pub fn from_json(line: &str) -> Result<Event, JsonError> {
-        let v = Json::parse(line)?;
-        Event::from_value(&v)
+        Event::decode(&Json::parse(line)?)
     }
 
     /// Deserializes an event from an already-parsed [`Json`] object —
@@ -765,223 +534,7 @@ impl Event {
     /// Returns a [`JsonError`] on an unknown `"event"` tag or
     /// missing/mistyped members.
     pub fn from_value(v: &Json) -> Result<Event, JsonError> {
-        let field_err = |name: &str| JsonError {
-            message: format!("missing or mistyped member {name:?}"),
-            offset: 0,
-        };
-        let s = |name: &str| -> Result<String, JsonError> {
-            v.get(name)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| field_err(name))
-        };
-        let f = |name: &str| -> Result<f64, JsonError> {
-            v.get(name)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| field_err(name))
-        };
-        let u = |name: &str| -> Result<u64, JsonError> {
-            v.get(name)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| field_err(name))
-        };
-        let phase = |name: &str| -> Result<Phase, JsonError> {
-            v.get(name)
-                .and_then(Json::as_str)
-                .and_then(Phase::parse)
-                .ok_or_else(|| field_err(name))
-        };
-        let kind = s("event")?;
-        match kind.as_str() {
-            "overflow_detected" => Ok(Event::OverflowDetected {
-                signal: s("signal")?,
-                value: f("value")?,
-                cycle: u("cycle")?,
-            }),
-            "iteration_started" => Ok(Event::IterationStarted {
-                phase: phase("phase")?,
-                iteration: u("iteration")? as usize,
-            }),
-            "interval_exploded" => Ok(Event::IntervalExploded {
-                signal: s("signal")?,
-                iteration: u("iteration")? as usize,
-            }),
-            "auto_range" => Ok(Event::AutoRange {
-                signal: s("signal")?,
-                lo: f("lo")?,
-                hi: f("hi")?,
-                iteration: u("iteration")? as usize,
-            }),
-            "auto_error" => Ok(Event::AutoError {
-                signal: s("signal")?,
-                sigma: f("sigma")?,
-                iteration: u("iteration")? as usize,
-            }),
-            "signal_resolved" => Ok(Event::SignalResolved {
-                signal: s("signal")?,
-                phase: phase("phase")?,
-                iteration: u("iteration")? as usize,
-            }),
-            "phase_converged" => Ok(Event::PhaseConverged {
-                phase: phase("phase")?,
-                iterations: u("iterations")? as usize,
-            }),
-            "phase_failed" => Ok(Event::PhaseFailed {
-                phase: phase("phase")?,
-                iterations: u("iterations")? as usize,
-                unresolved: s("unresolved")?,
-            }),
-            "type_applied" => Ok(Event::TypeApplied {
-                signal: s("signal")?,
-                dtype: s("dtype")?,
-            }),
-            "verify_completed" => Ok(Event::VerifyCompleted {
-                overflows: u("overflows")?,
-                saturation_events: u("saturation_events")?,
-            }),
-            "shard_started" => Ok(Event::ShardStarted {
-                shard: u("shard")? as usize,
-                seed: u("seed")?,
-                snr_db: f("snr_db")?,
-                samples: u("samples")? as usize,
-            }),
-            "shard_merged" => Ok(Event::ShardMerged {
-                shard: u("shard")? as usize,
-                cycles: u("cycles")?,
-                signals: u("signals")? as usize,
-            }),
-            "cache_invalidated" => Ok(Event::CacheInvalidated {
-                reason: s("reason")?,
-                dirty: u("dirty")? as usize,
-            }),
-            "range_clamped" => Ok(Event::RangeClamped {
-                signal: s("signal")?,
-                lo: f("lo")?,
-                hi: f("hi")?,
-            }),
-            "range_exploded" => Ok(Event::RangeExploded {
-                signal: s("signal")?,
-                passes: u("passes")? as usize,
-            }),
-            "lint_diagnostic" => Ok(Event::LintDiagnostic {
-                code: s("code")?,
-                severity: s("severity")?,
-                signal: s("signal")?,
-                message: s("message")?,
-            }),
-            "lint_completed" => Ok(Event::LintCompleted {
-                errors: u("errors")? as usize,
-                warnings: u("warnings")? as usize,
-                infos: u("infos")? as usize,
-            }),
-            "lint_gate_failed" => Ok(Event::LintGateFailed {
-                context: s("context")?,
-                code: s("code")?,
-                findings: u("findings")? as usize,
-            }),
-            "verify_started" => Ok(Event::VerifyStarted {
-                code: s("code")?,
-                signal: s("signal")?,
-                registers: u("registers")? as usize,
-            }),
-            "verify_proved" => Ok(Event::VerifyProved {
-                code: s("code")?,
-                signal: s("signal")?,
-                states: u("states")? as usize,
-                depth: u("depth")? as usize,
-            }),
-            "verify_counterexample" => Ok(Event::VerifyCounterexample {
-                code: s("code")?,
-                signal: s("signal")?,
-                steps: u("steps")? as usize,
-            }),
-            "verify_bound_exhausted" => Ok(Event::VerifyBoundExhausted {
-                code: s("code")?,
-                signal: s("signal")?,
-                reason: s("reason")?,
-                states: u("states")? as usize,
-            }),
-            "shard_failed" => Ok(Event::ShardFailed {
-                shard: u("shard")? as usize,
-                scenario: s("scenario")?,
-                attempts: u("attempts")? as usize,
-                cause: s("cause")?,
-            }),
-            "shard_retried" => Ok(Event::ShardRetried {
-                shard: u("shard")? as usize,
-                attempt: u("attempt")? as usize,
-            }),
-            "shard_quarantined" => Ok(Event::ShardQuarantined {
-                shard: u("shard")? as usize,
-                scenario: s("scenario")?,
-            }),
-            "checkpoint_written" => Ok(Event::CheckpointWritten {
-                sequence: u("sequence")? as usize,
-                phase: phase("phase")?,
-                iteration: u("iteration")? as usize,
-            }),
-            "checkpoint_failed" => Ok(Event::CheckpointFailed {
-                sequence: u("sequence")? as usize,
-                cause: s("cause")?,
-            }),
-            "resumed_from_checkpoint" => Ok(Event::ResumedFromCheckpoint {
-                sequence: u("sequence")? as usize,
-                phase: phase("phase")?,
-                iteration: u("iteration")? as usize,
-                events: u("events")? as usize,
-            }),
-            "budget_exhausted" => Ok(Event::BudgetExhausted {
-                phase: phase("phase")?,
-                simulations: u("simulations")?,
-                reason: s("reason")?,
-            }),
-            "backend_compiled" => Ok(Event::BackendCompiled {
-                backend: s("backend")?,
-                kinds: u("kinds")? as usize,
-                instructions: u("instructions")? as usize,
-                cycles: u("cycles")?,
-            }),
-            "backend_fallback" => Ok(Event::BackendFallback {
-                backend: s("backend")?,
-                reason: s("reason")?,
-            }),
-            "job_accepted" => Ok(Event::JobAccepted {
-                job: s("job")?,
-                tenant: s("tenant")?,
-                queue_depth: u("queue_depth")? as usize,
-            }),
-            "job_rejected" => Ok(Event::JobRejected {
-                tenant: s("tenant")?,
-                reason: s("reason")?,
-            }),
-            "job_started" => Ok(Event::JobStarted {
-                job: s("job")?,
-                tenant: s("tenant")?,
-                attempt: u("attempt")? as usize,
-            }),
-            "job_retried" => Ok(Event::JobRetried {
-                job: s("job")?,
-                attempt: u("attempt")? as usize,
-                backoff_ms: u("backoff_ms")?,
-            }),
-            "job_recovered" => Ok(Event::JobRecovered {
-                job: s("job")?,
-                tenant: s("tenant")?,
-                from_checkpoint: v
-                    .get("from_checkpoint")
-                    .and_then(Json::as_bool)
-                    .ok_or_else(|| field_err("from_checkpoint"))?,
-            }),
-            "job_completed" => Ok(Event::JobCompleted {
-                job: s("job")?,
-                status: s("status")?,
-                attempts: u("attempts")? as usize,
-            }),
-            other => Err(JsonError {
-                message: format!("unknown event tag {other:?}"),
-                offset: 0,
-            }),
-        }
+        Event::decode(v)
     }
 }
 

@@ -14,9 +14,10 @@
 //! 3. **[`MetricsReport`]** — a renderer for recorder snapshots with
 //!    aligned text output and machine-readable JSON output.
 //!
-//! The crate deliberately has **no dependencies** — JSON emission and
-//! parsing are hand-rolled in [`json`] — so every other crate in the
-//! workspace can depend on it without cost or cycles.
+//! The crate deliberately has **no dependencies** — [`json`] is the
+//! workspace's one JSON codec, which every persisted or wire type
+//! encodes and decodes through — so every other crate in the workspace
+//! can depend on it without cost or cycles.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,6 +30,6 @@ pub mod recorder;
 
 pub use event::{Event, Phase};
 pub use journal::{parse_journal, to_jsonl, JournalWriter};
-pub use json::{Json, JsonError};
+pub use json::{FromJson, Json, JsonError, ToJson};
 pub use metrics::MetricsReport;
 pub use recorder::{DefaultRecorder, HistogramSummary, Recorder, Span, SpanId, SpanRecord};

@@ -6,7 +6,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::json::{escape, fmt_f64, Json, JsonError};
+use crate::json::{FromJson, Json, JsonError, ToJson};
 use crate::recorder::{DefaultRecorder, HistogramSummary, SpanRecord};
 
 /// A point-in-time snapshot of a recorder, ready to render.
@@ -112,52 +112,7 @@ impl MetricsReport {
     /// Renders one JSON object:
     /// `{"name", "counters", "histograms", "spans", "events"}`.
     pub fn render_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(r#"{{"name":"{}","#, escape(&self.name)));
-        out.push_str(r#""counters":{"#);
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(r#""{}":{v}"#, escape(k)));
-        }
-        out.push_str(r#"},"histograms":{"#);
-        for (i, (k, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                r#""{}":{{"count":{},"sum":{},"min":{},"max":{},"mean":{}}}"#,
-                escape(k),
-                h.count,
-                fmt_f64(h.sum),
-                fmt_f64(h.min),
-                fmt_f64(h.max),
-                fmt_f64(h.mean())
-            ));
-        }
-        out.push_str(r#"},"spans":["#);
-        for (i, s) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                r#"{{"name":"{}","wall_ns":{},"cycles":{},"seq":{}}}"#,
-                escape(&s.name),
-                s.wall_ns,
-                s.cycles,
-                s.seq
-            ));
-        }
-        out.push_str(r#"],"events":{"#);
-        for (i, (k, v)) in self.event_counts.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(r#""{}":{v}"#, escape(k)));
-        }
-        out.push_str("}}");
-        out
+        self.encode().to_string()
     }
 
     /// Parses a report back from its [`MetricsReport::render_json`] form —
@@ -167,70 +122,76 @@ impl MetricsReport {
     ///
     /// Returns a [`JsonError`] on malformed JSON or a missing member.
     pub fn parse_json(text: &str) -> Result<MetricsReport, JsonError> {
-        let v = Json::parse(text)?;
-        let missing = |what: &str| JsonError {
-            message: format!("missing or mistyped member {what:?}"),
-            offset: 0,
-        };
-        let name = v
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| missing("name"))?
-            .to_string();
-        let obj = |key: &str| -> Result<Vec<(String, Json)>, JsonError> {
-            match v.get(key) {
-                Some(Json::Obj(members)) => Ok(members.clone()),
-                _ => Err(missing(key)),
-            }
-        };
-        let mut counters = Vec::new();
-        for (k, val) in obj("counters")? {
-            counters.push((k, val.as_u64().ok_or_else(|| missing("counter value"))?));
-        }
-        let mut histograms = Vec::new();
-        for (k, val) in obj("histograms")? {
-            let f = |m: &str| val.get(m).and_then(Json::as_f64).ok_or_else(|| missing(m));
-            histograms.push((
-                k,
-                HistogramSummary {
-                    count: val
-                        .get("count")
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| missing("count"))?,
-                    sum: f("sum")?,
-                    min: f("min")?,
-                    max: f("max")?,
-                },
-            ));
-        }
-        let mut spans = Vec::new();
-        for s in v
-            .get("spans")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| missing("spans"))?
-        {
-            let u = |m: &str| s.get(m).and_then(Json::as_u64).ok_or_else(|| missing(m));
-            spans.push(SpanRecord {
-                name: s
-                    .get("name")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| missing("span name"))?
-                    .to_string(),
-                wall_ns: u("wall_ns")?,
-                cycles: u("cycles")?,
-                seq: u("seq")?,
-            });
-        }
-        let mut event_counts = Vec::new();
-        for (k, val) in obj("events")? {
-            event_counts.push((k, val.as_u64().ok_or_else(|| missing("event count"))?));
-        }
+        MetricsReport::decode(&Json::parse(text)?)
+    }
+}
+
+impl ToJson for MetricsReport {
+    fn encode(&self) -> Json {
+        Json::obj([
+            ("name", self.name.encode()),
+            ("counters", Json::map(&self.counters)),
+            ("histograms", Json::map(&self.histograms)),
+            ("spans", self.spans.encode()),
+            ("events", Json::map(&self.event_counts)),
+        ])
+    }
+}
+
+impl FromJson for MetricsReport {
+    fn decode(v: &Json) -> Result<Self, JsonError> {
         Ok(MetricsReport {
-            name,
-            counters,
-            histograms,
-            spans,
-            event_counts,
+            name: v.field("name")?,
+            counters: v.field_with("counters", Json::entries)?,
+            histograms: v.field_with("histograms", Json::entries)?,
+            spans: v.field("spans")?,
+            event_counts: v.field_with("events", Json::entries)?,
+        })
+    }
+}
+
+/// The mean is written for readers of the file and recomputed on decode.
+impl ToJson for HistogramSummary {
+    fn encode(&self) -> Json {
+        Json::obj([
+            ("count", self.count.encode()),
+            ("sum", self.sum.encode()),
+            ("min", self.min.encode()),
+            ("max", self.max.encode()),
+            ("mean", self.mean().encode()),
+        ])
+    }
+}
+
+impl FromJson for HistogramSummary {
+    fn decode(v: &Json) -> Result<Self, JsonError> {
+        Ok(HistogramSummary {
+            count: v.field("count")?,
+            sum: v.field("sum")?,
+            min: v.field("min")?,
+            max: v.field("max")?,
+        })
+    }
+}
+
+impl ToJson for SpanRecord {
+    fn encode(&self) -> Json {
+        Json::obj([
+            ("name", self.name.encode()),
+            ("wall_ns", self.wall_ns.encode()),
+            ("cycles", self.cycles.encode()),
+            ("seq", self.seq.encode()),
+        ])
+    }
+}
+
+impl FromJson for SpanRecord {
+    fn decode(v: &Json) -> Result<Self, JsonError> {
+        Ok(SpanRecord {
+            name: v.field("name")?,
+            wall_ns: v.field("wall_ns")?,
+            cycles: v.field("cycles")?,
+            seq: v.field("seq")?,
         })
     }
 }

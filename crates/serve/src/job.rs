@@ -1,7 +1,7 @@
 //! Job lifecycle types: states, status snapshots and persisted results.
 
-use fixref_obs::json::{escape, fmt_f64};
-use fixref_obs::{Event, Json};
+use fixref_obs::json::fmt_f64;
+use fixref_obs::{Event, FromJson, Json, JsonError, ToJson};
 use fixref_sim::{SignalAnnotation, SpecError};
 
 /// Where a job is in its lifecycle.
@@ -56,19 +56,20 @@ pub struct JobStatus {
 impl JobStatus {
     /// Renders the snapshot as one JSON object.
     pub fn to_json(&self) -> String {
-        let opt = |v: &Option<String>| match v {
-            Some(s) => format!(r#""{}""#, escape(s)),
-            None => "null".into(),
-        };
-        format!(
-            r#"{{"job":"{}","tenant":"{}","state":"{}","attempts":{},"status":{},"reason":{}}}"#,
-            escape(&self.job),
-            escape(&self.tenant),
-            self.state.name(),
-            self.attempts,
-            opt(&self.status),
-            opt(&self.reason)
-        )
+        self.encode().to_string()
+    }
+}
+
+impl ToJson for JobStatus {
+    fn encode(&self) -> Json {
+        Json::obj([
+            ("job", self.job.encode()),
+            ("tenant", self.tenant.encode()),
+            ("state", self.state.name().encode()),
+            ("attempts", self.attempts.encode()),
+            ("status", self.status.encode()),
+            ("reason", self.reason.encode()),
+        ])
     }
 }
 
@@ -121,40 +122,7 @@ pub struct JobResult {
 impl JobResult {
     /// Serializes the result as one JSON object.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            r#"{{"job":"{}","tenant":"{}","status":"{}""#,
-            escape(&self.job),
-            escape(&self.tenant),
-            escape(&self.status)
-        ));
-        match &self.reason {
-            Some(r) => out.push_str(&format!(r#","reason":"{}""#, escape(r))),
-            None => out.push_str(r#","reason":null"#),
-        }
-        out.push_str(&format!(
-            r#","attempts":{},"msb_iterations":{},"lsb_iterations":{}"#,
-            self.attempts, self.msb_iterations, self.lsb_iterations
-        ));
-        match &self.coverage {
-            Some(c) => out.push_str(&format!(r#","coverage":"{}""#, escape(c))),
-            None => out.push_str(r#","coverage":null"#),
-        }
-        let types: Vec<String> = self
-            .types
-            .iter()
-            .map(|(n, t)| format!(r#"["{}","{}"]"#, escape(n), escape(t)))
-            .collect();
-        out.push_str(&format!(r#","types":[{}]"#, types.join(",")));
-        let annotations: Vec<String> = self
-            .annotations
-            .iter()
-            .map(|a| format!(r#""{}""#, escape(a)))
-            .collect();
-        out.push_str(&format!(r#","annotations":[{}]"#, annotations.join(",")));
-        let journal: Vec<String> = self.journal.iter().map(Event::to_json).collect();
-        out.push_str(&format!(r#","journal":[{}]}}"#, journal.join(",")));
-        out
+        self.encode().to_string()
     }
 
     /// Decodes a result from its JSON text form.
@@ -163,73 +131,44 @@ impl JobResult {
     ///
     /// [`SpecError`] on malformed JSON or a malformed member.
     pub fn from_json(text: &str) -> Result<JobResult, SpecError> {
-        let v = Json::parse(text).map_err(|e| SpecError::new(format!("job result: {e}")))?;
-        let field = |name: &str| -> Result<String, SpecError> {
-            v.get(name)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| SpecError::new(format!("job result: missing {name:?}")))
-        };
-        let opt = |name: &str| -> Result<Option<String>, SpecError> {
-            match v.get(name) {
-                None | Some(Json::Null) => Ok(None),
-                Some(j) => j
-                    .as_str()
-                    .map(|s| Some(s.to_string()))
-                    .ok_or_else(|| SpecError::new(format!("job result: mistyped {name:?}"))),
-            }
-        };
-        let uint = |name: &str| -> Result<usize, SpecError> {
-            v.get(name)
-                .and_then(Json::as_u64)
-                .map(|n| n as usize)
-                .ok_or_else(|| SpecError::new(format!("job result: missing {name:?}")))
-        };
-        let arr = |name: &str| -> Result<&[Json], SpecError> {
-            v.get(name)
-                .and_then(Json::as_arr)
-                .ok_or_else(|| SpecError::new(format!("job result: missing {name:?}")))
-        };
-        let types = arr("types")?
-            .iter()
-            .map(|pair| {
-                let items = pair
-                    .as_arr()
-                    .filter(|a| a.len() == 2)
-                    .ok_or_else(|| SpecError::new("job result: malformed type pair"))?;
-                match (items[0].as_str(), items[1].as_str()) {
-                    (Some(n), Some(t)) => Ok((n.to_string(), t.to_string())),
-                    _ => Err(SpecError::new("job result: malformed type pair")),
-                }
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let annotations = arr("annotations")?
-            .iter()
-            .map(|a| {
-                a.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| SpecError::new("job result: malformed annotation"))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let journal = arr("journal")?
-            .iter()
-            .map(|e| {
-                Event::from_value(e)
-                    .map_err(|err| SpecError::new(format!("job result: journal event: {err}")))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
+        Json::parse(text)
+            .and_then(|v| JobResult::decode(&v))
+            .map_err(|e| SpecError::new(format!("job result: {e}")))
+    }
+}
+
+impl ToJson for JobResult {
+    fn encode(&self) -> Json {
+        Json::obj([
+            ("job", self.job.encode()),
+            ("tenant", self.tenant.encode()),
+            ("status", self.status.encode()),
+            ("reason", self.reason.encode()),
+            ("attempts", self.attempts.encode()),
+            ("msb_iterations", self.msb_iterations.encode()),
+            ("lsb_iterations", self.lsb_iterations.encode()),
+            ("coverage", self.coverage.encode()),
+            ("types", self.types.encode()),
+            ("annotations", self.annotations.encode()),
+            ("journal", self.journal.encode()),
+        ])
+    }
+}
+
+impl FromJson for JobResult {
+    fn decode(v: &Json) -> Result<Self, JsonError> {
         Ok(JobResult {
-            job: field("job")?,
-            tenant: field("tenant")?,
-            status: field("status")?,
-            reason: opt("reason")?,
-            attempts: uint("attempts")?,
-            msb_iterations: uint("msb_iterations")?,
-            lsb_iterations: uint("lsb_iterations")?,
-            coverage: opt("coverage")?,
-            types,
-            annotations,
-            journal,
+            job: v.field("job")?,
+            tenant: v.field("tenant")?,
+            status: v.field("status")?,
+            reason: v.opt_field("reason")?,
+            attempts: v.field("attempts")?,
+            msb_iterations: v.field("msb_iterations")?,
+            lsb_iterations: v.field("lsb_iterations")?,
+            coverage: v.opt_field("coverage")?,
+            types: v.field("types")?,
+            annotations: v.field("annotations")?,
+            journal: v.field("journal")?,
         })
     }
 }

@@ -27,87 +27,66 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use fixref_core::JobSpec;
-use fixref_obs::json::escape;
-use fixref_obs::{Event, Json};
+use fixref_obs::{Json, ToJson};
 
 use crate::server::Server;
-
-/// Renders a `{"ok":false,...}` error response.
-fn err_line(message: &str) -> String {
-    format!(r#"{{"ok":false,"error":"{}"}}"#, escape(message))
-}
 
 /// Dispatches one request line against the server, returning the
 /// response line (without trailing newline). Never panics on malformed
 /// input — every parse failure is an `{"ok":false}` response.
 pub fn handle_line(server: &Server, line: &str) -> String {
-    let v = match Json::parse(line) {
-        Ok(v) => v,
-        Err(e) => return err_line(&format!("malformed request: {e}")),
+    respond(reply(server, line))
+}
+
+/// Renders a reply: `{"ok":true,"<key>":<value>}` or
+/// `{"ok":false,"error":"<message>"}`.
+fn respond(reply: Result<(&str, Json), String>) -> String {
+    let (ok, key, value) = match reply {
+        Ok((key, value)) => (true, key, value),
+        Err(message) => (false, "error", Json::Str(message)),
     };
-    let Some(cmd) = v.get("cmd").and_then(Json::as_str) else {
-        return err_line("missing \"cmd\"");
-    };
-    let job_arg = |v: &Json| -> Result<String, String> {
+    Json::obj([("ok", Json::Bool(ok)), (key, value)]).to_string()
+}
+
+/// The successful reply's member, or the error message.
+fn reply(server: &Server, line: &str) -> Result<(&'static str, Json), String> {
+    let v = Json::parse(line).map_err(|e| format!("malformed request: {e}"))?;
+    let cmd = v
+        .get("cmd")
+        .and_then(Json::as_str)
+        .ok_or("missing \"cmd\"")?;
+    let job = || {
         v.get("job")
             .and_then(Json::as_str)
-            .map(str::to_string)
             .ok_or_else(|| "missing \"job\"".to_string())
     };
     match cmd {
         "submit" => {
-            let Some(spec) = v.get("spec") else {
-                return err_line("missing \"spec\"");
-            };
-            let spec = match JobSpec::from_value(spec) {
-                Ok(s) => s,
-                Err(e) => return err_line(&e.to_string()),
-            };
-            match server.submit(spec) {
-                Ok(job) => format!(r#"{{"ok":true,"job":"{}"}}"#, escape(&job)),
-                Err(rejection) => err_line(&rejection.reason),
-            }
+            let spec = v.get("spec").ok_or("missing \"spec\"")?;
+            let spec = JobSpec::from_value(spec).map_err(|e| e.to_string())?;
+            let job = server.submit(spec).map_err(|rejection| rejection.reason)?;
+            Ok(("job", job.encode()))
         }
-        "status" => match job_arg(&v) {
-            Ok(job) => match server.status(&job) {
-                Some(s) => format!(r#"{{"ok":true,"status":{}}}"#, s.to_json()),
-                None => err_line(&format!("unknown job {job:?}")),
-            },
-            Err(e) => err_line(&e),
-        },
-        "result" => match job_arg(&v) {
-            Ok(job) => match server.result(&job) {
-                Some(r) => format!(r#"{{"ok":true,"result":{}}}"#, r.to_json()),
-                None => err_line(&format!("no result for job {job:?}")),
-            },
-            Err(e) => err_line(&e),
-        },
-        "journal" => match job_arg(&v) {
-            Ok(job) => {
-                let events: Vec<String> = server.journal(&job).iter().map(Event::to_json).collect();
-                format!(r#"{{"ok":true,"events":[{}]}}"#, events.join(","))
-            }
-            Err(e) => err_line(&e),
-        },
-        "events" => {
-            let events: Vec<String> = server
-                .recorder()
-                .events()
-                .iter()
-                .map(Event::to_json)
-                .collect();
-            format!(r#"{{"ok":true,"events":[{}]}}"#, events.join(","))
+        "status" => {
+            let job = job()?;
+            let status = server
+                .status(job)
+                .ok_or_else(|| format!("unknown job {job:?}"))?;
+            Ok(("status", status.encode()))
         }
-        "cancel" => match job_arg(&v) {
-            Ok(job) => format!(r#"{{"ok":true,"cancelled":{}}}"#, server.cancel(&job)),
-            Err(e) => err_line(&e),
-        },
-        "metrics" => format!(
-            r#"{{"ok":true,"metrics":{}}}"#,
-            server.metrics().render_json()
-        ),
-        "shutdown" => r#"{"ok":true,"draining":true}"#.to_string(),
-        other => err_line(&format!("unknown command {other:?}")),
+        "result" => {
+            let job = job()?;
+            let result = server
+                .result(job)
+                .ok_or_else(|| format!("no result for job {job:?}"))?;
+            Ok(("result", result.encode()))
+        }
+        "journal" => Ok(("events", server.journal(job()?).encode())),
+        "events" => Ok(("events", server.recorder().events().encode())),
+        "cancel" => Ok(("cancelled", server.cancel(job()?).encode())),
+        "metrics" => Ok(("metrics", server.metrics().encode())),
+        "shutdown" => Ok(("draining", Json::Bool(true))),
+        other => Err(format!("unknown command {other:?}")),
     }
 }
 
@@ -146,34 +125,47 @@ pub fn serve_listener(
 }
 
 /// Handles one connection to completion; returns `true` when the
-/// client asked for shutdown.
+/// client asked for shutdown. A line that is not UTF-8 gets an error
+/// response and the connection keeps serving.
 fn handle_connection(server: &Server, stream: TcpStream, stop: &Arc<AtomicBool>) -> bool {
     let _ = stream.set_nonblocking(false);
     let mut writer = match stream.try_clone() {
         Ok(w) => w,
         Err(_) => return false,
     };
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
+    let mut reader = BufReader::new(stream);
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        match reader.read_until(b'\n', &mut buf) {
+            Ok(0) | Err(_) => return false,
+            Ok(_) => {}
         }
-        let response = handle_line(server, &line);
-        let is_shutdown = response == r#"{"ok":true,"draining":true}"#;
+        let reply = match std::str::from_utf8(&buf) {
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => {
+                let line = line
+                    .strip_suffix('\n')
+                    .map_or(line, |l| l.strip_suffix('\r').unwrap_or(l));
+                reply(server, line)
+            }
+            Err(_) => Err("request is not UTF-8".to_string()),
+        };
+        let is_shutdown = matches!(reply, Ok(("draining", _)));
+        let mut response = respond(reply);
+        response.push('\n');
         if writer
-            .write_all(format!("{response}\n").as_bytes())
+            .write_all(response.as_bytes())
             .and_then(|()| writer.flush())
             .is_err()
         {
-            break;
+            return false;
         }
         if is_shutdown {
             stop.store(true, Ordering::SeqCst);
             return true;
         }
     }
-    false
 }
 
 #[cfg(test)]
@@ -245,6 +237,68 @@ mod tests {
             let response = handle_line(&server, bad);
             assert!(response.contains(r#""ok":false"#), "{bad} -> {response}");
         }
+    }
+
+    #[test]
+    fn hostile_nesting_and_inexact_integers_answer_structured_errors() {
+        let server = test_server("hostile");
+        let deep = "[".repeat(100_000);
+        let response = handle_line(&server, &deep);
+        assert!(
+            response.starts_with(r#"{"ok":false,"error":"#),
+            "{response}"
+        );
+        let spec = JobSpec::new(
+            "acme",
+            DesignSpec::new("lms"),
+            ScenarioSet::single(7, 28.0, 120),
+        );
+        let line = Json::obj([("cmd", "submit".encode()), ("spec", spec.encode())]).to_string();
+        assert!(line.contains(r#""samples":120"#), "{line}");
+        for samples in ["1e30", "-1", "1.5", "18446744073709551616"] {
+            let bad = line.replace(r#""samples":120"#, &format!(r#""samples":{samples}"#));
+            let response = handle_line(&server, &bad);
+            assert!(
+                response.starts_with(r#"{"ok":false,"#),
+                "{samples}: {response}"
+            );
+            assert!(response.contains("samples"), "{samples}: {response}");
+        }
+        assert_eq!(server.queue_depth(), 0);
+    }
+
+    #[test]
+    fn non_utf8_line_is_answered_and_the_connection_keeps_serving() {
+        use std::io::{BufRead as _, BufReader, Write as _};
+        let server = std::sync::Arc::new(test_server("utf8"));
+        let listener = TcpListener::bind("127.0.0.1:0").expect("binds");
+        let addr = listener.local_addr().expect("addr");
+        let stop = Arc::new(AtomicBool::new(false));
+        let acceptor = {
+            let server = Arc::clone(&server);
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || serve_listener(&server, &listener, &stop))
+        };
+
+        let mut stream = TcpStream::connect(addr).expect("connects");
+        stream
+            .write_all(b"{\"cmd\":\"status\",\"job\":\"j-\xff\"}\n{\"cmd\":\"metrics\"}\n")
+            .expect("writes");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("reads");
+        assert_eq!(line, "{\"ok\":false,\"error\":\"request is not UTF-8\"}\n");
+        line.clear();
+        reader.read_line(&mut line).expect("reads");
+        assert!(line.starts_with(r#"{"ok":true,"metrics":"#), "{line}");
+
+        stream
+            .write_all(b"{\"cmd\":\"shutdown\"}\n")
+            .expect("writes");
+        line.clear();
+        reader.read_line(&mut line).expect("reads");
+        assert!(line.contains(r#""draining":true"#), "{line}");
+        acceptor.join().expect("joins").expect("listener ok");
     }
 
     #[test]

@@ -14,8 +14,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use fixref_core::JobSpec;
-use fixref_obs::json::escape;
-use fixref_obs::Json;
+use fixref_obs::{FromJson, Json, JsonError, ToJson};
 use fixref_sim::SpecError;
 
 /// One committed job transition.
@@ -53,66 +52,52 @@ pub enum WalRecord {
     },
 }
 
-impl WalRecord {
-    fn to_json(&self) -> String {
+impl ToJson for WalRecord {
+    fn encode(&self) -> Json {
         match self {
-            WalRecord::Accepted { seq, job, spec } => format!(
-                r#"{{"wal":"accepted","seq":{seq},"job":"{}","spec":{}}}"#,
-                escape(job),
-                spec.to_json()
-            ),
-            WalRecord::Started { job, attempt } => {
-                format!(
-                    r#"{{"wal":"started","job":"{}","attempt":{attempt}}}"#,
-                    escape(job)
-                )
-            }
-            WalRecord::Completed { job, status } => format!(
-                r#"{{"wal":"completed","job":"{}","status":"{}"}}"#,
-                escape(job),
-                escape(status)
-            ),
+            WalRecord::Accepted { seq, job, spec } => Json::obj([
+                ("wal", "accepted".encode()),
+                ("seq", seq.encode()),
+                ("job", job.encode()),
+                ("spec", spec.encode()),
+            ]),
+            WalRecord::Started { job, attempt } => Json::obj([
+                ("wal", "started".encode()),
+                ("job", job.encode()),
+                ("attempt", attempt.encode()),
+            ]),
+            WalRecord::Completed { job, status } => Json::obj([
+                ("wal", "completed".encode()),
+                ("job", job.encode()),
+                ("status", status.encode()),
+            ]),
             WalRecord::Cancelled { job } => {
-                format!(r#"{{"wal":"cancelled","job":"{}"}}"#, escape(job))
+                Json::obj([("wal", "cancelled".encode()), ("job", job.encode())])
             }
         }
     }
+}
 
-    fn from_value(v: &Json) -> Result<WalRecord, SpecError> {
-        let field = |name: &str| -> Result<String, SpecError> {
-            v.get(name)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| SpecError::new(format!("wal record: missing {name:?}")))
-        };
-        match field("wal")?.as_str() {
+impl FromJson for WalRecord {
+    fn decode(v: &Json) -> Result<Self, JsonError> {
+        match v.field::<String>("wal")?.as_str() {
             "accepted" => Ok(WalRecord::Accepted {
-                seq: v
-                    .get("seq")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| SpecError::new("wal record: missing \"seq\""))?,
-                job: field("job")?,
-                spec: Box::new(JobSpec::from_value(
-                    v.get("spec")
-                        .ok_or_else(|| SpecError::new("wal record: missing \"spec\""))?,
-                )?),
+                seq: v.field("seq")?,
+                job: v.field("job")?,
+                spec: Box::new(v.field("spec")?),
             }),
             "started" => Ok(WalRecord::Started {
-                job: field("job")?,
-                attempt: v
-                    .get("attempt")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| SpecError::new("wal record: missing \"attempt\""))?
-                    as usize,
+                job: v.field("job")?,
+                attempt: v.field("attempt")?,
             }),
             "completed" => Ok(WalRecord::Completed {
-                job: field("job")?,
-                status: field("status")?,
+                job: v.field("job")?,
+                status: v.field("status")?,
             }),
-            "cancelled" => Ok(WalRecord::Cancelled { job: field("job")? }),
-            other => Err(SpecError::new(format!(
-                "wal record: unknown kind {other:?}"
-            ))),
+            "cancelled" => Ok(WalRecord::Cancelled {
+                job: v.field("job")?,
+            }),
+            other => Err(JsonError::new(format!("unknown kind {other:?}"))),
         }
     }
 }
@@ -152,7 +137,7 @@ impl JobLog {
     /// I/O errors writing or syncing; on error the record must be
     /// treated as NOT committed.
     pub fn append(&mut self, record: &WalRecord) -> std::io::Result<()> {
-        let mut line = record.to_json();
+        let mut line = record.encode().to_string();
         line.push('\n');
         self.file.write_all(line.as_bytes())?;
         self.file.sync_data()
@@ -183,8 +168,8 @@ impl JobLog {
                 continue;
             }
             let parsed = Json::parse(line)
-                .map_err(|e| SpecError::new(format!("wal line {}: {e}", i + 1)))
-                .and_then(|v| WalRecord::from_value(&v));
+                .and_then(|v| WalRecord::decode(&v))
+                .map_err(|e| SpecError::new(format!("wal line {}: wal record: {e}", i + 1)));
             match parsed {
                 Ok(r) => records.push(r),
                 // A torn append: the crash hit mid-write, so the
@@ -308,6 +293,30 @@ mod tests {
                 .contains(r#"unknown backend "batched" (expected interpreted, compiled)"#),
             "{err}"
         );
+    }
+
+    #[test]
+    fn accepted_records_keep_seeds_and_sequence_numbers_exact() {
+        let path = tmp("exact");
+        let records: Vec<WalRecord> = [(1u64 << 53) + 1, u64::MAX]
+            .into_iter()
+            .map(|n| WalRecord::Accepted {
+                seq: n,
+                job: format!("j-{n}"),
+                spec: Box::new(JobSpec::new(
+                    "acme",
+                    DesignSpec::new("lms"),
+                    ScenarioSet::single(n, 28.0, 100),
+                )),
+            })
+            .collect();
+        let mut log = JobLog::open(&path).expect("opens");
+        for r in &records {
+            log.append(r).expect("appends");
+        }
+        drop(log);
+        let (back, _) = JobLog::replay(&path).expect("replays");
+        assert_eq!(back, records);
     }
 
     #[test]

@@ -9,15 +9,14 @@
 //! the same spec always rebuilds the same design and the same scenario
 //! grid, bit for bit.
 //!
-//! The encoding is the repo's usual hand-rolled JSON over
-//! [`fixref_obs::Json`] — no external dependencies, non-finite floats
-//! spelled as strings (`"Infinity"` for a noiseless replay scenario's
-//! SNR), and explicit structured errors instead of panics.
+//! Both encode and decode through the `fixref_obs::json` codec: integers
+//! exact, non-finite floats spelled as strings (`"Infinity"` for a
+//! noiseless replay scenario's SNR), and structured errors naming the
+//! member instead of panics.
 
 use std::fmt;
 
-use fixref_obs::json::{escape, fmt_f64};
-use fixref_obs::Json;
+use fixref_obs::{FromJson, Json, JsonError, ToJson};
 
 use crate::scenario::{Scenario, ScenarioSet};
 
@@ -90,21 +89,7 @@ impl DesignSpec {
 
     /// Serializes the spec as one JSON object.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(r#"{{"kind":"{}""#, escape(&self.kind)));
-        match &self.input_dtype {
-            Some(t) => out.push_str(&format!(r#","input_dtype":"{}""#, escape(t))),
-            None => out.push_str(r#","input_dtype":null"#),
-        }
-        out.push_str(r#","params":{"#);
-        for (i, (k, v)) in self.params.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(r#""{}":{}"#, escape(k), fmt_f64(*v)));
-        }
-        out.push_str("}}");
-        out
+        self.encode().to_string()
     }
 
     /// Decodes a spec from an already-parsed JSON value.
@@ -113,37 +98,7 @@ impl DesignSpec {
     ///
     /// [`SpecError`] naming the missing or mistyped member.
     pub fn from_value(v: &Json) -> Result<DesignSpec, SpecError> {
-        let kind = v
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or_else(|| SpecError::new("design spec: missing or mistyped \"kind\""))?
-            .to_string();
-        let input_dtype = match v.get("input_dtype") {
-            None | Some(Json::Null) => None,
-            Some(j) => Some(
-                j.as_str()
-                    .ok_or_else(|| SpecError::new("design spec: \"input_dtype\" is not a string"))?
-                    .to_string(),
-            ),
-        };
-        let mut params = Vec::new();
-        match v.get("params") {
-            None => {}
-            Some(Json::Obj(members)) => {
-                for (k, val) in members {
-                    let value = val.as_f64().ok_or_else(|| {
-                        SpecError::new(format!("design spec: parameter {k:?} is not a number"))
-                    })?;
-                    params.push((k.clone(), value));
-                }
-            }
-            Some(_) => return Err(SpecError::new("design spec: \"params\" is not an object")),
-        }
-        Ok(DesignSpec {
-            kind,
-            input_dtype,
-            params,
-        })
+        DesignSpec::decode(v).map_err(|e| SpecError::new(format!("design spec: {e}")))
     }
 
     /// Decodes a spec from its JSON text form.
@@ -157,35 +112,84 @@ impl DesignSpec {
     }
 }
 
+impl ToJson for DesignSpec {
+    fn encode(&self) -> Json {
+        Json::obj([
+            ("kind", self.kind.encode()),
+            ("input_dtype", self.input_dtype.encode()),
+            ("params", Json::map(&self.params)),
+        ])
+    }
+}
+
+impl FromJson for DesignSpec {
+    fn decode(v: &Json) -> Result<Self, JsonError> {
+        Ok(DesignSpec {
+            kind: v.field("kind")?,
+            input_dtype: v.opt_field("input_dtype")?,
+            params: v
+                .opt_field_with("params", Json::entries)?
+                .unwrap_or_default(),
+        })
+    }
+}
+
+impl ToJson for Scenario {
+    fn encode(&self) -> Json {
+        Json::obj([
+            ("seed", self.seed.encode()),
+            ("snr_db", self.snr_db.encode()),
+            ("channel_taps", self.channel_taps.encode()),
+            ("samples", self.samples.encode()),
+            ("stimulus", Json::map(&self.stimulus)),
+        ])
+    }
+}
+
+/// The decoded scenario's `index` is a placeholder until
+/// [`ScenarioSet::from_scenarios`] numbers it.
+impl FromJson for Scenario {
+    fn decode(v: &Json) -> Result<Self, JsonError> {
+        Ok(Scenario {
+            index: 0,
+            seed: v.field("seed")?,
+            snr_db: v.field("snr_db")?,
+            channel_taps: v.field("channel_taps")?,
+            samples: v.field("samples")?,
+            stimulus: v
+                .opt_field_with("stimulus", Json::entries)?
+                .unwrap_or_default(),
+        })
+    }
+}
+
+impl ToJson for ScenarioSet {
+    fn encode(&self) -> Json {
+        self.as_slice().encode()
+    }
+}
+
+/// Scenario indices are reassigned in array order, so the decoded set
+/// folds identically to the encoded one.
+impl FromJson for ScenarioSet {
+    fn decode(v: &Json) -> Result<Self, JsonError> {
+        let items = v
+            .as_arr()
+            .ok_or_else(|| JsonError::expected("an array of scenarios", v))?;
+        let scenarios = items
+            .iter()
+            .enumerate()
+            .map(|(i, s)| Scenario::decode(s).map_err(|e| e.within(format_args!("scenario {i}"))))
+            .collect::<Result<_, _>>()?;
+        Ok(ScenarioSet::from_scenarios(scenarios))
+    }
+}
+
 /// Serializes a [`ScenarioSet`] as one JSON array of scenario objects
 /// (the inverse of [`scenario_set_from_value`]). Witness stimulus
 /// streams and non-finite SNRs round-trip exactly.
 pub fn scenario_set_to_json(set: &ScenarioSet) -> String {
-    let mut out = String::from("[");
-    for (i, s) in set.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let taps: Vec<String> = s.channel_taps.iter().map(|t| fmt_f64(*t)).collect();
-        out.push_str(&format!(
-            r#"{{"seed":{},"snr_db":{},"channel_taps":[{}],"samples":{}"#,
-            s.seed,
-            fmt_f64(s.snr_db),
-            taps.join(","),
-            s.samples
-        ));
-        out.push_str(r#","stimulus":{"#);
-        for (j, (name, stream)) in s.stimulus.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let vals: Vec<String> = stream.iter().map(|v| fmt_f64(*v)).collect();
-            out.push_str(&format!(r#""{}":[{}]"#, escape(name), vals.join(",")));
-        }
-        out.push_str("}}");
-    }
-    out.push(']');
-    out
+    set.encode().to_string()
 }
 
 /// Decodes a [`ScenarioSet`] from the array form written by
@@ -196,57 +200,7 @@ pub fn scenario_set_to_json(set: &ScenarioSet) -> String {
 ///
 /// [`SpecError`] naming the offending scenario and member.
 pub fn scenario_set_from_value(v: &Json) -> Result<ScenarioSet, SpecError> {
-    let items = v
-        .as_arr()
-        .ok_or_else(|| SpecError::new("scenario set is not an array"))?;
-    let mut scenarios = Vec::with_capacity(items.len());
-    for (index, item) in items.iter().enumerate() {
-        let ctx = |m: &str| SpecError::new(format!("scenario {index}: missing or mistyped {m:?}"));
-        let seed = item
-            .get("seed")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| ctx("seed"))?;
-        let snr_db = item
-            .get("snr_db")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| ctx("snr_db"))?;
-        let samples = item
-            .get("samples")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| ctx("samples"))? as usize;
-        let channel_taps = item
-            .get("channel_taps")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| ctx("channel_taps"))?
-            .iter()
-            .map(|t| t.as_f64().ok_or_else(|| ctx("channel_taps")))
-            .collect::<Result<Vec<_>, _>>()?;
-        let mut stimulus = Vec::new();
-        match item.get("stimulus") {
-            None => {}
-            Some(Json::Obj(members)) => {
-                for (name, stream) in members {
-                    let values = stream
-                        .as_arr()
-                        .ok_or_else(|| ctx("stimulus"))?
-                        .iter()
-                        .map(|x| x.as_f64().ok_or_else(|| ctx("stimulus")))
-                        .collect::<Result<Vec<_>, _>>()?;
-                    stimulus.push((name.clone(), values));
-                }
-            }
-            Some(_) => return Err(ctx("stimulus")),
-        }
-        scenarios.push(Scenario {
-            index,
-            seed,
-            snr_db,
-            channel_taps,
-            samples,
-            stimulus,
-        });
-    }
-    Ok(ScenarioSet::from_scenarios(scenarios))
+    ScenarioSet::decode(v).map_err(|e| SpecError::new(format!("scenario set: {e}")))
 }
 
 /// [`scenario_set_from_value`] over JSON text.

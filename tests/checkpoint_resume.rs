@@ -492,6 +492,15 @@ mod proptest {
         }
     }
 
+    /// Integers from their full ranges: the codec keeps every one exact.
+    fn full_usize(rng: &mut Rng64) -> usize {
+        rng.next_u64() as usize
+    }
+
+    fn full_i32(rng: &mut Rng64) -> i32 {
+        rng.next_u64() as i32
+    }
+
     fn dtype(rng: &mut Rng64) -> DType {
         DType::new(
             name(rng),
@@ -518,18 +527,16 @@ mod proptest {
 
     fn decision(rng: &mut Rng64) -> MsbDecision {
         match rng.below(4) {
-            0 => MsbDecision::Agree {
-                msb: rng.below(32) as i32 - 16,
-            },
+            0 => MsbDecision::Agree { msb: full_i32(rng) },
             1 => MsbDecision::Saturate {
-                msb: rng.below(32) as i32 - 16,
+                msb: full_i32(rng),
                 guard: interval(rng),
                 forced: rng.below(2) == 0,
             },
             2 => MsbDecision::Tradeoff {
-                stat_msb: rng.below(16) as i32,
-                prop_msb: rng.below(16) as i32,
-                chosen: rng.below(16) as i32,
+                stat_msb: full_i32(rng),
+                prop_msb: full_i32(rng),
+                chosen: full_i32(rng),
                 saturate: rng.below(2) == 0,
             },
             _ => MsbDecision::Unresolved {
@@ -544,18 +551,18 @@ mod proptest {
         Checkpoint {
             cursor: match rng.below(3) {
                 0 => Cursor::Msb {
-                    next: rng.below(8) as usize + 1,
+                    next: full_usize(rng),
                 },
                 1 => Cursor::Lsb {
-                    next: rng.below(8) as usize + 1,
+                    next: full_usize(rng),
                 },
                 _ => Cursor::Apply,
             },
-            msb_done: rng.below(8) as usize,
-            lsb_done: rng.below(8) as usize,
-            next_sequence: rng.below(8) as usize,
-            msb_journal_start: rng.below(64) as usize,
-            lsb_journal_start: (rng.below(2) == 0).then(|| rng.below(64) as usize),
+            msb_done: full_usize(rng),
+            lsb_done: full_usize(rng),
+            next_sequence: full_usize(rng),
+            msb_journal_start: full_usize(rng),
+            lsb_journal_start: (rng.below(2) == 0).then(|| full_usize(rng)),
             annotations: (0..rng.below(5))
                 .map(|_| SignalAnnotation {
                     name: name(rng),
@@ -574,11 +581,11 @@ mod proptest {
                     .map(|_| fixref::refine::MsbAnalysis {
                         id,
                         name: name(rng),
-                        accesses: rng.next_u64() >> 16,
+                        accesses: rng.next_u64(),
                         stat: (rng.below(2) == 0).then(|| interval(rng)),
-                        stat_msb: (rng.below(2) == 0).then(|| rng.below(32) as i32 - 16),
+                        stat_msb: (rng.below(2) == 0).then(|| full_i32(rng)),
                         prop: (rng.below(2) == 0).then(|| interval(rng)),
-                        prop_msb: (rng.below(2) == 0).then(|| rng.below(32) as i32 - 16),
+                        prop_msb: (rng.below(2) == 0).then(|| full_i32(rng)),
                         exploded: rng.below(2) == 0,
                         decision: decision(rng),
                         mode: OverflowMode::Saturate,
@@ -591,11 +598,11 @@ mod proptest {
                     .map(|_| fixref::refine::LsbAnalysis {
                         id,
                         name: name(rng),
-                        assigns: rng.next_u64() >> 16,
+                        assigns: rng.next_u64(),
                         max_abs: rng.uniform(0.0, 10.0),
                         mean: rng.uniform(-1.0, 1.0),
                         std: rng.uniform(0.0, 1.0),
-                        lsb: (rng.below(2) == 0).then(|| -(rng.below(24) as i32)),
+                        lsb: (rng.below(2) == 0).then(|| full_i32(rng)),
                         status: match rng.below(4) {
                             0 => LsbStatus::Resolved,
                             1 => LsbStatus::Exact,
@@ -628,10 +635,10 @@ mod proptest {
                                 prop: interval(rng),
                                 consumed: err,
                                 produced: ErrorStats::new(),
-                                overflows: rng.below(100),
-                                reads: rng.next_u64() >> 20,
-                                writes: rng.next_u64() >> 20,
-                                granularity: (rng.below(2) == 0).then(|| rng.below(64) as i32 - 32),
+                                overflows: rng.next_u64(),
+                                reads: rng.next_u64(),
+                                writes: rng.next_u64(),
+                                granularity: (rng.below(2) == 0).then(|| full_i32(rng)),
                                 non_dyadic: rng.below(2) == 0,
                             }
                         })
@@ -641,10 +648,10 @@ mod proptest {
                             signal: id,
                             name: name(rng),
                             value: rng.uniform(-100.0, 100.0),
-                            cycle: rng.next_u64() >> 20,
+                            cycle: rng.next_u64(),
                         })
                         .collect();
-                    (stats, events, rng.next_u64() >> 20)
+                    (stats, events, rng.next_u64())
                 }),
             },
             journal: vec![
@@ -654,17 +661,17 @@ mod proptest {
                     } else {
                         Phase::Lsb
                     },
-                    iteration: rng.below(8) as usize,
+                    iteration: full_usize(rng),
                 },
                 Event::CheckpointWritten {
-                    sequence: rng.below(8) as usize,
+                    sequence: full_usize(rng),
                     phase: Phase::Msb,
-                    iteration: rng.below(8) as usize,
+                    iteration: full_usize(rng),
                 },
                 Event::ShardFailed {
-                    shard: rng.below(8) as usize,
+                    shard: full_usize(rng),
                     scenario: name(rng),
-                    attempts: rng.below(3) as usize + 1,
+                    attempts: full_usize(rng),
                     cause: "panicked: \"quoted\" cause\nsecond line".into(),
                 },
             ],
