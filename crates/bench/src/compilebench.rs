@@ -7,8 +7,7 @@
 //!
 //! * **first iteration** — interpreted with signal-flow-graph recording
 //!   on, which is what `record = iteration == 1` costs in the flow: every
-//!   `Value` operator allocates expression-trace nodes and interns them
-//!   into the graph;
+//!   `Value` operator interns its node into the design's recording;
 //! * **interpreted** — the steady-state iteration (recording off): the
 //!   host-code stimulus walk, one design borrow per signal access;
 //! * **compiled** — the captured execution trace lowered to a flat op
@@ -19,11 +18,10 @@
 //! flush it once at the end, as the flow does after every simulation, so
 //! the monitor pipeline costs the same in each.
 //!
-//! The headline `first_iteration_speedup` compares the compiled replay
-//! against the first-iteration cost it displaces whenever the same
-//! workload is re-executed (sweep lanes, cache replays, search probes);
-//! `steady_speedup` is the more conservative recording-off comparison,
-//! reported alongside so neither number hides the other.
+//! `first_iteration_speedup` compares the compiled replay against the
+//! graph-recording run, so it mostly reports what recording costs;
+//! `steady_speedup` is the recording-off comparison, the one a replay
+//! actually displaces. Both are reported so neither hides the other.
 //!
 //! The timing follows the repo's interleaved-repeat methodology (see
 //! `faultbench`): the variants alternate within each repeat so a
@@ -59,7 +57,7 @@ pub struct CompileBenchResult {
     pub interpreted_ns: u128,
     /// Best wall time of the compiled replay, nanoseconds.
     pub compiled_ns: u128,
-    /// `first_iteration_ns / compiled_ns` — the headline.
+    /// `first_iteration_ns / compiled_ns`: mostly the cost of recording.
     pub first_iteration_speedup: f64,
     /// `interpreted_ns / compiled_ns` — the conservative comparison.
     pub steady_speedup: f64,

@@ -501,6 +501,27 @@ mod tests {
     }
 
     #[test]
+    fn an_unassigned_select_on_a_wrap_signal_is_not_flagged() {
+        // The select steered by wrap-mode `x` is computed every cycle but
+        // never assigned: it is no part of the recorded design.
+        let d = Design::new();
+        let x = d.sig_typed("x", "<8,6,tc,wp,rd>".parse().expect("valid"));
+        let y = d.sig("y");
+        d.record_graph(true);
+        for i in 0..32 {
+            x.set(i as f64 * 0.05 - 0.8);
+            let decision = x.get().select_positive(Value::from(1.0), Value::from(0.0));
+            assert!(decision.fix() >= 0.0);
+            y.set(x.get() * 0.5);
+            d.tick();
+        }
+        d.record_graph(false);
+        let report = Linter::new().run(&d);
+        assert!(report.with_code(Code::WrapControl).is_empty(), "{report:?}");
+        assert!(d.graph().iter().all(|(_, n)| n.op != Op::Select));
+    }
+
+    #[test]
     fn wrap_type_narrower_than_propagated_is_an_error() {
         let d = Design::new();
         let x = d.sig("x");

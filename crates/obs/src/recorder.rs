@@ -9,7 +9,7 @@
 //! `Arc<DefaultRecorder>` can be attached to a `Design`, a refinement
 //! flow and a code generator at once, and snapshotted from any thread.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -162,10 +162,31 @@ impl Hist {
 struct Inner {
     counters: HashMap<String, u64>,
     hists: HashMap<String, Hist>,
-    events: Vec<Event>,
+    events: VecDeque<Event>,
+    /// The most events `events` keeps, and the counter that counts the
+    /// older ones it drops; `None` keeps every event.
+    event_limit: Option<(usize, String)>,
     spans: Vec<SpanRecord>,
     pending: HashMap<u64, (String, Instant)>,
     next_span: u64,
+}
+
+impl Inner {
+    fn push_event(&mut self, event: Event) {
+        self.events.push_back(event);
+        let Some((limit, dropped)) = &self.event_limit else {
+            return;
+        };
+        while self.events.len() > *limit {
+            self.events.pop_front();
+            match self.counters.get_mut(dropped) {
+                Some(v) => *v = v.saturating_add(1),
+                None => {
+                    self.counters.insert(dropped.clone(), 1);
+                }
+            }
+        }
+    }
 }
 
 /// The standard mutex-protected recorder.
@@ -194,6 +215,19 @@ impl DefaultRecorder {
     /// Creates an empty recorder.
     pub fn new() -> Self {
         DefaultRecorder::default()
+    }
+
+    /// Creates an empty recorder whose event journal keeps only the most
+    /// recent `limit` events, so a long-lived process's journal stays
+    /// bounded. Each older event it drops adds 1 to the counter
+    /// `dropped_counter`.
+    pub fn with_event_limit(limit: usize, dropped_counter: &str) -> Self {
+        DefaultRecorder {
+            inner: Mutex::new(Inner {
+                event_limit: Some((limit, dropped_counter.to_string())),
+                ..Inner::default()
+            }),
+        }
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
@@ -254,7 +288,7 @@ impl DefaultRecorder {
 
     /// A snapshot of the event journal, in recording order.
     pub fn events(&self) -> Vec<Event> {
-        self.lock().events.clone()
+        self.lock().events.iter().cloned().collect()
     }
 
     /// The journal entries matching a predicate — the query interface the
@@ -307,7 +341,8 @@ impl DefaultRecorder {
                     )
                 })
                 .collect();
-            (o.counters.clone(), hists, o.events.clone(), o.spans.clone())
+            let events: Vec<Event> = o.events.iter().cloned().collect();
+            (o.counters.clone(), hists, events, o.spans.clone())
         };
         let mut inner = self.lock();
         for (name, by) in counters {
@@ -331,7 +366,9 @@ impl DefaultRecorder {
                 }
             }
         }
-        inner.events.extend(events);
+        for event in events {
+            inner.push_event(event);
+        }
         for mut span in spans {
             span.seq = inner.spans.len() as u64;
             inner.spans.push(span);
@@ -403,7 +440,7 @@ impl Recorder for DefaultRecorder {
     }
 
     fn record_event(&self, event: Event) {
-        self.lock().events.push(event);
+        self.lock().push_event(event);
     }
 
     fn span_begin(&self, name: &str) -> SpanId {
@@ -557,6 +594,36 @@ mod tests {
         r.span_end(id, 7);
         assert_eq!(r.spans().len(), 1);
         assert_eq!(r.spans()[0].cycles, 7);
+    }
+
+    #[test]
+    fn a_limited_journal_keeps_the_most_recent_events_and_counts_the_rest() {
+        let r = DefaultRecorder::with_event_limit(3, "test.events_dropped");
+        for iteration in 0..5 {
+            r.record_event(Event::IterationStarted {
+                phase: Phase::Msb,
+                iteration,
+            });
+        }
+        let kept: Vec<usize> = r
+            .events()
+            .iter()
+            .map(|e| match e {
+                Event::IterationStarted { iteration, .. } => *iteration,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(kept, [2, 3, 4]);
+        assert_eq!(r.counter("test.events_dropped"), 2);
+        // Absorbed events obey the limit too.
+        let other = DefaultRecorder::new();
+        other.record_event(Event::IterationStarted {
+            phase: Phase::Lsb,
+            iteration: 9,
+        });
+        r.absorb(&other);
+        assert_eq!(r.events().len(), 3);
+        assert_eq!(r.counter("test.events_dropped"), 3);
     }
 
     #[test]

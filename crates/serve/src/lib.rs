@@ -49,5 +49,5 @@ pub mod wal;
 
 pub use job::{JobResult, JobState, JobStatus};
 pub use registry::DesignRegistry;
-pub use server::{Rejection, ServeError, Server, ServerConfig};
+pub use server::{Rejection, ServeError, Server, ServerConfig, LIFECYCLE_EVENTS};
 pub use wal::{JobLog, WalRecord};

@@ -9,7 +9,7 @@
 //! | `status`   | `{"cmd":"status","job":"j-1"}`           | `{"ok":true,"status":{...}}` |
 //! | `result`   | `{"cmd":"result","job":"j-1"}`           | `{"ok":true,"result":{...}}` |
 //! | `journal`  | `{"cmd":"journal","job":"j-1"}`          | `{"ok":true,"events":[...]}` |
-//! | `events`   | `{"cmd":"events"}`                       | server lifecycle journal |
+//! | `events`   | `{"cmd":"events"}`                       | the most recent [`LIFECYCLE_EVENTS`](crate::LIFECYCLE_EVENTS) lifecycle events |
 //! | `cancel`   | `{"cmd":"cancel","job":"j-1"}`           | `{"ok":true,"cancelled":bool}` |
 //! | `metrics`  | `{"cmd":"metrics"}`                      | `{"ok":true,"metrics":{...}}` |
 //! | `shutdown` | `{"cmd":"shutdown"}`                     | `{"ok":true,"draining":true}` |

@@ -36,6 +36,13 @@ use crate::job::{render_annotation, JobResult, JobState, JobStatus};
 use crate::registry::DesignRegistry;
 use crate::wal::{JobLog, WalRecord};
 
+/// Lifecycle events the server's recorder keeps (the `events` command's
+/// journal): the most recent ones, with `serve.events_dropped` counting
+/// the older ones. Each job adds about three, so a server that runs for
+/// days keeps a bounded journal; each job's flow journal is in its result
+/// file, complete.
+pub const LIFECYCLE_EVENTS: usize = 1024;
+
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -256,7 +263,10 @@ impl Server {
             message: format!("create results dir: {e}"),
         })?;
 
-        let recorder = Arc::new(DefaultRecorder::new());
+        let recorder = Arc::new(DefaultRecorder::with_event_limit(
+            LIFECYCLE_EVENTS,
+            "serve.events_dropped",
+        ));
         let mut state = State {
             log,
             next_seq: 1,
@@ -321,6 +331,13 @@ impl Server {
             for job in order {
                 let (tenant, recover) = match st.jobs.get(&job) {
                     Some(e) if !e.state.is_terminal() => (e.spec.tenant.clone(), true),
+                    // A finished job's result file holds its status.
+                    Some(e)
+                        if e.state == JobState::Finished && server.result_path(&job).exists() =>
+                    {
+                        st.jobs.remove(&job);
+                        continue;
+                    }
                     _ => (String::new(), false),
                 };
                 if recover {
@@ -455,25 +472,26 @@ impl Server {
     /// Point-in-time status of a job.
     pub fn status(&self, job: &str) -> Option<JobStatus> {
         let st = self.lock();
-        let e = st.jobs.get(job)?;
-        let mut status = JobStatus {
+        let Some(e) = st.jobs.get(job) else {
+            drop(st);
+            // A finished job keeps no entry once its result file exists.
+            return self.result(job).map(|r| JobStatus {
+                job: job.to_string(),
+                tenant: r.tenant,
+                state: JobState::Finished,
+                attempts: r.attempts,
+                status: Some(r.status),
+                reason: r.reason,
+            });
+        };
+        Some(JobStatus {
             job: job.to_string(),
             tenant: e.spec.tenant.clone(),
             state: e.state,
             attempts: e.attempts,
             status: e.status.clone(),
             reason: e.reason.clone(),
-        };
-        drop(st);
-        // A job finished in a previous server life has its reason only
-        // in the result file.
-        if status.state == JobState::Finished && status.reason.is_none() {
-            if let Some(r) = self.result(job) {
-                status.status = Some(r.status);
-                status.reason = r.reason;
-            }
-        }
-        Some(status)
+        })
     }
 
     /// The persisted result of a finished job.
@@ -913,14 +931,16 @@ impl Server {
             .is_ok();
 
         let mut st = self.lock();
+        st.running -= 1;
         if written {
             let _ = st.log.append(&WalRecord::Completed {
                 job: job.into(),
                 status: out.status.clone(),
             });
-        }
-        st.running -= 1;
-        if let Some(e) = st.jobs.get_mut(job) {
+            // The result file answers `status` from here on: the
+            // server's memory stays flat in the jobs it has served.
+            st.jobs.remove(job);
+        } else if let Some(e) = st.jobs.get_mut(job) {
             e.state = JobState::Finished;
             e.status = Some(out.status.clone());
             e.reason = out.reason;

@@ -22,7 +22,7 @@ use fixref_fixed::{
 };
 use fixref_obs::{Event, Recorder};
 
-use crate::graph::Graph;
+use crate::graph::{self, Graph, NodeId, RecordingId, TracedNode};
 use crate::report::SignalReport;
 use crate::tape::{BoundTrace, CompiledProgram, ExecTrace, InputSample, Instr, TraceStep};
 use crate::value::Value;
@@ -115,6 +115,12 @@ struct SignalState {
     /// window caps the search).
     granularity: Option<i32>,
     non_dyadic: bool,
+    /// The signal's `Read` node in the recording that last read it.
+    read_trace: Option<TracedNode>,
+    /// The latest traced value assigned to the signal, and its root in the
+    /// graph: assigning the same node again in the same recording needs
+    /// neither the recording nor a dedup probe.
+    last_root: Option<(TracedNode, NodeId)>,
 }
 
 impl SignalState {
@@ -139,6 +145,8 @@ impl SignalState {
             writes: 0,
             granularity: None,
             non_dyadic: false,
+            read_trace: None,
+            last_root: None,
         }
     }
 }
@@ -244,7 +252,8 @@ struct DesignInner {
     rng: Rng64,
     seed: u64,
     cycle: u64,
-    recording: bool,
+    /// The graph recording in progress, if any (see [`crate::graph`]).
+    recording: Option<RecordingId>,
     graph: Graph,
     overflow_events: Vec<OverflowEvent>,
     /// Cap on retained overflow events; further overflows only count.
@@ -337,7 +346,7 @@ impl fmt::Debug for Design {
         f.debug_struct("Design")
             .field("signals", &inner.signals.len())
             .field("cycle", &inner.cycle)
-            .field("recording", &inner.recording)
+            .field("recording", &inner.recording.is_some())
             .finish()
     }
 }
@@ -364,7 +373,7 @@ impl Design {
                 rng: Rng64::seed_from_u64(seed),
                 seed,
                 cycle: 0,
-                recording: false,
+                recording: None,
                 graph: Graph::new(),
                 overflow_events: Vec::new(),
                 overflow_event_cap: 1024,
@@ -607,18 +616,36 @@ impl Design {
     }
 
     /// Enables or disables signal-flow-graph recording. Typically enabled
-    /// for the first iteration of a stimulus loop only: repeated executions
-    /// intern to the same nodes, but every traced operator still allocates
-    /// its expression node and every assignment walks its expression
-    /// through the intern table, so a recording run costs several times a
-    /// plain one. With recording off, `Value` arithmetic allocates nothing.
+    /// for the first iteration of a stimulus loop only. While it records,
+    /// the design is the current thread's recording context: every
+    /// operator on values read from it interns its node at once, one
+    /// table probe that allocates only for a new node, and an assignment
+    /// adds to the graph only the nodes no earlier assignment reached.
+    /// Repeated executions therefore cost about twice a plain run and
+    /// allocate nothing once the graph holds their structure. With
+    /// recording off, `Value` arithmetic allocates nothing and never looks
+    /// at a recording.
+    ///
+    /// Stopping drops the nodes of temporaries no assignment reached.
+    /// Values traced before the stop (or before [`Design::clear_graph`])
+    /// resolve to no node afterwards: assigned while recording again, they
+    /// record as a `Const` definition of their fixed value, as untraced
+    /// literals do (see [`crate::graph`]).
     pub fn record_graph(&self, on: bool) {
-        self.inner.borrow_mut().recording = on;
+        let mut inner = self.inner.borrow_mut();
+        match (on, inner.recording) {
+            (true, None) => inner.recording = Some(graph::begin_recording()),
+            (false, Some(id)) => {
+                graph::end_recording(id);
+                inner.recording = None;
+            }
+            _ => {}
+        }
     }
 
     /// Whether graph recording is currently enabled.
     pub fn is_recording(&self) -> bool {
-        self.inner.borrow().recording
+        self.inner.borrow().recording.is_some()
     }
 
     /// A snapshot of the recorded signal-flow graph.
@@ -665,9 +692,11 @@ impl Design {
         })
     }
 
-    /// Discards the recorded signal-flow graph.
+    /// Discards the recorded signal-flow graph. A recording in progress
+    /// continues into the empty graph; values traced before the call
+    /// record as constants (see [`Design::record_graph`]).
     pub fn clear_graph(&self) {
-        self.inner.borrow_mut().graph = Graph::new();
+        self.inner.borrow_mut().replace_graph(Graph::new());
     }
 
     /// Number of declared signals.
@@ -1109,7 +1138,7 @@ impl Design {
     /// installs the graph recorded by shard 0 on the master design, since
     /// the master never simulates itself in swept mode.
     pub fn install_graph(&self, graph: Graph) {
-        self.inner.borrow_mut().graph = graph;
+        self.inner.borrow_mut().replace_graph(graph);
     }
 
     /// The monitoring report of one signal.
@@ -1213,6 +1242,13 @@ impl Design {
         let recording = inner.recording;
         let st = &mut inner.signals[id.0 as usize];
         st.reads += 1;
+        let trace = recording.and_then(|rec| match st.read_trace {
+            Some(t) if t.recording() == rec => Some(t),
+            _ => {
+                st.read_trace = graph::trace_read(rec, id);
+                st.read_trace
+            }
+        });
         let itv = match st.range_override {
             Some(r) => r,
             None => {
@@ -1223,7 +1259,7 @@ impl Design {
                 }
             }
         };
-        Value::from_signal(st.flt, st.fix, itv, id, recording)
+        Value::from_signal(st.flt, st.fix, itv, trace)
     }
 
     fn assign(&self, id: SignalId, value: Value) {
@@ -1254,7 +1290,7 @@ impl Design {
     pub fn replay_compiled(&self, program: &CompiledProgram, trace: &BoundTrace) -> u64 {
         let mut inner = self.inner.borrow_mut();
         let inner = &mut *inner;
-        let recording = std::mem::replace(&mut inner.recording, false);
+        let recording = inner.recording.take();
         let capture = inner.capture.take();
         let mut stack: Vec<Value> = Vec::with_capacity(program.max_stack());
         let mut cursor = 0usize;
@@ -1448,6 +1484,17 @@ impl Design {
 }
 
 impl DesignInner {
+    /// Swaps in `new` as the graph. A recording in progress restarts,
+    /// since the nodes it has copied into the old graph are not in the
+    /// new one.
+    fn replace_graph(&mut self, new: Graph) {
+        self.graph = new;
+        if let Some(id) = self.recording {
+            graph::end_recording(id);
+            self.recording = Some(graph::begin_recording());
+        }
+    }
+
     /// The monitored assignment pipeline of paper Fig. 2, shared by the
     /// interpreter ([`Sig::set`], [`Reg::set`]) and the compiled replay's
     /// stores: quantization, range statistics, error statistics, error
@@ -1541,16 +1588,22 @@ impl DesignInner {
             st.prop = st.prop.union(&incoming);
         }
 
-        // Signal-flow graph. A value with no expression trace (a literal,
-        // or one built before recording was enabled) records as a constant
-        // definition — this is how coefficient initializations like
-        // `c[i] = coef[i]` enter the analytical model.
-        if self.recording {
-            let root = self
-                .graph
-                .intern_expr(value.expr())
-                .unwrap_or_else(|| self.graph.add(crate::graph::Op::Const(value.fix()), vec![]));
-            self.graph.record_def(id, root);
+        // Signal-flow graph. An untraced value (a literal, or one built
+        // before this recording began) records as a constant definition —
+        // this is how coefficient initializations like `c[i] = coef[i]`
+        // enter the analytical model.
+        if let Some(rec) = self.recording {
+            let trace = value.trace().filter(|t| t.recording() == rec);
+            let root = match (trace, st.last_root) {
+                (Some(t), Some((last, root))) if t == last => root,
+                _ => {
+                    let root = graph::record_root(rec, trace, &mut self.graph)
+                        .unwrap_or_else(|| self.graph.add(graph::Op::Const(value.fix()), vec![]));
+                    self.graph.record_def(id, root);
+                    st.last_root = trace.map(|t| (t, root));
+                    root
+                }
+            };
             if let Some(cap) = &mut self.capture {
                 cap.steps.push(TraceStep::Assign {
                     sig: id,
@@ -1630,7 +1683,12 @@ impl DesignInner {
 }
 
 impl Drop for DesignInner {
+    /// Flushes the monitor sink and releases the graph recording, if one
+    /// is in progress.
     fn drop(&mut self) {
+        if let Some(id) = self.recording.take() {
+            graph::end_recording(id);
+        }
         // Not while the thread panics: the panic may have cut an
         // assignment short, and a recorder call that panicked again
         // during unwinding would abort the process.
@@ -2099,6 +2157,138 @@ mod sweep_snapshot_tests {
         assert_eq!(dst.graph().len(), 0);
         dst.install_graph(g.clone());
         assert_eq!(dst.graph().len(), g.len());
+    }
+}
+
+#[cfg(test)]
+mod recording_tests {
+    use super::*;
+    use crate::graph::{recordings_on_this_thread, Op};
+
+    /// The graph's nodes as `Debug` lines, operands by id.
+    fn nodes(g: &Graph) -> Vec<String> {
+        g.iter().map(|(id, n)| format!("{id}: {n:?}")).collect()
+    }
+
+    /// `y = a * 0.5 + b; z = -a` over a fresh design's `a`, `b`, `y`, `z`.
+    fn lone(design: &Design) -> Graph {
+        let [a, b, y, z] = ["a", "b", "y", "z"].map(|n| design.sig(n));
+        design.record_graph(true);
+        y.set(a.get() * 0.5 + b.get());
+        z.set(-a.get());
+        design.record_graph(false);
+        design.graph()
+    }
+
+    #[test]
+    fn two_designs_recording_on_one_thread_keep_their_own_graphs() {
+        let expected = nodes(&lone(&Design::new()));
+        let (d1, d2) = (Design::new(), Design::new());
+        let [a1, b1, y1, z1] = ["a", "b", "y", "z"].map(|n| d1.sig(n));
+        // `d2` declares a signal more, so its ids differ from `d1`'s.
+        d2.sig("pad");
+        let [a2, b2, y2, z2] = ["a", "b", "y", "z"].map(|n| d2.sig(n));
+        d1.record_graph(true);
+        d2.record_graph(true);
+        assert_eq!(recordings_on_this_thread(), 2);
+        // Interleaved: each operator interns into its own design's
+        // recording.
+        let p1 = a1.get() * 0.5;
+        let p2 = a2.get() * 0.5;
+        z2.set(-a2.get());
+        y1.set(p1 + b1.get());
+        y2.set(p2 + b2.get());
+        z1.set(-a1.get());
+        d1.record_graph(false);
+        d2.record_graph(false);
+        assert_eq!(recordings_on_this_thread(), 0);
+        assert_eq!(nodes(&d1.graph()), expected);
+        let g2 = d2.graph();
+        assert_eq!(g2.len(), expected.len());
+        assert_eq!(g2.node(g2.defs(z2.id())[0]).op, Op::Neg);
+        assert_eq!(g2.node(g2.defs(y2.id())[0]).op, Op::Add);
+    }
+
+    #[test]
+    fn a_value_from_another_design_enters_as_a_constant() {
+        let (d1, d2) = (Design::new(), Design::new());
+        let (a1, y1) = (d1.sig("a"), d1.sig("y"));
+        let a2 = d2.sig("a");
+        a2.set(0.75);
+        d1.record_graph(true);
+        d2.record_graph(true);
+        y1.set(a1.get() + a2.get());
+        let g = d1.graph();
+        let ops: Vec<Op> = g.iter().map(|(_, n)| n.op.clone()).collect();
+        assert_eq!(ops, [Op::Read(a1.id()), Op::Const(0.75), Op::Add]);
+        assert!(d2.graph().is_empty());
+    }
+
+    #[test]
+    fn a_value_traced_before_clear_graph_records_its_fixed_value() {
+        let d = Design::new();
+        let (x, y) = (d.sig("x"), d.sig("y"));
+        x.set(0.75);
+        d.record_graph(true);
+        let stale = x.get() * 2.0;
+        d.clear_graph();
+        assert!(d.is_recording());
+        y.set(stale);
+        let g = d.graph();
+        assert_eq!(g.len(), 1);
+        assert_eq!(g.node(g.defs(y.id())[0]).op, Op::Const(1.5));
+        // Values traced after the clear record as expressions again.
+        y.set(x.get() * 2.0);
+        assert_eq!(d.graph().len(), 4);
+    }
+
+    #[test]
+    fn a_value_traced_before_recording_stops_records_its_fixed_value() {
+        let d = Design::new();
+        let (x, y) = (d.sig("x"), d.sig("y"));
+        x.set(0.5);
+        d.record_graph(true);
+        let stale = -x.get();
+        d.record_graph(false);
+        // Arithmetic on it no longer traces, and it records as a constant.
+        let stale = stale + 1.0;
+        d.record_graph(true);
+        y.set(stale);
+        let g = d.graph();
+        assert_eq!(g.len(), 1);
+        assert_eq!(g.node(g.defs(y.id())[0]).op, Op::Const(0.5));
+    }
+
+    #[test]
+    fn dropping_a_recording_design_releases_its_recording() {
+        let before = recordings_on_this_thread();
+        let d = Design::new();
+        let x = d.sig("x");
+        d.record_graph(true);
+        let kept = x.get() + 1.0;
+        assert_eq!(recordings_on_this_thread(), before + 1);
+        drop(x);
+        drop(d);
+        assert_eq!(recordings_on_this_thread(), before);
+        // A value that outlived its design traces nothing further.
+        assert_eq!((kept * 2.0).trace(), None);
+    }
+
+    #[test]
+    fn installing_a_graph_restarts_the_recording() {
+        let src = Design::new();
+        lone(&src);
+        let d = Design::new();
+        let [a, _b, y, _z] = ["a", "b", "y", "z"].map(|n| d.sig(n));
+        d.record_graph(true);
+        y.set(a.get() * 3.0);
+        let stale = a.get() * 3.0;
+        d.install_graph(src.graph());
+        // The node copied into the replaced graph is not in this one.
+        y.set(stale);
+        let g = d.graph();
+        assert_eq!(g.len(), src.graph().len() + 1);
+        assert_eq!(g.node(*g.defs(y.id()).last().unwrap()).op, Op::Const(0.0));
     }
 }
 

@@ -1,7 +1,7 @@
 //! Signal-flow-graph extraction.
 //!
 //! While [`Design::record_graph`](crate::Design::record_graph) is enabled,
-//! every executed assignment contributes its expression tree to a [`Graph`]
+//! every executed assignment contributes its expression to a [`Graph`]
 //! whose leaves are signal reads and constants. The graph is the input to
 //! the fully *analytical* range estimation (paper §4.1: "constructing a
 //! signal flowgraph out of the source code and analyzing the data flow
@@ -14,16 +14,39 @@
 //! to execute every assignment at least once — the same "complete coverage
 //! of a code execution" requirement the paper attaches to its analytical
 //! method.
+//!
+//! # Recording at operator time
+//!
+//! `record_graph(true)` starts a *recording* for the design on the current
+//! thread. A [`Value`](crate::Value) read from a signal while it records
+//! carries the id of its node in the recording, and every operator on such
+//! values hash-conses its node there at once: an operator is one probe of
+//! an intern table, and allocates only when it adds a node. The recording
+//! holds every node an operator built, including temporaries that are
+//! never assigned. An assignment copies the nodes its value reaches into
+//! the design's [`Graph`], each node once, in the post-order of the first
+//! assignment that reaches it. The design's graph therefore holds exactly
+//! the nodes some definition reaches, numbered as if each assignment's
+//! expression tree were interned on its own, and a snapshot needs no
+//! cleanup pass. Ending the recording (`record_graph(false)`,
+//! [`Design::clear_graph`](crate::Design::clear_graph), or dropping the
+//! design) drops the recording with its unreached nodes.
+//!
+//! A traced value that outlives its recording no longer resolves to a
+//! node: assigned later, it records as a `Const` definition of its fixed
+//! value, the way an untraced literal does. Each design records into its
+//! own recording, so two designs may record on one thread at once.
 
+use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::mem::{self, Discriminant};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::num::NonZeroU32;
 use std::ops::Index;
 
 use fixref_fixed::DType;
 
 use crate::design::SignalId;
-use crate::value::{Expr, ExprNode};
 
 /// Index of a node in a [`Graph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -75,6 +98,52 @@ impl Op {
             Op::Select => 3,
         }
     }
+
+    /// The variant's intern-key tag.
+    fn tag(&self) -> u8 {
+        match self {
+            Op::Const(_) => 0,
+            Op::Read(_) => 1,
+            Op::Add => 2,
+            Op::Sub => 3,
+            Op::Mul => 4,
+            Op::Div => 5,
+            Op::Neg => 6,
+            Op::Abs => 7,
+            Op::Min => 8,
+            Op::Max => 9,
+            Op::Cast(_) => CAST_TAG,
+            Op::Select => 11,
+        }
+    }
+}
+
+const CAST_TAG: u8 = 10;
+
+/// An operator to intern. A cast borrows its type, so interning a cast
+/// the graph already holds clones nothing.
+pub(crate) enum OpRef<'a> {
+    /// Any operator; only a cast's type costs a clone.
+    Owned(Op),
+    /// A cast to the borrowed type.
+    Cast(&'a DType),
+}
+
+impl<'a> OpRef<'a> {
+    /// Borrows `op`'s type if it is a cast, copies it otherwise.
+    fn of(op: &'a Op) -> Self {
+        match op {
+            Op::Cast(dt) => OpRef::Cast(dt),
+            other => OpRef::Owned(other.clone()),
+        }
+    }
+
+    fn into_op(self) -> Op {
+        match self {
+            OpRef::Owned(op) => op,
+            OpRef::Cast(dt) => Op::Cast(dt.clone()),
+        }
+    }
 }
 
 /// One node of the signal-flow graph.
@@ -103,23 +172,83 @@ impl<T> Index<usize> for Operands<'_, T> {
     }
 }
 
+/// The hasher of the graph's tables. Their keys are a few machine words
+/// (node keys, signal and node ids), on which std's SipHash spends most of
+/// a probe. Each word is folded in with one add and one multiply, and
+/// `finish` rotates the well-mixed high bits down to where the table takes
+/// its bucket index. Byte strings (a cast type's name) are folded eight
+/// bytes at a time.
+///
+/// Unlike SipHash it does not resist keys chosen to collide, which would
+/// slow interning (never change the graph). The keys are node ids, signal
+/// ids, cast types and constants. Only constants can carry outside input:
+/// a served job's stimulus is generated by the server's design registry
+/// from the spec's seed, SNR and channel taps through a seeded noise
+/// source, so a tenant does not choose the sample values.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct WordHasher(u64);
+
+impl WordHasher {
+    /// An odd multiplier with well-spread bits.
+    const K: u64 = 0xf135_7aea_2e62_a9c5;
+
+    fn add_word(&mut self, word: u64) {
+        self.0 = self.0.wrapping_add(word).wrapping_mul(Self::K);
+    }
+}
+
+impl Hasher for WordHasher {
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.add_word(u64::from_le_bytes(word.try_into().expect("8 bytes")));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut word = [0; 8];
+            word[..tail.len()].copy_from_slice(tail);
+            self.add_word(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add_word(n.into());
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add_word(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add_word(n as u64);
+    }
+}
+
+type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
+type WordSet<K> = HashSet<K, BuildHasherDefault<WordHasher>>;
+
 /// A recorded signal-flow graph: nodes plus, per signal, the set of
 /// definition roots observed during simulation.
 #[derive(Debug, Clone, Default)]
 pub struct Graph {
     nodes: Vec<Node>,
-    /// Per signal, its distinct definition roots in first-seen order.
-    defs: HashMap<SignalId, Vec<NodeId>>,
+    /// Per signal, by raw id, its distinct definition roots in first-seen
+    /// order.
+    defs: Vec<Vec<NodeId>>,
     /// Membership index of `defs`, so deduplication stays O(1) when a
     /// signal collects thousands of definitions (one `Const` per input
     /// sample).
-    def_set: HashSet<(SignalId, NodeId)>,
+    def_set: WordSet<(SignalId, NodeId)>,
     /// Structural-hash intern table so repeated loop bodies do not grow the
     /// graph. Two nodes share an id exactly when their `{:?}` renderings
     /// and operands are equal: see [`NodeKey`].
-    intern: HashMap<NodeKey, NodeId>,
+    intern: WordMap<NodeKey, NodeId>,
     /// Index of every distinct `Cast` type, a cast's key payload.
-    cast_types: HashMap<DType, u64>,
+    cast_types: WordMap<DType, u64>,
 }
 
 /// Intern-table key: the operator's variant and payload, plus the operand
@@ -127,11 +256,21 @@ pub struct Graph {
 /// constant's bit pattern, with every NaN mapped to one (`Debug` prints
 /// them all alike, while `0.0` and `-0.0` stay apart), a read's signal, or
 /// a cast's index in `cast_types`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct NodeKey {
-    op: Discriminant<Op>,
+    tag: u8,
     payload: u64,
     args: [u32; 3],
+}
+
+impl Hash for NodeKey {
+    /// Three words. Hashing the operand array as such would feed the
+    /// hasher a length and a 12-byte slice instead.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.payload);
+        state.write_u64(u64::from(self.tag) << 32 | u64::from(self.args[0]));
+        state.write_u64(u64::from(self.args[1]) << 32 | u64::from(self.args[2]));
+    }
 }
 
 impl Graph {
@@ -171,60 +310,92 @@ impl Graph {
     /// The recorded definition roots of a signal (empty slice if the signal
     /// was never assigned while recording).
     pub fn defs(&self, signal: SignalId) -> &[NodeId] {
-        self.defs.get(&signal).map(Vec::as_slice).unwrap_or(&[])
+        self.defs
+            .get(signal.0 as usize)
+            .map(Vec::as_slice)
+            .unwrap_or(&[])
     }
 
-    /// Signals that have at least one recorded definition.
+    /// Signals that have at least one recorded definition, in ascending
+    /// id order.
     pub fn defined_signals(&self) -> impl Iterator<Item = SignalId> + '_ {
-        self.defs.keys().copied()
+        self.defs
+            .iter()
+            .enumerate()
+            .filter(|(_, defs)| !defs.is_empty())
+            .map(|(i, _)| SignalId(i as u32))
     }
 
     /// Adds a node (interned: structurally identical nodes share an id).
     pub fn add(&mut self, op: Op, args: Vec<NodeId>) -> NodeId {
         assert_eq!(op.arity(), args.len(), "arity mismatch for {op:?}");
-        let mut slots = [0; 3];
-        for (slot, a) in slots.iter_mut().zip(&args) {
-            *slot = a.0;
-        }
-        let key = self.key(&op, slots);
+        let key = self.key(&OpRef::of(&op), &args);
         self.intern(key, || (op, args))
+    }
+
+    /// Interns `op(args)`, building the owned node only when it is new.
+    /// The caller guarantees the arity.
+    pub(crate) fn intern_ref(&mut self, op: OpRef<'_>, args: &[NodeId]) -> NodeId {
+        let key = self.key(&op, args);
+        self.intern(key, || (op.into_op(), args.to_vec()))
     }
 
     /// Records `root` as one definition of `signal` (deduplicated).
     pub fn record_def(&mut self, signal: SignalId, root: NodeId) {
+        let i = signal.0 as usize;
+        if self.defs.len() <= i {
+            self.defs.resize_with(i + 1, Vec::new);
+        }
+        // A loop body assigns a signal the same root every iteration:
+        // its latest definition needs no probe.
+        if self.defs[i].last() == Some(&root) {
+            return;
+        }
         if self.def_set.insert((signal, root)) {
-            self.defs.entry(signal).or_default().push(root);
+            self.defs[i].push(root);
         }
     }
 
-    fn key(&mut self, op: &Op, args: [u32; 3]) -> NodeKey {
-        let payload = match op {
-            Op::Const(c) if c.is_nan() => f64::NAN.to_bits(),
-            Op::Const(c) => c.to_bits(),
-            Op::Read(s) => u64::from(s.0),
-            Op::Cast(dt) => match self.cast_types.get(dt) {
-                Some(&k) => k,
-                None => {
-                    let k = self.cast_types.len() as u64;
-                    self.cast_types.insert(dt.clone(), k);
-                    k
-                }
-            },
-            Op::Add
-            | Op::Sub
-            | Op::Mul
-            | Op::Div
-            | Op::Neg
-            | Op::Abs
-            | Op::Min
-            | Op::Max
-            | Op::Select => 0,
+    fn key(&mut self, op: &OpRef<'_>, args: &[NodeId]) -> NodeKey {
+        let (tag, payload) = match op {
+            OpRef::Cast(dt) => (CAST_TAG, self.cast_index(dt)),
+            OpRef::Owned(op) => {
+                let payload = match op {
+                    Op::Const(c) if c.is_nan() => f64::NAN.to_bits(),
+                    Op::Const(c) => c.to_bits(),
+                    Op::Read(s) => u64::from(s.0),
+                    Op::Cast(dt) => self.cast_index(dt),
+                    Op::Add
+                    | Op::Sub
+                    | Op::Mul
+                    | Op::Div
+                    | Op::Neg
+                    | Op::Abs
+                    | Op::Min
+                    | Op::Max
+                    | Op::Select => 0,
+                };
+                (op.tag(), payload)
+            }
         };
-        NodeKey {
-            op: mem::discriminant(op),
-            payload,
-            args,
+        let mut slots = [0; 3];
+        for (slot, a) in slots.iter_mut().zip(args) {
+            *slot = a.0;
         }
+        NodeKey {
+            tag,
+            payload,
+            args: slots,
+        }
+    }
+
+    fn cast_index(&mut self, dt: &DType) -> u64 {
+        if let Some(&k) = self.cast_types.get(dt) {
+            return k;
+        }
+        let k = self.cast_types.len() as u64;
+        self.cast_types.insert(dt.clone(), k);
+        k
     }
 
     /// Looks `key` up, building the owned node with `make` only on a miss.
@@ -237,29 +408,6 @@ impl Graph {
         self.nodes.push(Node { op, args });
         self.intern.insert(key, id);
         id
-    }
-
-    /// Interns an expression trace, returning its root, or `None` when the
-    /// trace is disabled.
-    pub(crate) fn intern_expr(&mut self, expr: &Expr) -> Option<NodeId> {
-        match expr {
-            Expr::Off => None,
-            Expr::Const(c) => Some(self.add(Op::Const(*c), vec![])),
-            Expr::Read(id) => Some(self.add(Op::Read(*id), vec![])),
-            Expr::Node(n) => self.intern_node(n),
-        }
-    }
-
-    fn intern_node(&mut self, node: &ExprNode) -> Option<NodeId> {
-        let mut args = [0; 3];
-        for (slot, a) in args.iter_mut().zip(&node.args) {
-            *slot = self.intern_expr(a)?.0;
-        }
-        let key = self.key(&node.op, args);
-        Some(self.intern(key, || {
-            let ids = args[..node.args.len()].iter().map(|&a| NodeId(a)).collect();
-            (node.op.clone(), ids)
-        }))
     }
 
     /// The distinct nodes of the subtree under `root`, operands first: in
@@ -324,6 +472,165 @@ impl Graph {
         out.sort();
         out
     }
+}
+
+/// Identifies one recording on its thread: a traced value refers to the
+/// nodes of the recording it was traced in, never to another's. Ids are
+/// handed out in sequence per thread and repeat only after 2^32
+/// recordings.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct RecordingId(NonZeroU32);
+
+/// A traced value's node: the recording and the node's index in it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct TracedNode {
+    recording: RecordingId,
+    node: NodeId,
+}
+
+impl TracedNode {
+    /// The recording the node belongs to.
+    pub(crate) fn recording(self) -> RecordingId {
+        self.recording
+    }
+}
+
+/// A slot of [`Recording::promoted`] not filled yet.
+const UNSET: u32 = u32::MAX;
+
+/// One design's recording in progress (see the module docs).
+struct Recording {
+    id: RecordingId,
+    /// Every node an operator built during the recording, reached by an
+    /// assignment or not, hash-consed like the design's graph.
+    nodes: Graph,
+    /// Per node of `nodes`, its id in the design's graph once an
+    /// assignment has reached it.
+    promoted: Vec<u32>,
+}
+
+impl Recording {
+    /// The design-graph id of `node`, adding it to `graph` after its
+    /// operands (left to right) if no assignment has reached it yet.
+    fn promote(&mut self, node: NodeId, graph: &mut Graph) -> NodeId {
+        let n = node.0 as usize;
+        if let Some(&id) = self.promoted.get(n) {
+            if id != UNSET {
+                return NodeId(id);
+            }
+        }
+        let arity = self.nodes.nodes[n].args.len();
+        let mut args = [NodeId(0); 3];
+        for (i, arg) in args.iter_mut().enumerate().take(arity) {
+            *arg = self.promote(self.nodes.nodes[n].args[i], graph);
+        }
+        let id = graph.intern_ref(OpRef::of(&self.nodes.nodes[n].op), &args[..arity]);
+        if self.promoted.len() <= n {
+            self.promoted.resize(self.nodes.len(), UNSET);
+        }
+        self.promoted[n] = id.0;
+        id
+    }
+}
+
+thread_local! {
+    /// The recordings in progress on this thread, one per recording design.
+    static RECORDINGS: RefCell<Vec<Recording>> = const { RefCell::new(Vec::new()) };
+    /// The last recording id handed out on this thread.
+    static LAST_RECORDING: Cell<u32> = const { Cell::new(0) };
+}
+
+fn with_recording<T>(id: RecordingId, f: impl FnOnce(&mut Recording) -> T) -> Option<T> {
+    RECORDINGS.with(|recs| recs.borrow_mut().iter_mut().find(|r| r.id == id).map(f))
+}
+
+/// Starts a recording on this thread.
+pub(crate) fn begin_recording() -> RecordingId {
+    let raw = LAST_RECORDING.with(|last| {
+        let raw = last.get().checked_add(1).unwrap_or(1);
+        last.set(raw);
+        raw
+    });
+    let id = RecordingId(NonZeroU32::new(raw).expect("ids start at 1"));
+    RECORDINGS.with(|recs| {
+        recs.borrow_mut().push(Recording {
+            id,
+            nodes: Graph::new(),
+            promoted: Vec::new(),
+        })
+    });
+    id
+}
+
+/// Ends a recording, dropping its nodes: values traced in it resolve to
+/// no node from now on.
+pub(crate) fn end_recording(id: RecordingId) {
+    // A design dropped while its thread shuts down may find the table
+    // already gone; its recording went with it.
+    let _ = RECORDINGS.try_with(|recs| {
+        if let Ok(mut recs) = recs.try_borrow_mut() {
+            recs.retain(|r| r.id != id);
+        }
+    });
+}
+
+/// The `Read` node of `signal` in recording `id`, or `None` if `id` has
+/// ended.
+pub(crate) fn trace_read(id: RecordingId, signal: SignalId) -> Option<TracedNode> {
+    with_recording(id, |rec| TracedNode {
+        recording: id,
+        node: rec.nodes.intern_ref(OpRef::Owned(Op::Read(signal)), &[]),
+    })
+}
+
+/// The node of `op` applied to `operands`, each a trace and the operand's
+/// fixed-path value; `None` when no operand is traced in a live recording.
+/// The first operand traced in a live recording picks the recording. Any
+/// other operand — untraced, traced in an ended recording, or traced by
+/// another design — enters as a constant of its fixed value, as an
+/// untraced literal does.
+pub(crate) fn trace_op<const N: usize>(
+    op: OpRef<'_>,
+    operands: [(Option<TracedNode>, f64); N],
+) -> Option<TracedNode> {
+    RECORDINGS.with(|recs| {
+        let mut recs = recs.borrow_mut();
+        let at = operands.iter().find_map(|(trace, _)| {
+            let trace = (*trace)?;
+            recs.iter().position(|r| r.id == trace.recording)
+        })?;
+        let rec = &mut recs[at];
+        let mut args = [NodeId(0); N];
+        for (arg, (trace, fix)) in args.iter_mut().zip(operands) {
+            *arg = match trace {
+                Some(t) if t.recording == rec.id => t.node,
+                _ => rec.nodes.intern_ref(OpRef::Owned(Op::Const(fix)), &[]),
+            };
+        }
+        Some(TracedNode {
+            recording: rec.id,
+            node: rec.nodes.intern_ref(op, &args),
+        })
+    })
+}
+
+/// How many recordings are in progress on this thread.
+#[cfg(test)]
+pub(crate) fn recordings_on_this_thread() -> usize {
+    RECORDINGS.with(|recs| recs.borrow().len())
+}
+
+/// The root of a value assigned while recording `id`, in the design's
+/// `graph`: the nodes the value reaches that no earlier assignment
+/// reached are added first. `None` for a value not traced in `id`, or if
+/// `id` has ended.
+pub(crate) fn record_root(
+    id: RecordingId,
+    trace: Option<TracedNode>,
+    graph: &mut Graph,
+) -> Option<NodeId> {
+    let trace = trace.filter(|t| t.recording == id)?;
+    with_recording(id, |rec| rec.promote(trace.node, graph))
 }
 
 #[cfg(test)]

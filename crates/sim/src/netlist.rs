@@ -381,4 +381,29 @@ mod tests {
         // 0.6^2 = 0.36 rounds to 0.5: 0.5 + 0.36.
         assert_eq!(wire.eval(&[0.6, 0.0], &mut temps), 0.5 + 0.6 * 0.6);
     }
+
+    #[test]
+    fn a_signal_read_only_by_unassigned_temporaries_is_unused() {
+        use crate::design::SignalRef;
+
+        // `probe` is read every cycle, but only into a value that is
+        // never assigned: nothing in the recorded design reads it.
+        let d = Design::new();
+        let x = d.sig("x");
+        let probe = d.sig("probe");
+        let y = d.reg("y");
+        probe.set(0.25);
+        d.record_graph(true);
+        for i in 0..8 {
+            x.set(f64::from(i) * 0.125);
+            let unused = probe.get() * 2.0;
+            assert!(unused.fix() > 0.0);
+            y.set(y.get() + x.get());
+            d.tick();
+        }
+        d.record_graph(false);
+        let roles = Role::all(&d, &d.graph());
+        assert_eq!(roles[probe.id().raw() as usize], Role::Unused);
+        assert_eq!(roles[x.id().raw() as usize], Role::Input);
+    }
 }

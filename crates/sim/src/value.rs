@@ -8,8 +8,11 @@
 //!   "all operations are performed with floating point arithmetic. Only
 //!   when assigning a signal, the quantization is performed");
 //! * `itv` — the propagated worst-case range (quasi-analytical method);
-//! * `expr` — an optional expression trace for signal-flow-graph
-//!   extraction (only built while the design records its graph).
+//! * `trace` — while the design records its signal-flow graph, the value's
+//!   node in the recording (see [`crate::graph`]). An operator on traced
+//!   values interns its node there at once, one table probe. Untraced
+//!   values (`None`) never touch the recording, so the dual simulation
+//!   allocates nothing per operation.
 //!
 //! Relational decisions are evaluated **uniformly on the fixed-point
 //! path** ([`Value::is_positive`], [`Value::gt`] …) so that the float
@@ -18,65 +21,26 @@
 
 use std::fmt;
 use std::ops::{Add, Div, Mul, Neg, Sub};
-use std::rc::Rc;
 
 use fixref_fixed::{quantize, DType, FixError, Interval, OverflowError, OverflowMode};
 
-use crate::design::SignalId;
-use crate::graph::Op;
+use crate::graph::{self, Op, OpRef, TracedNode};
 
-/// Expression trace node.
-#[derive(Debug, Clone)]
-pub(crate) struct ExprNode {
-    pub op: Op,
-    pub args: Vec<Expr>,
-}
-
-/// Expression trace: absent (`Off`) when graph recording is disabled, so
-/// the dual simulation allocates nothing per operation.
-#[derive(Debug, Clone, Default)]
-pub(crate) enum Expr {
-    /// Recording disabled — propagates through every operator for free.
-    #[default]
-    Off,
-    /// A literal constant.
-    Const(f64),
-    /// A read of a signal's current value.
-    Read(SignalId),
-    /// An interior operator node (cheaply clonable).
-    Node(Rc<ExprNode>),
-}
-
-impl Expr {
-    fn is_off(&self) -> bool {
-        matches!(self, Expr::Off)
+/// The trace of `op` applied to `operands`, each a `(trace, fixed value)`
+/// pair. The node is recorded as long as *any* operand is traced; a value
+/// built purely from literals stays untraced, and then no recording is
+/// looked up and no operator (`op`) is built. An untraced operand enters a
+/// traced node as a constant of its fixed value, so literals mixed into
+/// recorded expressions (`x * 0.5`) appear as `Const` leaves.
+#[inline]
+fn trace<'a, const N: usize>(
+    op: impl FnOnce() -> OpRef<'a>,
+    operands: [(Option<TracedNode>, f64); N],
+) -> Option<TracedNode> {
+    if operands.iter().all(|(t, _)| t.is_none()) {
+        return None;
     }
-
-    /// Materializes a non-recording operand as the constant it currently
-    /// holds, so literals (`Value::from(1.0)`) mixed into recorded
-    /// expressions appear as `Const` leaves instead of poisoning the
-    /// whole trace.
-    fn or_const(self, value: f64) -> Expr {
-        if self.is_off() {
-            Expr::Const(value)
-        } else {
-            self
-        }
-    }
-
-    /// Builds an operator node from `(expr, fixed value)` operand pairs.
-    /// The node records as long as *any* operand records; a value built
-    /// purely from literals stays `Off` (nothing upstream to trace), and
-    /// then neither the node nor its operator (`op`) is built.
-    fn node<const N: usize>(op: impl FnOnce() -> Op, args: [(Expr, f64); N]) -> Expr {
-        if args.iter().all(|(e, _)| e.is_off()) {
-            return Expr::Off;
-        }
-        Expr::Node(Rc::new(ExprNode {
-            op: op(),
-            args: args.into_iter().map(|(e, v)| e.or_const(v)).collect(),
-        }))
-    }
+    graph::trace_op(op(), operands)
 }
 
 /// A dual-path (float + fixed + range) expression value.
@@ -102,7 +66,7 @@ pub struct Value {
     flt: f64,
     fix: f64,
     itv: Interval,
-    expr: Expr,
+    trace: Option<TracedNode>,
 }
 
 impl Value {
@@ -113,36 +77,27 @@ impl Value {
             flt,
             fix,
             itv,
-            expr: Expr::Off,
+            trace: None,
         }
     }
 
+    /// A signal's value as read, traced while its design records.
     pub(crate) fn from_signal(
         flt: f64,
         fix: f64,
         itv: Interval,
-        id: SignalId,
-        record: bool,
+        trace: Option<TracedNode>,
     ) -> Self {
         Value {
             flt,
             fix,
             itv,
-            expr: if record { Expr::Read(id) } else { Expr::Off },
+            trace,
         }
     }
 
-    pub(crate) fn constant(c: f64, record: bool) -> Self {
-        Value {
-            flt: c,
-            fix: c,
-            itv: Interval::point(c),
-            expr: if record { Expr::Const(c) } else { Expr::Off },
-        }
-    }
-
-    pub(crate) fn expr(&self) -> &Expr {
-        &self.expr
+    pub(crate) fn trace(&self) -> Option<TracedNode> {
+        self.trace
     }
 
     /// The floating-point reference value.
@@ -187,7 +142,7 @@ impl Value {
             flt: self.flt,
             fix: q.value,
             itv,
-            expr: Expr::node(|| Op::Cast(dtype.clone()), [(self.expr, fix_in)]),
+            trace: trace(|| OpRef::Cast(dtype), [(self.trace, fix_in)]),
         }
     }
 
@@ -217,7 +172,7 @@ impl Value {
             flt: self.flt.abs(),
             fix: self.fix.abs(),
             itv: self.itv.abs(),
-            expr: Expr::node(|| Op::Abs, [(self.expr, self.fix)]),
+            trace: trace(|| OpRef::Owned(Op::Abs), [(self.trace, self.fix)]),
         }
     }
 
@@ -227,7 +182,10 @@ impl Value {
             flt: self.flt.min(rhs.flt),
             fix: self.fix.min(rhs.fix),
             itv: self.itv.min(&rhs.itv),
-            expr: Expr::node(|| Op::Min, [(self.expr, self.fix), (rhs.expr, rhs.fix)]),
+            trace: trace(
+                || OpRef::Owned(Op::Min),
+                [(self.trace, self.fix), (rhs.trace, rhs.fix)],
+            ),
         }
     }
 
@@ -237,7 +195,10 @@ impl Value {
             flt: self.flt.max(rhs.flt),
             fix: self.fix.max(rhs.fix),
             itv: self.itv.max(&rhs.itv),
-            expr: Expr::node(|| Op::Max, [(self.expr, self.fix), (rhs.expr, rhs.fix)]),
+            trace: trace(
+                || OpRef::Owned(Op::Max),
+                [(self.trace, self.fix), (rhs.trace, rhs.fix)],
+            ),
         }
     }
 
@@ -246,7 +207,7 @@ impl Value {
     /// paths, so the float reference takes the same branch (paper §4.2).
     ///
     /// The propagated range is the union of both branches and the
-    /// expression trace keeps both, so the analytical method covers
+    /// recorded `Select` node keeps both, so the analytical method covers
     /// whichever branch the stimuli did not trigger.
     pub fn select_positive(self, then_v: Value, else_v: Value) -> Value {
         let take_then = self.fix > 0.0;
@@ -254,12 +215,12 @@ impl Value {
             flt: if take_then { then_v.flt } else { else_v.flt },
             fix: if take_then { then_v.fix } else { else_v.fix },
             itv: then_v.itv.union(&else_v.itv),
-            expr: Expr::node(
-                || Op::Select,
+            trace: trace(
+                || OpRef::Owned(Op::Select),
                 [
-                    (self.expr, self.fix),
-                    (then_v.expr, then_v.fix),
-                    (else_v.expr, else_v.fix),
+                    (self.trace, self.fix),
+                    (then_v.trace, then_v.fix),
+                    (else_v.trace, else_v.fix),
                 ],
             ),
         }
@@ -300,7 +261,7 @@ impl Value {
 impl From<f64> for Value {
     /// A constant: both paths carry `c`, range is the point `[c, c]`.
     fn from(c: f64) -> Self {
-        Value::constant(c, false)
+        Value::with_paths(c, c, Interval::point(c))
     }
 }
 
@@ -320,7 +281,10 @@ macro_rules! binop {
                     flt: self.flt $op rhs.flt,
                     fix: self.fix $op rhs.fix,
                     itv: itv(self.itv, rhs.itv),
-                    expr: Expr::node(|| $exprop, [(self.expr, self.fix), (rhs.expr, rhs.fix)]),
+                    trace: trace(
+                        || OpRef::Owned($exprop),
+                        [(self.trace, self.fix), (rhs.trace, rhs.fix)],
+                    ),
                 }
             }
         }
@@ -328,15 +292,14 @@ macro_rules! binop {
         impl $trait<f64> for Value {
             type Output = Value;
             fn $method(self, rhs: f64) -> Value {
-                let recording = !matches!(self.expr, Expr::Off);
-                self $op Value::constant(rhs, recording)
+                self $op Value::from(rhs)
             }
         }
 
         impl $trait<Value> for f64 {
             type Output = Value;
             fn $method(self, rhs: Value) -> Value {
-                Value::constant(self, !matches!(rhs.expr, Expr::Off)) $op rhs
+                Value::from(self) $op rhs
             }
         }
     };
@@ -354,7 +317,7 @@ impl Neg for Value {
             flt: -self.flt,
             fix: -self.fix,
             itv: -self.itv,
-            expr: Expr::node(|| Op::Neg, [(self.expr, self.fix)]),
+            trace: trace(|| OpRef::Owned(Op::Neg), [(self.trace, self.fix)]),
         }
     }
 }
@@ -539,28 +502,46 @@ mod tests {
     }
 
     #[test]
-    fn expr_off_propagates_without_allocation() {
+    fn literal_arithmetic_stays_untraced() {
         let a = Value::from(1.0);
         let b = Value::from(2.0);
         let c = a * b + 3.0;
-        assert!(matches!(c.expr, Expr::Off));
+        assert_eq!(c.trace(), None);
     }
 
     #[test]
-    fn expr_recording_builds_nodes() {
-        let a = Value::constant(1.0, true);
-        let b = Value::constant(2.0, true);
-        let c = a * b;
-        match &c.expr {
-            Expr::Node(n) => {
-                assert_eq!(n.op, Op::Mul);
-                assert_eq!(n.args.len(), 2);
-            }
-            other => panic!("expected node, got {other:?}"),
-        }
-        // Mixing with scalar keeps recording on.
-        let d = c + 1.0;
-        assert!(matches!(d.expr, Expr::Node(_)));
+    fn traced_operators_intern_their_nodes_in_the_recording() {
+        use crate::design::SignalId;
+        use crate::graph::{self, Graph};
+
+        let rec = graph::begin_recording();
+        let read = |i| {
+            let trace = graph::trace_read(rec, SignalId::from_raw(i));
+            Value::from_signal(1.0, 1.0, Interval::point(1.0), trace)
+        };
+        let product = read(0) * read(1);
+        assert!(product.trace().is_some());
+        // The same structure is the same node.
+        assert_eq!((read(0) * read(1)).trace(), product.trace());
+        // Mixing with a scalar keeps the result traced.
+        let sum = product + 0.5;
+        assert!(sum.trace().is_some());
+
+        let mut g = Graph::new();
+        let root = graph::record_root(rec, sum.trace(), &mut g).expect("traced");
+        let ops: Vec<Op> = g.iter().map(|(_, n)| n.op.clone()).collect();
+        let (r0, r1) = (SignalId::from_raw(0), SignalId::from_raw(1));
+        assert_eq!(
+            ops,
+            [Op::Read(r0), Op::Read(r1), Op::Mul, Op::Const(0.5), Op::Add]
+        );
+        assert_eq!(g.node(root).op, Op::Add);
+
+        // Once the recording ends, its values resolve to no node and new
+        // arithmetic on them is untraced.
+        graph::end_recording(rec);
+        assert_eq!(graph::record_root(rec, sum.trace(), &mut g), None);
+        assert_eq!((sum * 2.0).trace(), None);
     }
 
     #[test]

@@ -406,3 +406,84 @@ fn soak_100_jobs_with_faults_loses_and_duplicates_nothing() {
     assert!(accepted.values().all(|&n| n == 1), "duplicated acceptance");
     assert!(completed.values().all(|&n| n == 1), "duplicated completion");
 }
+
+#[test]
+fn finished_jobs_answer_status_from_their_results_and_the_journal_stays_bounded() {
+    use fixref::serve::LIFECYCLE_EVENTS;
+
+    let dir = data_dir("bounded_history");
+    let server = Server::open(ServerConfig::new(&dir)).expect("opens");
+    // Accepted, started and completed: three lifecycle events per job.
+    let total = LIFECYCLE_EVENTS / 3 + 20;
+    let tenants = ["t0", "t1", "t2", "t3"];
+    let spec = |i: usize| {
+        // Every fifth job runs out of simulation budget: partial, with a
+        // reason.
+        let flow = FlowSpec {
+            max_simulations: i.is_multiple_of(5).then_some(1),
+            ..FlowSpec::default()
+        };
+        JobSpec::new(
+            tenants[i % tenants.len()],
+            DesignSpec::new("lms").with_input_dtype("<7,5,tc,st,rd>"),
+            ScenarioSet::single(7 + i as u64, 28.0, 24),
+        )
+        .with_flow(flow)
+    };
+    let cancelled = server.submit(spec(1)).expect("accepted");
+    assert!(server.cancel(&cancelled));
+    let mut jobs = Vec::new();
+    while jobs.len() < total {
+        for _ in 0..32.min(total - jobs.len()) {
+            jobs.push(server.submit(spec(jobs.len())).expect("accepted"));
+        }
+        server.run_until_idle();
+    }
+    let expected: Vec<_> = jobs
+        .iter()
+        .enumerate()
+        .map(|(i, job)| {
+            let status = server.status(job).expect("known job");
+            assert_eq!(status.state, JobState::Finished, "{job}");
+            assert_eq!(status.tenant, tenants[i % tenants.len()], "{job}");
+            assert_eq!(status.attempts, 1, "{job}");
+            let partial = i.is_multiple_of(5);
+            let want = if partial { "partial" } else { "complete" };
+            assert_eq!(status.status.as_deref(), Some(want), "{job}");
+            assert_eq!(status.reason.is_some(), partial, "{job}");
+            status
+        })
+        .collect();
+    assert_eq!(
+        server.status(&cancelled).expect("kept").state,
+        JobState::Cancelled
+    );
+
+    // The lifecycle journal keeps the most recent events only.
+    let events = server.recorder().events();
+    assert_eq!(events.len(), LIFECYCLE_EVENTS);
+    assert!(matches!(events.last(), Some(Event::JobCompleted { .. })));
+    let recorded = 3 * total + 1;
+    assert_eq!(
+        server.recorder().counter("serve.events_dropped"),
+        (recorded - LIFECYCLE_EVENTS) as u64
+    );
+
+    // A restarted server answers the same from the result files.
+    drop(server);
+    let server = Server::open(ServerConfig::new(&dir)).expect("re-opens");
+    assert_eq!(server.queue_depth(), 0);
+    for (job, before) in jobs.iter().zip(&expected) {
+        let after = server.status(job).expect("known job");
+        assert_eq!(after.tenant, before.tenant, "{job}");
+        assert_eq!(after.state, before.state, "{job}");
+        assert_eq!(after.attempts, before.attempts, "{job}");
+        assert_eq!(after.status, before.status, "{job}");
+        assert_eq!(after.reason, before.reason, "{job}");
+    }
+    assert_eq!(
+        server.status(&cancelled).expect("kept").state,
+        JobState::Cancelled
+    );
+    assert!(server.status("j-999999").is_none());
+}
