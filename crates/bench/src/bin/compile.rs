@@ -1,6 +1,6 @@
 //! Compiled-backend benchmark: times the table-1 hot loop (one full
-//! monitored LMS simulation) interpreted vs. replayed from the lowered op
-//! tape, then writes the result to `BENCH_compile.json`.
+//! monitored LMS simulation) interpreted vs. replayed from its compiled
+//! capture, then writes the result to `BENCH_compile.json`.
 //!
 //! ```text
 //! cargo run --release -p fixref-bench --bin compile -- [--samples N] [--repeats N] [--json]
@@ -42,8 +42,8 @@ fn main() {
         println!("Compiled backend — LMS equalizer, {samples} samples, best of {repeats}");
         println!("===================================================================");
         println!(
-            "program: {} cycle kind(s), {} instruction(s), {} cycles",
-            result.program_kinds, result.program_instructions, result.cycles
+            "replay: {} definition(s), {} step(s), {} cycles",
+            result.definitions, result.steps, result.cycles
         );
         println!(
             "first MSB iteration (graph recording): {:.2} ms   compiled replay: {:.3} ms   speedup {:.1}x",

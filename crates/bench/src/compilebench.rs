@@ -10,8 +10,8 @@
 //!   `Value` operator interns its node into the design's recording;
 //! * **interpreted** — the steady-state iteration (recording off): the
 //!   host-code stimulus walk, one design borrow per signal access;
-//! * **compiled** — the captured execution trace lowered to a flat op
-//!   tape and replayed through [`Design::replay_compiled`]: one borrow
+//! * **compiled** — the captured execution trace compiled against the
+//!   recorded graph and replayed through [`Design::replay`]: one borrow
 //!   for the whole run, no stimulus regeneration.
 //!
 //! All three buffer their recorder-bound monitors in the design's sink and
@@ -33,12 +33,11 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use fixref_codegen::lower_trace;
 use fixref_dsp::lms::equalizer_stimulus;
 use fixref_dsp::{LmsConfig, LmsEqualizer};
 use fixref_obs::json::fmt_f64;
 use fixref_obs::DefaultRecorder;
-use fixref_sim::{BoundTrace, CompiledProgram, Design, SignalStats};
+use fixref_sim::{Design, Replay, SignalStats};
 
 use crate::{lms_setup, LMS_SNR_DB};
 
@@ -63,10 +62,10 @@ pub struct CompileBenchResult {
     pub steady_speedup: f64,
     /// Cycles every variant simulated (they must agree).
     pub cycles: u64,
-    /// Deduplicated cycle kinds of the lowered program.
-    pub program_kinds: usize,
-    /// Total instructions across the program's kinds.
-    pub program_instructions: usize,
+    /// Distinct definitions the replay evaluates.
+    pub definitions: usize,
+    /// Steps per replay: assignments plus ticks.
+    pub steps: usize,
     /// Whether the compiled replay reproduced the interpreted run's
     /// exported statistics bit-identically.
     pub outcomes_match: bool,
@@ -96,11 +95,8 @@ impl CompileBenchResult {
             fmt_f64(self.steady_speedup)
         ));
         out.push_str(&format!("  \"cycles\": {},\n", self.cycles));
-        out.push_str(&format!("  \"program_kinds\": {},\n", self.program_kinds));
-        out.push_str(&format!(
-            "  \"program_instructions\": {},\n",
-            self.program_instructions
-        ));
+        out.push_str(&format!("  \"definitions\": {},\n", self.definitions));
+        out.push_str(&format!("  \"steps\": {},\n", self.steps));
         out.push_str(&format!("  \"outcomes_match\": {}\n", self.outcomes_match));
         out.push_str("}\n");
         out
@@ -108,12 +104,11 @@ impl CompileBenchResult {
 }
 
 /// One benchable lane: the table-1 design with a flow-style recorder
-/// attached, plus its captured-and-verified op tape.
+/// attached, plus its captured-and-verified replay.
 struct Lane {
     design: Design,
     eq: LmsEqualizer,
-    program: CompiledProgram,
-    trace: BoundTrace,
+    replay: Replay,
 }
 
 impl Lane {
@@ -133,8 +128,8 @@ fn drive(eq: &LmsEqualizer, samples: usize) {
 }
 
 /// Builds the table-1 design and compiles its record iteration, enforcing
-/// the same gates as the flow backends (FXL001 static schedule, lowering,
-/// verification replay).
+/// the same gates as the sweep's compiled backend (FXL001 static
+/// schedule, verification replay).
 fn build_lane(samples: usize) -> Lane {
     let (design, eq) = lms_setup(&LmsConfig::default());
     design.attach_recorder(Arc::new(DefaultRecorder::new()));
@@ -151,17 +146,12 @@ fn build_lane(samples: usize) -> Lane {
         "the LMS equalizer satisfies the FXL001 static-schedule gate"
     );
     let trace = design.end_capture().expect("capture is active");
-    let (program, bound) = lower_trace(&design, &trace).expect("the LMS trace lowers");
+    let replay = Replay::compile(&design.graph(), &trace);
     assert!(
-        design.verify_compiled(&program, &bound),
-        "the lowered tape must pass its verification replay"
+        design.verify_replay(&replay, &trace),
+        "the compiled capture must pass its verification replay"
     );
-    Lane {
-        design,
-        eq,
-        program,
-        trace: bound,
-    }
+    Lane { design, eq, replay }
 }
 
 /// Exported statistics after a fresh reset + one run of `f`.
@@ -177,7 +167,7 @@ fn run_and_export(design: &Design, f: impl FnOnce()) -> (Vec<SignalStats>, u64) 
 ///
 /// # Panics
 ///
-/// Panics if the LMS capture refuses to lower or verify — that is a
+/// Panics if the LMS capture fails its verification replay — that is a
 /// regression in the compiled backend, not a measurement.
 pub fn run_compile_bench(samples: usize, repeats: usize) -> CompileBenchResult {
     let repeats = repeats.max(1);
@@ -188,7 +178,7 @@ pub fn run_compile_bench(samples: usize, repeats: usize) -> CompileBenchResult {
     // reference every replay must reproduce exactly.
     let (interp_stats, interp_cycles) = run_and_export(design, || lane.drive(samples));
     let (replay_stats, replay_cycles) = run_and_export(design, || {
-        design.replay_compiled(&lane.program, &lane.trace);
+        design.replay(&lane.replay);
     });
     let outcomes_match = interp_stats == replay_stats && interp_cycles == replay_cycles;
 
@@ -218,7 +208,7 @@ pub fn run_compile_bench(samples: usize, repeats: usize) -> CompileBenchResult {
         design.reset_stats();
         design.reset_state();
         let start = Instant::now();
-        design.replay_compiled(&lane.program, &lane.trace);
+        design.replay(&lane.replay);
         compiled_ns = compiled_ns.min(start.elapsed().as_nanos());
     }
 
@@ -231,8 +221,8 @@ pub fn run_compile_bench(samples: usize, repeats: usize) -> CompileBenchResult {
         first_iteration_speedup: first_iteration_ns as f64 / compiled_ns.max(1) as f64,
         steady_speedup: interpreted_ns as f64 / compiled_ns.max(1) as f64,
         cycles: interp_cycles,
-        program_kinds: lane.program.kinds.len(),
-        program_instructions: lane.program.instruction_count(),
+        definitions: lane.replay.definitions(),
+        steps: lane.replay.steps(),
         outcomes_match,
     }
 }
@@ -248,8 +238,8 @@ mod tests {
             result.outcomes_match,
             "the compiled replay diverged from the interpreter"
         );
-        assert!(result.program_kinds >= 1);
-        assert!(result.program_instructions > 0);
+        assert!(result.definitions >= 1);
+        assert!(result.steps > 600);
         assert_eq!(result.cycles, 600);
         let json = result.render_json();
         let parsed = fixref_obs::Json::parse(&json).expect("well-formed JSON");

@@ -101,7 +101,7 @@ pub const TIMING_SNR_DB: f64 = 20.0;
 
 /// Builds an equalizer + flow and returns (design, model).
 pub(crate) fn lms_setup(config: &LmsConfig) -> (Design, LmsEqualizer) {
-    let d = Design::with_seed(0xDA7E_1999);
+    let d = Design::with_seed(fixref_dsp::lms::DESIGN_SEED);
     let eq = LmsEqualizer::new(&d, config);
     (d, eq)
 }
@@ -377,7 +377,7 @@ pub struct ComplexResult {
 ///
 /// Propagates [`FlowError`] from either phase.
 pub fn run_complex(samples: usize) -> Result<ComplexResult, FlowError> {
-    let d = Design::with_seed(0x0DEC_7BA5);
+    let d = Design::with_seed(fixref_dsp::timing_loop::DESIGN_SEED);
     let config = TimingConfig {
         input_dtype: Some(DType::tc("T_in", 7, 5).expect("valid")),
         input_range: None, // the input type supplies the declared range

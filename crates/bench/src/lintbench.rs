@@ -53,7 +53,7 @@ fn lint_quickstart() -> LintReport {
 }
 
 fn lint_lms_equalizer() -> LintReport {
-    let design = Design::with_seed(0xDA7E_1999);
+    let design = Design::with_seed(fixref_dsp::lms::DESIGN_SEED);
     let config = LmsConfig {
         input_dtype: Some("<7,5,tc,st,rd>".parse().expect("literal is valid")),
         ..LmsConfig::default()
@@ -69,7 +69,7 @@ fn lint_lms_equalizer() -> LintReport {
 }
 
 fn lint_timing_recovery() -> LintReport {
-    let design = Design::with_seed(0x0DEC_7BA5);
+    let design = Design::with_seed(fixref_dsp::timing_loop::DESIGN_SEED);
     let config = TimingConfig {
         input_dtype: Some("<7,5,tc,st,rd>".parse().expect("literal is valid")),
         input_range: None,

@@ -1,5 +1,6 @@
-//! Scenario-sweep experiments: shard builders for the two reference
-//! designs, swept variants of the Table 1/2 runs, and the parallel-shard
+//! Scenario-sweep experiments: the two reference designs' shard builders
+//! (re-exported from `fixref-dsp`), swept variants of the Table 1/2 runs,
+//! and the parallel-shard
 //! benchmark behind `cargo run -p fixref-bench --bin sweep`
 //! (`BENCH_parallel.json`).
 //!
@@ -13,85 +14,25 @@ use std::time::Instant;
 
 use fixref_core::{
     render_msb_table, FlowError, LsbAnalysis, MsbAnalysis, RefinePolicy, RefinementFlow,
-    ShardBuilder, ShardSim, SweepDriver,
+    SweepDriver,
 };
-use fixref_dsp::{
-    Awgn, FirChannel, LmsConfig, PamSource, ShapedPamSource, TimingConfig, TimingRecovery,
-};
+use fixref_dsp::LmsConfig;
 use fixref_obs::json::{escape, fmt_f64};
 use fixref_obs::MetricsReport;
-use fixref_sim::{Design, Scenario, ScenarioSet};
+use fixref_sim::ScenarioSet;
 
 use crate::{lms_setup, LMS_SNR_DB};
 
-/// Stimulus samples for one equalizer scenario: BPSK symbols through the
-/// scenario's channel (the paper's mild-ISI channel when no taps are
-/// given) plus AWGN at the scenario's SNR.
-///
-/// With empty `channel_taps` this reproduces
-/// [`fixref_dsp::lms::equalizer_stimulus`] sample-for-sample, which is
-/// what keeps the single-scenario sweep bit-identical to the sequential
-/// table runs.
-pub fn lms_scenario_stimulus(scenario: &Scenario) -> Vec<f64> {
-    let mut pam = PamSource::bpsk(scenario.seed as u32 | 1);
-    let mut channel = if scenario.channel_taps.is_empty() {
-        FirChannel::mild_isi()
-    } else {
-        FirChannel::new(&scenario.channel_taps)
-    };
-    let mut noise = Awgn::from_snr_db(scenario.seed, scenario.snr_db, 1.0);
-    (0..scenario.samples)
-        .map(|_| {
-            let s = pam.next_symbol();
-            noise.add(channel.push(s)).clamp(-1.5, 1.5)
-        })
-        .collect()
-}
-
+/// The stimulus of one equalizer scenario. With empty `channel_taps` it
+/// reproduces [`fixref_dsp::lms::equalizer_stimulus`] sample-for-sample,
+/// which is what keeps the single-scenario sweep bit-identical to the
+/// sequential table runs.
+pub use fixref_dsp::lms::scenario_stimulus as lms_scenario_stimulus;
 /// Shard builder for the Fig. 1 LMS equalizer.
-///
-/// Every shard gets a fresh design with the master design's seed, so its `error()` injection streams line up with the master design's —
-/// only the stimulus varies with the scenario.
-pub fn lms_shard_builder(config: LmsConfig) -> Box<ShardBuilder> {
-    Box::new(move |scenario: &Scenario| {
-        let (design, eq) = lms_setup(&config);
-        let stimulus = lms_scenario_stimulus(scenario);
-        ShardSim {
-            design,
-            stimulus: Box::new(move |_d: &Design, _iter: usize| {
-                eq.init();
-                for &x in &stimulus {
-                    eq.step(x);
-                }
-            }),
-        }
-    })
-}
-
+pub use fixref_dsp::lms::shard_builder as lms_shard_builder;
 /// Shard builder for the Fig. 5 timing-recovery loop of the §6.1 complex
 /// example.
-///
-/// The scenario seed drives the shaped-PAM source and the channel noise;
-/// the design seed stays fixed (matching [`crate::run_complex`]) so shard
-/// `error()` streams match the master design's.
-pub fn timing_shard_builder(config: TimingConfig) -> Box<ShardBuilder> {
-    Box::new(move |scenario: &Scenario| {
-        let design = Design::with_seed(0x0DEC_7BA5);
-        let loopm = TimingRecovery::new(&design, &config);
-        let (seed, snr_db, samples) = (scenario.seed, scenario.snr_db, scenario.samples);
-        ShardSim {
-            design,
-            stimulus: Box::new(move |_d: &Design, _iter: usize| {
-                loopm.init();
-                let mut src = ShapedPamSource::new(seed as u32 | 1, 0.35, 2, 0.3, 100.0);
-                let mut noise = Awgn::from_snr_db(seed.wrapping_add(2), snr_db, 1.0);
-                for _ in 0..samples {
-                    loopm.step(noise.add(src.next_sample()).clamp(-1.9, 1.9));
-                }
-            }),
-        }
-    })
-}
+pub use fixref_dsp::timing_loop::shard_builder as timing_shard_builder;
 
 /// The single scenario reproducing the sequential Table 1/2 stimulus:
 /// seed 7 at [`LMS_SNR_DB`] over the paper's mild-ISI channel.
@@ -388,6 +329,8 @@ mod tests {
 
     #[test]
     fn timing_shard_builder_builds_independent_conforming_shards() {
+        use fixref_dsp::TimingConfig;
+
         let config = TimingConfig {
             input_dtype: Some(fixref_fixed::DType::tc("T_in", 7, 5).expect("valid")),
             input_range: None,

@@ -67,13 +67,11 @@ pub mod cost;
 pub mod expr;
 pub mod format;
 pub mod interp;
-pub mod lower;
 pub mod testbench;
 pub mod vhdl;
 
 pub use cost::{estimate_cost, CostEstimate};
 pub use expr::CodegenError;
 pub use interp::RtlInterpreter;
-pub use lower::lower_trace;
 pub use testbench::generate_testbench;
 pub use vhdl::{generate_vhdl, VhdlOptions};

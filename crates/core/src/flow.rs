@@ -25,7 +25,6 @@ use std::time::{Duration, Instant};
 use fixref_fixed::{DType, Interval};
 use fixref_lint::{LintConfig, Linter, Severity as LintSeverity, Verdict};
 use fixref_obs::{DefaultRecorder, Event, Phase, Recorder};
-use fixref_sim::tape::{BoundTrace, CompiledProgram};
 use fixref_sim::{Design, FaultPlan, OverflowEvent, SignalId, SignalStats};
 use fixref_verify::{Verifier, VerifyOptions, Witness};
 
@@ -488,127 +487,20 @@ pub trait SimDriver {
     fn resume_invalidation(&mut self, _dirty: usize) {}
 }
 
-/// Which evaluation engine the closure-based drivers use for monitored
-/// simulations.
-///
-/// Both backends are bit-identical — same statistics, overflow events
-/// and journal counters — or the compiled one is not used: a design
-/// whose first recorded iteration cannot be compiled (lint's FXL001
-/// static-schedule verdict refuses it, lowering exceeds its budget, or
-/// the verification replay catches host control flow the tape cannot
-/// represent) falls back to the interpreter and journals
-/// [`Event::BackendFallback`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SimBackend {
-    /// Run the host-code description for every simulation (the paper's
-    /// engine). Always available.
-    #[default]
-    Interpreted,
-    /// After the first recorded iteration, lower the captured execution
-    /// trace to a flat op tape and replay that for subsequent
-    /// iterations — no host-code walk, no per-assignment registry
-    /// lookups. Scenario sweeps compile and replay one tape per
-    /// scenario.
-    Compiled,
-}
-
-impl SimBackend {
-    /// The name used in `backend.*` events and counters.
-    pub fn name(self) -> &'static str {
-        match self {
-            SimBackend::Interpreted => "interpreted",
-            SimBackend::Compiled => "compiled",
-        }
-    }
-}
-
-/// A compiled program plus its run binding, held by a driver once the
-/// record iteration compiled successfully.
-pub(crate) struct CompiledUnit {
-    pub(crate) program: CompiledProgram,
-    pub(crate) trace: BoundTrace,
-}
-
-/// Attempts to lower the captured record iteration into a compiled unit,
-/// enforcing the gates every backend user shares: lint's FXL001
-/// static-schedule verdict, the lowering budget, and the bitwise
-/// verification replay. `Ok` carries the unit; `Err` carries the
-/// human-readable fallback reason.
-fn compile_capture(design: &Design, trace: &fixref_sim::ExecTrace) -> Result<CompiledUnit, String> {
-    let violations = fixref_lint::check_static_schedule(design);
-    if !violations.is_empty() {
-        return Err(format!(
-            "FXL001 static-schedule verdict refused the design ({} violation(s))",
-            violations.len()
-        ));
-    }
-    let (program, bound) = fixref_codegen::lower_trace(design, trace).map_err(|e| e.to_string())?;
-    if !design.verify_compiled(&program, &bound) {
-        return Err(
-            "verification replay diverged from the capture (host control flow is not \
-             tape-representable)"
-                .to_string(),
-        );
-    }
-    Ok(CompiledUnit {
-        program,
-        trace: bound,
-    })
-}
-
-/// How one simulation of a design executes under the selected backend.
-#[derive(Clone, Copy)]
-pub(crate) enum Execution<'a> {
-    /// Run the stimulus.
-    Run,
-    /// Run the stimulus with a fresh signal-flow graph recorded.
-    Record,
-    /// [`Execution::Record`], capturing the execution and compiling the
-    /// capture.
-    Capture,
-    /// Replay an armed tape instead of running the stimulus.
-    Replay(&'a CompiledUnit),
-}
-
-/// Runs one simulation of `design` as `execution` asks — the backend
-/// wiring both drivers share. `stimulus` runs unless a tape replays.
-/// Every path ends with the design's monitor sink flushed, so the
-/// recorder holds the simulation's `sim.*` metrics when this returns.
-/// Returns the compile verdict of an [`Execution::Capture`] (`Err` holds
-/// the fallback reason), `None` otherwise.
-pub(crate) fn execute(
-    design: &Design,
-    execution: Execution<'_>,
-    stimulus: impl FnOnce(&Design),
-) -> Option<Result<CompiledUnit, String>> {
-    match execution {
-        Execution::Replay(unit) => {
-            // The replay flushes the sink itself.
-            design.replay_compiled(&unit.program, &unit.trace);
-            return None;
-        }
-        Execution::Run => {
-            stimulus(design);
-            design.flush_monitors();
-            return None;
-        }
-        Execution::Record | Execution::Capture => {}
-    }
-    let capture = matches!(execution, Execution::Capture);
-    design.clear_graph();
-    design.record_graph(true);
-    if capture {
-        design.begin_capture();
+/// Runs one simulation of `design`: the stimulus, with a fresh
+/// signal-flow graph recorded when `record_graph` is set. The design's
+/// monitor sink is flushed at the end, so the recorder holds the
+/// simulation's `sim.*` metrics when this returns.
+pub(crate) fn execute(design: &Design, record_graph: bool, stimulus: impl FnOnce(&Design)) {
+    if record_graph {
+        design.clear_graph();
+        design.record_graph(true);
     }
     stimulus(design);
-    design.record_graph(false);
+    if record_graph {
+        design.record_graph(false);
+    }
     design.flush_monitors();
-    capture.then(|| {
-        let trace = design
-            .end_capture()
-            .expect("capture begun above is still active");
-        compile_capture(design, &trace)
-    })
 }
 
 /// The built-in driver: one sequential simulation of the flow's design,
@@ -622,23 +514,12 @@ pub(crate) fn execute(
 pub struct SequentialDriver<F> {
     sim: F,
     cache: Option<EvalCache>,
-    backend: SimBackend,
-    /// The compiled record iteration, once the backend compiled one.
-    compiled: Option<CompiledUnit>,
-    /// Whether the one-shot [`Event::BackendFallback`] was journaled.
-    fallback_noted: bool,
 }
 
 impl<F: FnMut(&Design, usize)> SequentialDriver<F> {
     /// A plain driver: every simulation runs the stimulus in full.
     pub fn new(sim: F) -> Self {
-        SequentialDriver {
-            sim,
-            cache: None,
-            backend: SimBackend::default(),
-            compiled: None,
-            fallback_noted: false,
-        }
+        SequentialDriver { sim, cache: None }
     }
 
     /// A caching driver: clean iterations splice cached monitors instead
@@ -660,31 +541,9 @@ impl<F: FnMut(&Design, usize)> SequentialDriver<F> {
         }
     }
 
-    /// Selects the evaluation backend.
-    pub fn set_backend(&mut self, backend: SimBackend) {
-        self.backend = backend;
-    }
-
     /// The driver's cache, when caching is enabled.
     pub fn cache(&self) -> Option<&EvalCache> {
         self.cache.as_ref()
-    }
-
-    /// Whether a compiled program is armed for subsequent iterations.
-    pub fn has_compiled_program(&self) -> bool {
-        self.compiled.is_some()
-    }
-
-    /// Journals the one-shot fallback-to-interpreted event.
-    fn note_fallback(&mut self, recorder: &DefaultRecorder, reason: &str) {
-        if !self.fallback_noted {
-            self.fallback_noted = true;
-            recorder.record_event(Event::BackendFallback {
-                backend: self.backend.name().to_string(),
-                reason: reason.to_string(),
-            });
-            recorder.inc("backend.fallbacks", 1);
-        }
     }
 }
 
@@ -717,37 +576,8 @@ impl<F: FnMut(&Design, usize)> SimDriver for SequentialDriver<F> {
             cache.note(recorder.as_ref(), signals, 0);
             return Ok(cycles);
         }
-        // A record iteration supersedes the armed tape: it was captured
-        // from a structural recording that may no longer hold.
-        if record_graph {
-            self.compiled = None;
-        }
-        let compiled_wanted = self.backend == SimBackend::Compiled;
-        let execution = match &self.compiled {
-            Some(unit) if compiled_wanted => Execution::Replay(unit),
-            _ if record_graph && compiled_wanted => Execution::Capture,
-            _ if record_graph => Execution::Record,
-            _ => Execution::Run,
-        };
-        let replayed = matches!(execution, Execution::Replay(_));
         let sim = &mut self.sim;
-        match execute(design, execution, |d| sim(d, iteration)) {
-            Some(Ok(unit)) => {
-                recorder.record_event(Event::BackendCompiled {
-                    backend: self.backend.name().to_string(),
-                    kinds: unit.program.kinds.len(),
-                    instructions: unit.program.instruction_count(),
-                    cycles: unit.trace.cycles,
-                });
-                recorder.inc("backend.programs", 1);
-                self.compiled = Some(unit);
-            }
-            Some(Err(reason)) => self.note_fallback(recorder, &reason),
-            None => {}
-        }
-        if replayed {
-            recorder.inc("backend.compiled_runs", 1);
-        }
+        execute(design, record_graph, |d| sim(d, iteration));
         if let Some(cache) = &mut self.cache {
             cache.note(recorder.as_ref(), 0, signals);
             cache.store(design);
@@ -792,9 +622,6 @@ pub struct RefinementFlow {
     /// When set, the closure-based entry points (`run`, `run_msb`, …)
     /// drive their simulations through a caching [`SequentialDriver`].
     cache_enabled: bool,
-    /// Evaluation backend for the closure-based entry points (see
-    /// [`SimBackend`]).
-    backend: SimBackend,
     /// Per-code allow/warn/deny configuration of the pre-flight lint
     /// gate. The default warns on everything, so no existing flow fails.
     lint: LintConfig,
@@ -878,7 +705,6 @@ impl RefinementFlow {
             pinned_explosion: HashSet::new(),
             recorder,
             cache_enabled: false,
-            backend: SimBackend::default(),
             lint: LintConfig::new(),
             verify: None,
             checkpoint: None,
@@ -906,27 +732,14 @@ impl RefinementFlow {
     /// types, merged ranges and `type_applied` journal are bit-identical
     /// with or without the cache; cache hit/miss counts land on the
     /// recorder as `cache.hits` / `cache.misses`.
+    ///
+    /// The driver entry points ([`RefinementFlow::run_with`],
+    /// [`RefinementFlow::run_swept`] and the other `*_with` methods) ignore
+    /// this setting: they use the driver's own cache
+    /// ([`SequentialDriver::with_cache`],
+    /// [`SweepDriver::enable_cache`](crate::sweep::SweepDriver::enable_cache)).
     pub fn enable_cache(&mut self) {
         self.cache_enabled = true;
-    }
-
-    /// Selects the evaluation backend for the closure-based entry points
-    /// (`run`, `run_msb`, …): [`SimBackend::Compiled`] lowers the first
-    /// recorded iteration to an op tape and replays it for subsequent
-    /// iterations, falling back to the interpreter (with a journaled
-    /// [`Event::BackendFallback`]) whenever the design refuses a static
-    /// schedule or the tape fails its verification replay. The refined
-    /// types, statistics and journal counters are bit-identical across
-    /// backends. Swept entry points take the backend of their
-    /// [`SweepDriver`](crate::sweep::SweepDriver) instead (see
-    /// [`crate::sweep::SweepDriver::set_backend`]).
-    pub fn set_backend(&mut self, backend: SimBackend) {
-        self.backend = backend;
-    }
-
-    /// The selected evaluation backend.
-    pub fn backend(&self) -> SimBackend {
-        self.backend
     }
 
     /// Configures the pre-flight lint gate. After the first (recorded)
@@ -1049,7 +862,7 @@ impl RefinementFlow {
     /// [`RefinementFlow::enable_cache`], pre-warming its cache from a
     /// checkpoint snapshot when resuming.
     fn driver_for<F: FnMut(&Design, usize)>(&mut self, sim: F) -> SequentialDriver<F> {
-        let mut driver = if self.cache_enabled {
+        if self.cache_enabled {
             match self.resume_cache.take() {
                 Some((stats, overflow, cycles)) => {
                     // The restored cache re-emits its own CacheInvalidated
@@ -1065,9 +878,7 @@ impl RefinementFlow {
             }
         } else {
             SequentialDriver::new(sim)
-        };
-        driver.set_backend(self.backend);
-        driver
+        }
     }
 
     /// Directs the flow to write a checkpoint file at `path` after every
@@ -2303,68 +2114,5 @@ mod summary_tests {
         assert!(s.contains("acc"));
         assert!(s.contains("verification:"));
         assert!(s.contains("automatic annotations:"));
-    }
-}
-
-#[cfg(test)]
-mod driver_tests {
-    use super::*;
-
-    /// A first-order smoother, optionally with a `strobe` signal written
-    /// every other cycle — a schedule FXL001 refuses to compile.
-    fn build(with_strobe: bool) -> Design {
-        let d = Design::with_seed(11);
-        d.sig("x");
-        d.reg("acc");
-        d.sig("y");
-        if with_strobe {
-            d.sig("strobe");
-        }
-        d
-    }
-
-    fn drive(d: &Design, _iteration: usize) {
-        let x = d.sig_handle(d.find("x").expect("declared"));
-        let acc = d.reg_handle(d.find("acc").expect("declared"));
-        let y = d.sig_handle(d.find("y").expect("declared"));
-        let strobe = d.find("strobe").map(|id| d.sig_handle(id));
-        for i in 0..400 {
-            x.set((i as f64 * 0.13).sin() * 0.8);
-            acc.set(acc.get() * 0.9 + x.get() * 0.1);
-            y.set(acc.get() * 0.5);
-            if let Some(strobe) = &strobe {
-                if i % 2 == 0 {
-                    strobe.set(y.get() * 4.0);
-                }
-            }
-            d.tick();
-        }
-    }
-
-    fn refine(driver: &mut dyn SimDriver, design: &Design) -> Vec<(String, String)> {
-        let mut flow = RefinementFlow::new(design.clone(), crate::RefinePolicy::default());
-        let outcome = flow.run_with(driver).expect("converges");
-        outcome
-            .types
-            .iter()
-            .map(|(id, t)| (design.name_of(*id), t.to_string()))
-            .collect()
-    }
-
-    #[test]
-    fn a_reused_compiled_driver_never_replays_the_previous_flows_tape() {
-        let mut reused = SequentialDriver::new(drive);
-        reused.set_backend(SimBackend::Compiled);
-        refine(&mut reused, &build(false));
-        assert!(reused.has_compiled_program(), "the plain design compiles");
-
-        // The second design's capture is refused, so it must run
-        // interpreted rather than replay the first design's tape.
-        let types = refine(&mut reused, &build(true));
-        let mut fresh = SequentialDriver::new(drive);
-        fresh.set_backend(SimBackend::Compiled);
-        assert_eq!(types, refine(&mut fresh, &build(true)));
-        assert!(types.iter().any(|(name, _)| name == "strobe"));
-        assert!(!reused.has_compiled_program(), "a stale tape stayed armed");
     }
 }

@@ -15,12 +15,19 @@ use std::time::Duration;
 use fixref_obs::{FromJson, Json, JsonError, ToJson};
 use fixref_sim::{DesignSpec, ScenarioSet, SpecError};
 
-use crate::flow::{RefinementFlow, RunBudget, SimBackend};
+use crate::flow::{RefinementFlow, RunBudget};
+
+/// The backend names a [`FlowSpec`] accepts.
+const BACKENDS: [&str; 2] = ["interpreted", "compiled"];
 
 /// How to drive the refinement flow for one job.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlowSpec {
-    /// Evaluation backend name: `"interpreted"` or `"compiled"`.
+    /// Evaluation backend name: `"interpreted"` or `"compiled"`. Both
+    /// run the interpreter. The compiled replay is a setting of the
+    /// sweep driver alone, which a job never selects; `"compiled"` stays
+    /// accepted so that job logs and specs written when it did still
+    /// decode and run, with the same results.
     pub backend: String,
     /// Whether to enable the cross-iteration evaluation cache.
     pub cache: bool,
@@ -55,31 +62,32 @@ impl Default for FlowSpec {
 }
 
 impl FlowSpec {
-    /// The parsed [`SimBackend`] this spec names.
+    /// Checks that the spec names a known backend.
     ///
     /// # Errors
     ///
     /// [`SpecError`] for an unknown backend name.
-    pub fn sim_backend(&self) -> Result<SimBackend, SpecError> {
-        match self.backend.as_str() {
-            "interpreted" => Ok(SimBackend::Interpreted),
-            "compiled" => Ok(SimBackend::Compiled),
-            other => Err(SpecError::new(format!(
-                "flow spec: unknown backend {other:?} (expected interpreted, compiled)"
-            ))),
+    pub fn check_backend(&self) -> Result<(), SpecError> {
+        if BACKENDS.contains(&self.backend.as_str()) {
+            return Ok(());
         }
+        Err(SpecError::new(format!(
+            "flow spec: unknown backend {:?} (expected {})",
+            self.backend,
+            BACKENDS.join(", ")
+        )))
     }
 
-    /// Applies the spec to a freshly constructed flow: backend and run
-    /// budget. The `cache` flag is left to the caller (sequential runs
-    /// enable it on the flow, swept runs on the sweep driver), as are
-    /// shard count and retry attempts.
+    /// Applies the spec's run budget to a freshly constructed flow. The
+    /// `cache` flag is left to the caller (sequential runs enable it on
+    /// the flow, swept runs on the sweep driver), as are shard count and
+    /// retry attempts.
     ///
     /// # Errors
     ///
     /// [`SpecError`] for an unknown backend name.
     pub fn configure(&self, flow: &mut RefinementFlow) -> Result<(), SpecError> {
-        flow.set_backend(self.sim_backend()?);
+        self.check_backend()?;
         let mut budget = RunBudget::default();
         if let Some(max) = self.max_simulations {
             budget = RunBudget::simulations(max);
@@ -125,7 +133,8 @@ impl FromJson for FlowSpec {
                 .max(1),
             force_saturate: v.opt_field("force_saturate")?.unwrap_or_default(),
         };
-        spec.sim_backend().map_err(|e| JsonError::new(e.message))?;
+        spec.check_backend()
+            .map_err(|e| JsonError::new(e.message))?;
         Ok(spec)
     }
 }
@@ -291,15 +300,17 @@ mod tests {
         let spec = sample();
         let d = Design::new();
         d.sig("x");
-        let mut flow = RefinementFlow::new(d, RefinePolicy::default());
+        let mut flow = RefinementFlow::new(d.clone(), RefinePolicy::default());
         spec.flow.configure(&mut flow).expect("valid backend");
-        assert_eq!(flow.backend(), SimBackend::Compiled);
 
         let bad = FlowSpec {
             backend: "quantum".into(),
             ..FlowSpec::default()
         };
-        assert!(bad.sim_backend().is_err());
+        assert!(bad.check_backend().is_err());
+        assert!(bad
+            .configure(&mut RefinementFlow::new(d, RefinePolicy::default()))
+            .is_err());
     }
 
     #[test]

@@ -73,7 +73,7 @@ pub use cache::{CachePlan, EvalCache};
 pub use checkpoint::{CacheState, Checkpoint, CheckpointError, CheckpointStore, Cursor};
 pub use flow::{
     CancelToken, FlowError, FlowOutcome, FlowStatus, Intervention, RefinementFlow, RunBudget,
-    SequentialDriver, SimBackend, SimDriver, SimFault, SweepCoverage, VerifyOutcome,
+    SequentialDriver, SimDriver, SimFault, SweepCoverage, VerifyOutcome,
 };
 pub use jobspec::{FlowSpec, JobSpec};
 pub use lsb::{analyze_lsb, LsbAnalysis, LsbStatus};
@@ -82,5 +82,6 @@ pub use policy::RefinePolicy;
 pub use precision::{analyze_precision, render_precision_table, PrecisionCheck, PrecisionStatus};
 pub use report::{lsb_table_csv, msb_table_csv, render_lsb_table, render_msb_table};
 pub use sweep::{
-    FaultMode, FaultPolicy, ShardBuilder, ShardSim, ShardStimulus, ShardSummary, SweepDriver,
+    FaultMode, FaultPolicy, ShardBuilder, ShardSim, ShardStimulus, ShardSummary, SimBackend,
+    SweepDriver,
 };

@@ -26,6 +26,14 @@
 //!    re-annotated from the master's current refinement state, so shard
 //!    RNG streams and quantization behavior match what the sequential
 //!    flow would have produced after its own `reset_state`.
+//!
+//! # Backends
+//!
+//! The sweep is the one place a compiled replay runs
+//! ([`SimBackend::Compiled`]): every shard of the record iteration
+//! captures its run, compiles it against its recorded graph into a
+//! [`Replay`] and proves it, and later iterations replay it instead of
+//! running the stimulus.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -33,14 +41,70 @@ use std::time::Instant;
 
 use fixref_obs::{DefaultRecorder, Event, Recorder};
 use fixref_sim::{
-    run_shards_isolated, Design, FaultPlan, Graph, OverflowEvent, RetryPolicy, Scenario,
+    run_shards_isolated, Design, FaultPlan, Graph, OverflowEvent, Replay, RetryPolicy, Scenario,
     ScenarioSet, ShardOutcome, SignalKind, SignalStats,
 };
 
 use crate::cache::{plan_for, CachePlan};
-use crate::flow::{
-    execute, CompiledUnit, Execution, SimBackend, SimDriver, SimFault, SweepCoverage,
-};
+use crate::flow::{execute, SimDriver, SimFault, SweepCoverage};
+
+/// Which evaluation engine a [`SweepDriver`]'s shards use.
+///
+/// Both backends are bit-identical — same statistics, overflow events
+/// and journal counters — or the compiled one is not used: a shard whose
+/// record iteration cannot be compiled (lint's FXL001 static-schedule
+/// verdict refuses it, or the verification replay catches host control
+/// flow the replay cannot represent) falls back to the interpreter and
+/// journals [`Event::BackendFallback`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum SimBackend {
+    /// Run the host-code description for every simulation (the paper's
+    /// engine). Always available.
+    #[default]
+    Interpreted,
+    /// After the record iteration, replay each scenario's compiled
+    /// capture instead of running its stimulus: no host-code walk, no
+    /// per-assignment registry lookups.
+    Compiled,
+}
+
+impl SimBackend {
+    /// The name used in `backend.*` events and counters.
+    pub fn name(self) -> &'static str {
+        match self {
+            SimBackend::Interpreted => "interpreted",
+            SimBackend::Compiled => "compiled",
+        }
+    }
+}
+
+/// Runs a shard's record iteration under capture and compiles the
+/// capture, enforcing the gates of the compiled backend: lint's FXL001
+/// static-schedule verdict and the bitwise verification replay. `Err`
+/// carries the human-readable fallback reason.
+fn capture_and_compile(design: &Design, stimulus: impl FnOnce(&Design)) -> Result<Replay, String> {
+    design.begin_capture();
+    execute(design, true, stimulus);
+    let trace = design
+        .end_capture()
+        .expect("capture begun above is still active");
+    let violations = fixref_lint::check_static_schedule(design);
+    if !violations.is_empty() {
+        return Err(format!(
+            "FXL001 static-schedule verdict refused the design ({} violation(s))",
+            violations.len()
+        ));
+    }
+    let replay = Replay::compile(&design.graph(), &trace);
+    if !design.verify_replay(&replay, &trace) {
+        return Err(
+            "verification replay diverged from the capture (host control flow is not \
+             replayable)"
+                .to_string(),
+        );
+    }
+    Ok(replay)
+}
 
 /// How the sweep reacts to a shard that fails all its attempts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -115,10 +179,10 @@ struct ShardResult {
     recorder: Arc<DefaultRecorder>,
     cycles: u64,
     wall_ns: u128,
-    /// The shard's lowered op tape (record iteration under a compiled
-    /// backend only): `Ok` carries the verified unit, `Err` the
+    /// The shard's compiled capture (record iteration under the compiled
+    /// backend only): `Ok` carries the verified replay, `Err` the
     /// human-readable fallback reason.
-    compiled: Option<Result<CompiledUnit, String>>,
+    compiled: Option<Result<Replay, String>>,
 }
 
 /// One shard's monitors retained for cache replay. A Replay simulation
@@ -164,10 +228,10 @@ pub struct SweepDriver {
     coverage: Option<SweepCoverage>,
     pending_invalidation: Option<usize>,
     backend: SimBackend,
-    /// One verified compiled unit per scenario (indexed by scenario
-    /// index), armed by a record iteration that compiled every scenario.
-    /// Dropped whenever a new record iteration runs or a shard fails.
-    compiled: Option<Vec<CompiledUnit>>,
+    /// One verified replay per scenario (indexed by scenario index),
+    /// armed by a record iteration that compiled every scenario. Dropped
+    /// whenever a new record iteration runs or a shard fails.
+    compiled: Option<Vec<Replay>>,
     fallback_noted: bool,
 }
 
@@ -204,9 +268,9 @@ impl SweepDriver {
     /// Selects the evaluation backend for this sweep.
     ///
     /// Under [`SimBackend::Compiled`] every shard of the record iteration
-    /// captures its execution trace, lowers it to a flat op tape, and
-    /// replays that tape on subsequent iterations instead of re-running
-    /// the stimulus. The merged statistics, refined types and journal are
+    /// captures its execution trace, compiles it into a [`Replay`], and
+    /// replays that on subsequent iterations instead of re-running the
+    /// stimulus. The merged statistics, refined types and journal are
     /// bit-identical to the interpreted sweep (modulo the `backend.*`
     /// events/counters themselves).
     ///
@@ -224,8 +288,8 @@ impl SweepDriver {
         self.backend
     }
 
-    /// Whether the record iteration produced compiled tapes that the
-    /// next simulations will replay.
+    /// Whether the record iteration produced compiled replays that the
+    /// next simulations will run.
     pub fn has_compiled_program(&self) -> bool {
         self.compiled.is_some()
     }
@@ -404,13 +468,13 @@ impl SimDriver for SweepDriver {
         if record_graph {
             design.clear_graph();
             // A new record iteration supersedes any previously compiled
-            // tapes (the structural recording may have changed).
+            // replays (the structural recording may have changed).
             self.compiled = None;
         }
-        // Under the compiled backend the record iteration captures every
-        // shard's execution trace for lowering, and later iterations
-        // replay the per-scenario tapes instead of the stimulus. Fault
-        // injection and reduced coverage refuse both up front.
+        // Under the compiled backend the record iteration captures and
+        // compiles every shard's run, and later iterations replay the
+        // per-scenario captures instead of the stimulus. Fault injection
+        // and reduced coverage refuse both up front.
         let compiled_wanted = self.backend == SimBackend::Compiled;
         let faulted = !self.faults.is_empty();
         if compiled_wanted && faulted {
@@ -419,11 +483,11 @@ impl SimDriver for SweepDriver {
             self.note_fallback(recorder, "quarantined scenarios reduce coverage");
         }
         let capture = compiled_wanted && record_graph && !faulted && self.quarantined.is_empty();
-        let tapes = self
+        let replays = self
             .compiled
             .as_deref()
             .filter(|_| compiled_wanted && !faulted);
-        let replaying = tapes.is_some();
+        let replaying = replays.is_some();
 
         // Snapshot the master's refinement state once; every shard
         // re-applies it to its fresh design.
@@ -472,15 +536,9 @@ impl SimDriver for SweepDriver {
                 // recording suffices and the master inherits it below.
                 // A capture records privately on every shard: the
                 // capture's assign steps reference recorded nodes, and
-                // each shard lowers its own stimulus trace.
+                // each shard compiles its own stimulus trace.
                 let record_here = record_graph && scenario.index == graph_shard;
-                let execution = match tapes {
-                    Some(units) => Execution::Replay(&units[scenario.index]),
-                    None if capture => Execution::Capture,
-                    None if record_here => Execution::Record,
-                    None => Execution::Run,
-                };
-                let compiled = execute(&shard, execution, |shard| {
+                let run = |shard: &Design| {
                     if let Some(burst) = faults.nan_burst_for(scenario.index) {
                         // Poison the stimulus head with non-finite
                         // samples. The engine's range propagation rejects
@@ -500,7 +558,18 @@ impl SimDriver for SweepDriver {
                         }
                     }
                     stimulus(shard, iteration);
-                });
+                };
+                let compiled = match replays {
+                    Some(replays) => {
+                        shard.replay(&replays[scenario.index]);
+                        None
+                    }
+                    None if capture => Some(capture_and_compile(&shard, run)),
+                    None => {
+                        execute(&shard, record_here, run);
+                        None
+                    }
+                };
                 ShardResult {
                     stats: shard.export_stats(),
                     overflow_events: shard.take_overflow_events(),
@@ -521,7 +590,7 @@ impl SimDriver for SweepDriver {
         let mut completed = 0usize;
         let mut failures = 0usize;
         let mut retained: Vec<CachedShard> = Vec::with_capacity(outcomes.len());
-        let mut units: Vec<CompiledUnit> = Vec::new();
+        let mut compiled: Vec<Replay> = Vec::new();
         let mut compile_failure: Option<String> = None;
         for (scenario, outcome) in active.iter().zip(outcomes) {
             if self.faults.nan_burst_for(scenario.index).is_some() {
@@ -580,7 +649,7 @@ impl SimDriver for SweepDriver {
             };
             completed += 1;
             match result.compiled.take() {
-                Some(Ok(unit)) => units.push(unit),
+                Some(Ok(replay)) => compiled.push(replay),
                 Some(Err(reason)) if compile_failure.is_none() => {
                     compile_failure = Some(reason);
                 }
@@ -625,21 +694,24 @@ impl SimDriver for SweepDriver {
         if replaying {
             recorder.inc("backend.compiled_runs", 1);
         }
-        // A capture only becomes the sweep's compiled program when every
-        // scenario both survived and lowered: a replay must cover exactly
-        // what the interpreter would have simulated.
+        // A capture only becomes the sweep's replay when every scenario
+        // both survived and compiled: a replay must cover exactly what
+        // the interpreter would have simulated.
         if capture {
-            if failures == 0 && self.quarantined.is_empty() && units.len() == self.scenarios.len() {
-                for unit in &units {
+            if failures == 0
+                && self.quarantined.is_empty()
+                && compiled.len() == self.scenarios.len()
+            {
+                for replay in &compiled {
                     recorder.record_event(Event::BackendCompiled {
                         backend: self.backend.name().to_string(),
-                        kinds: unit.program.kinds.len(),
-                        instructions: unit.program.instruction_count(),
-                        cycles: unit.trace.cycles,
+                        kinds: replay.definitions(),
+                        instructions: replay.steps(),
+                        cycles: replay.cycles(),
                     });
                 }
-                recorder.inc("backend.programs", units.len() as u64);
-                self.compiled = Some(units);
+                recorder.inc("backend.programs", compiled.len() as u64);
+                self.compiled = Some(compiled);
             } else {
                 let reason = compile_failure.unwrap_or_else(|| {
                     "record iteration lost shards before compilation".to_string()
@@ -826,6 +898,75 @@ mod tests {
         assert!(journal
             .iter()
             .any(|e| matches!(e, Event::BackendFallback { .. })));
+    }
+
+    /// A reused compiled driver whose builder switches to a design with a
+    /// `strobe` written every other cycle — a schedule FXL001 refuses to
+    /// compile — must run the second flow interpreted, never replay the
+    /// first flow's captures.
+    #[test]
+    fn a_reused_compiled_driver_never_replays_the_previous_flows_capture() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+
+        fn build(with_strobe: bool) -> Design {
+            let d = build_design();
+            if with_strobe {
+                d.sig("strobe");
+            }
+            d
+        }
+        fn drive_strobed(d: &Design, seed: u64, samples: usize) {
+            drive(d, seed, samples);
+            if let Some(id) = d.find("strobe") {
+                let strobe = d.sig_handle(id);
+                let y = d.sig_handle(d.find("y").expect("declared"));
+                for i in 0..samples {
+                    if i % 2 == 0 {
+                        strobe.set(y.get() * 4.0);
+                    }
+                    d.tick();
+                }
+            }
+        }
+        let driver = |strobe: Arc<AtomicBool>| {
+            let mut driver = SweepDriver::new(
+                ScenarioSet::grid(&[3, 5], &[24.0], &[], &[300]),
+                2,
+                Box::new(move |s: &Scenario| {
+                    let (seed, samples) = (s.seed, s.samples);
+                    ShardSim {
+                        design: build(strobe.load(Ordering::SeqCst)),
+                        stimulus: Box::new(move |d: &Design, _| drive_strobed(d, seed, samples)),
+                    }
+                }),
+            );
+            driver.set_backend(SimBackend::Compiled);
+            driver
+        };
+        let refine = |driver: &mut SweepDriver, master: Design| {
+            let mut flow = RefinementFlow::new(master.clone(), RefinePolicy::default());
+            let outcome = flow.run_swept(driver).expect("converges");
+            outcome
+                .types
+                .iter()
+                .map(|(id, t)| (master.name_of(*id), t.to_string()))
+                .collect::<Vec<_>>()
+        };
+
+        let strobe = Arc::new(AtomicBool::new(false));
+        let mut reused = driver(strobe.clone());
+        refine(&mut reused, build(false));
+        assert!(reused.has_compiled_program(), "the plain design compiles");
+
+        strobe.store(true, Ordering::SeqCst);
+        let types = refine(&mut reused, build(true));
+        let fresh = refine(&mut driver(Arc::new(AtomicBool::new(true))), build(true));
+        assert_eq!(types, fresh);
+        assert!(types.iter().any(|(name, _)| name == "strobe"));
+        assert!(
+            !reused.has_compiled_program(),
+            "a stale replay stayed armed"
+        );
     }
 
     #[test]

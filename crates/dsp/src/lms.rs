@@ -23,11 +23,17 @@
 //! instrumented model over a [`Design`], used by the Table 1 / Table 2
 //! reproductions.
 
+use fixref_core::{ShardBuilder, ShardSim};
 use fixref_fixed::DType;
-use fixref_sim::{Design, Reg, RegArray, Sig, SigArray, SignalId, SignalRef, Value};
+use fixref_sim::{Design, Reg, RegArray, Scenario, Sig, SigArray, SignalId, SignalRef, Value};
 
 use crate::channel::{Awgn, FirChannel};
 use crate::source::PamSource;
+
+/// Error-injection seed of the reference equalizer design. Every sweep
+/// shard and every served job builds its design with it, so their
+/// `error()` streams line up with the master design's.
+pub const DESIGN_SEED: u64 = 0xDA7E_1999;
 
 /// Configuration of the equalizer models.
 #[derive(Debug, Clone)]
@@ -274,8 +280,28 @@ impl LmsEqualizer {
 /// the mild ISI channel plus AWGN at the given SNR. Returns the input
 /// sample sequence (peak magnitude ≤ 1.5, matching `x.range`).
 pub fn equalizer_stimulus(seed: u64, snr_db: f64, len: usize) -> Vec<f64> {
+    stimulus(seed, snr_db, &[], len)
+}
+
+/// The stimulus of one equalizer scenario: [`equalizer_stimulus`] over
+/// the scenario's channel (the paper's mild-ISI channel when it has no
+/// taps), seed, SNR and length.
+pub fn scenario_stimulus(scenario: &Scenario) -> Vec<f64> {
+    stimulus(
+        scenario.seed,
+        scenario.snr_db,
+        &scenario.channel_taps,
+        scenario.samples,
+    )
+}
+
+fn stimulus(seed: u64, snr_db: f64, channel_taps: &[f64], len: usize) -> Vec<f64> {
     let mut pam = PamSource::bpsk(seed as u32 | 1);
-    let mut channel = FirChannel::mild_isi();
+    let mut channel = if channel_taps.is_empty() {
+        FirChannel::mild_isi()
+    } else {
+        FirChannel::new(channel_taps)
+    };
     let mut noise = Awgn::from_snr_db(seed, snr_db, 1.0);
     (0..len)
         .map(|_| {
@@ -284,6 +310,26 @@ pub fn equalizer_stimulus(seed: u64, snr_db: f64, len: usize) -> Vec<f64> {
             x.clamp(-1.5, 1.5)
         })
         .collect()
+}
+
+/// Sweep shard builder for the equalizer: every shard gets a fresh
+/// design seeded with [`DESIGN_SEED`], driven by its scenario's
+/// [`scenario_stimulus`].
+pub fn shard_builder(config: LmsConfig) -> Box<ShardBuilder> {
+    Box::new(move |scenario: &Scenario| {
+        let design = Design::with_seed(DESIGN_SEED);
+        let eq = LmsEqualizer::new(&design, &config);
+        let stimulus = scenario_stimulus(scenario);
+        ShardSim {
+            design,
+            stimulus: Box::new(move |_d: &Design, _iter: usize| {
+                eq.init();
+                for &x in &stimulus {
+                    eq.step(x);
+                }
+            }),
+        }
+    })
 }
 
 #[cfg(test)]

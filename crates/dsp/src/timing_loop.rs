@@ -13,15 +13,23 @@
 //! The instrumented model declares 61 monitored signals, matching the
 //! count the paper reports for this design.
 
+use fixref_core::{ShardBuilder, ShardSim};
 use fixref_fixed::DType;
-use fixref_sim::{Design, Reg, RegArray, Sig, SigArray, SignalId, SignalRef, Value};
+use fixref_sim::{Design, Reg, RegArray, Scenario, Sig, SigArray, SignalId, SignalRef, Value};
 
+use crate::channel::Awgn;
 use crate::fir::lowpass;
 use crate::interp::FarrowCubic;
 use crate::loopfilter::PiFilter;
 use crate::nco::Nco;
 use crate::slicer::pam_slice;
+use crate::source::ShapedPamSource;
 use crate::ted::GardnerTed;
+
+/// Error-injection seed of the reference timing-recovery design. Every
+/// sweep shard and every served job builds its design with it, so their
+/// `error()` streams line up with the master design's.
+pub const DESIGN_SEED: u64 = 0x0DEC_7BA5;
 
 /// Configuration shared by the golden and instrumented loop models.
 #[derive(Debug, Clone)]
@@ -404,6 +412,28 @@ impl TimingRecovery {
         ]);
         ids
     }
+}
+
+/// Sweep shard builder for the timing-recovery loop: every shard gets a
+/// fresh design seeded with [`DESIGN_SEED`]; the scenario seed drives the
+/// shaped-PAM source and the channel noise.
+pub fn shard_builder(config: TimingConfig) -> Box<ShardBuilder> {
+    Box::new(move |scenario: &Scenario| {
+        let design = Design::with_seed(DESIGN_SEED);
+        let rx = TimingRecovery::new(&design, &config);
+        let (seed, snr_db, samples) = (scenario.seed, scenario.snr_db, scenario.samples);
+        ShardSim {
+            design,
+            stimulus: Box::new(move |_d: &Design, _iter: usize| {
+                rx.init();
+                let mut src = ShapedPamSource::new(seed as u32 | 1, 0.35, 2, 0.3, 100.0);
+                let mut noise = Awgn::from_snr_db(seed.wrapping_add(2), snr_db, 1.0);
+                for _ in 0..samples {
+                    rx.step(noise.add(src.next_sample()).clamp(-1.9, 1.9));
+                }
+            }),
+        }
+    })
 }
 
 #[cfg(test)]

@@ -366,7 +366,7 @@ impl Linter {
 
 /// Runs only the `FXL001` static-schedule pass over a design — the
 /// narrow entry point the compiled backend uses to decide whether a
-/// captured run may be lowered to a tape. Returns the (sorted)
+/// captured run may be compiled into a replay. Returns the (sorted)
 /// violations; empty means the schedule is static.
 pub fn check_static_schedule(design: &Design) -> Vec<Diagnostic> {
     let input = LintInput::from_design(design);

@@ -347,23 +347,23 @@ pub enum Event {
         /// Which budget ran out and where (human-readable).
         reason: String,
     },
-    /// A design's captured execution trace was lowered to a straight-line
-    /// bytecode program, enabling compiled re-simulation.
+    /// A sweep shard's captured record iteration was compiled into a
+    /// replay, which later iterations run instead of the stimulus.
     BackendCompiled {
         /// The backend that compiled (`"compiled"`).
         backend: String,
-        /// Deduplicated cycle kinds in the program.
+        /// Distinct definitions the replay evaluates.
         kinds: usize,
-        /// Total bytecode instructions across all kinds.
+        /// Steps per replay: assignments plus ticks.
         instructions: usize,
-        /// Scheduled simulation cycles per replay.
+        /// Simulation cycles per replay.
         cycles: u64,
     },
     /// A compiled backend request fell back to the interpreted
-    /// simulator — the static-schedule lint refused the design, lowering
-    /// failed, or the run mode (armed fault plan, checkpoint resume) is
-    /// only supported interpreted. The run proceeds with identical
-    /// results, just without the speedup.
+    /// simulator — the static-schedule lint refused the design, the
+    /// verification replay diverged, or the run mode (armed fault plan,
+    /// quarantined scenarios) is only supported interpreted. The run
+    /// proceeds with identical results.
     BackendFallback {
         /// The backend that was requested (`"compiled"`).
         backend: String,
@@ -726,7 +726,7 @@ impl fmt::Display for Event {
                 cycles,
             } => write!(
                 f,
-                "{backend} backend compiled: {kinds} cycle kind(s), {instructions} instruction(s), {cycles} cycles"
+                "{backend} backend compiled: {kinds} definition(s), {instructions} step(s), {cycles} cycles"
             ),
             Event::BackendFallback { backend, reason } => {
                 write!(f, "{backend} backend fell back to interpreted: {reason}")

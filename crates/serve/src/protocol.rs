@@ -19,9 +19,10 @@
 //! never a dropped connection. The dispatcher is transport-agnostic
 //! (`handle_line` maps a request line to a response line), so tests
 //! drive it without sockets and the binary's TCP accept loop stays
-//! a thin wrapper.
+//! a thin wrapper. A request line longer than [`MAX_REQUEST_LINE`] bytes
+//! is answered with an error and its connection closed.
 
-use std::io::{BufRead as _, BufReader, Write as _};
+use std::io::{BufRead as _, BufReader, Read as _, Write as _};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -30,6 +31,11 @@ use fixref_core::JobSpec;
 use fixref_obs::{Json, ToJson};
 
 use crate::server::Server;
+
+/// The longest request line the server reads, in bytes, its newline not
+/// counted: far above any job spec, and a bound on what one connection
+/// can make the server hold.
+pub const MAX_REQUEST_LINE: usize = 16 << 20;
 
 /// Dispatches one request line against the server, returning the
 /// response line (without trailing newline). Never panics on malformed
@@ -126,7 +132,9 @@ pub fn serve_listener(
 
 /// Handles one connection to completion; returns `true` when the
 /// client asked for shutdown. A line that is not UTF-8 gets an error
-/// response and the connection keeps serving.
+/// response and the connection keeps serving; a line longer than
+/// [`MAX_REQUEST_LINE`] gets an error response and the connection is
+/// closed, since the rest of the line is never read.
 fn handle_connection(server: &Server, stream: TcpStream, stop: &Arc<AtomicBool>) -> bool {
     let _ = stream.set_nonblocking(false);
     let mut writer = match stream.try_clone() {
@@ -137,9 +145,15 @@ fn handle_connection(server: &Server, stream: TcpStream, stop: &Arc<AtomicBool>)
     let mut buf = Vec::new();
     loop {
         buf.clear();
-        match reader.read_until(b'\n', &mut buf) {
+        let limit = MAX_REQUEST_LINE as u64 + 1;
+        match (&mut reader).take(limit).read_until(b'\n', &mut buf) {
             Ok(0) | Err(_) => return false,
             Ok(_) => {}
+        }
+        if buf.len() > MAX_REQUEST_LINE && buf.last() != Some(&b'\n') {
+            let message = format!("request line exceeds {MAX_REQUEST_LINE} bytes");
+            let _ = writer.write_all(format!("{}\n", respond(Err(message))).as_bytes());
+            return false;
         }
         let reply = match std::str::from_utf8(&buf) {
             Ok(line) if line.trim().is_empty() => continue,
@@ -295,6 +309,52 @@ mod tests {
         stream
             .write_all(b"{\"cmd\":\"shutdown\"}\n")
             .expect("writes");
+        line.clear();
+        reader.read_line(&mut line).expect("reads");
+        assert!(line.contains(r#""draining":true"#), "{line}");
+        acceptor.join().expect("joins").expect("listener ok");
+    }
+
+    #[test]
+    fn an_over_long_line_is_answered_and_closed_and_the_server_keeps_serving() {
+        use std::io::{BufRead as _, BufReader, Read as _, Write as _};
+        let server = std::sync::Arc::new(test_server("long_line"));
+        let listener = TcpListener::bind("127.0.0.1:0").expect("binds");
+        let addr = listener.local_addr().expect("addr");
+        let stop = Arc::new(AtomicBool::new(false));
+        let acceptor = {
+            let server = Arc::clone(&server);
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || serve_listener(&server, &listener, &stop))
+        };
+
+        // One byte over the cap, and no newline: the server must answer
+        // before the line ends.
+        let mut stream = TcpStream::connect(addr).expect("connects");
+        stream
+            .write_all(&vec![b'x'; MAX_REQUEST_LINE + 1])
+            .expect("writes");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("reads");
+        assert_eq!(
+            line,
+            format!(
+                "{{\"ok\":false,\"error\":\"request line exceeds {MAX_REQUEST_LINE} bytes\"}}\n"
+            )
+        );
+        let mut rest = Vec::new();
+        reader.read_to_end(&mut rest).expect("closed cleanly");
+        assert!(rest.is_empty(), "the connection was closed");
+
+        let mut stream = TcpStream::connect(addr).expect("reconnects");
+        stream
+            .write_all(b"{\"cmd\":\"metrics\"}\n{\"cmd\":\"shutdown\"}\n")
+            .expect("writes");
+        let mut reader = BufReader::new(stream);
+        line.clear();
+        reader.read_line(&mut line).expect("reads");
+        assert!(line.starts_with(r#"{"ok":true,"metrics":"#), "{line}");
         line.clear();
         reader.read_line(&mut line).expect("reads");
         assert!(line.contains(r#""draining":true"#), "{line}");

@@ -5,22 +5,14 @@
 //! reconstructs the design deterministically from the spec's numeric
 //! parameters. The built-in kinds are the paper's two reference
 //! designs — the Fig. 1 LMS equalizer (`"lms"`) and the §6.1
-//! timing-recovery loop (`"timing"`) — built with the same seeds and
-//! stimulus recipes as the benchmark harness, so a served job is
+//! timing-recovery loop (`"timing"`) — through the shard builders of
+//! `fixref-dsp` that the benchmark harness uses too, so a served job is
 //! bit-comparable to a direct run of the same spec.
 
-use fixref_core::{ShardBuilder, ShardSim};
-use fixref_dsp::{
-    Awgn, FirChannel, LmsConfig, LmsEqualizer, PamSource, ShapedPamSource, TimingConfig,
-    TimingRecovery,
-};
+use fixref_core::ShardBuilder;
+use fixref_dsp::{lms, timing_loop, LmsConfig, TimingConfig};
 use fixref_fixed::DType;
-use fixref_sim::{Design, DesignSpec, Scenario, SpecError};
-
-/// Design seed of the LMS equalizer (matches the benchmark harness).
-const LMS_DESIGN_SEED: u64 = 0xDA7E_1999;
-/// Design seed of the timing-recovery loop (matches the harness).
-const TIMING_DESIGN_SEED: u64 = 0x0DEC_7BA5;
+use fixref_sim::{DesignSpec, SpecError};
 
 /// A factory turning a validated [`DesignSpec`] into a shard builder.
 pub type BuilderFactory = dyn Fn(&DesignSpec) -> Result<Box<ShardBuilder>, SpecError> + Send + Sync;
@@ -41,11 +33,11 @@ impl DesignRegistry {
         let mut reg = Self::empty();
         reg.register("lms", |spec| {
             let config = lms_config_from(spec)?;
-            Ok(lms_builder(config))
+            Ok(lms::shard_builder(config))
         });
         reg.register("timing", |spec| {
             let config = timing_config_from(spec)?;
-            Ok(timing_builder(config))
+            Ok(timing_loop::shard_builder(config))
         });
         reg
     }
@@ -145,61 +137,6 @@ fn timing_config_from(spec: &DesignSpec) -> Result<TimingConfig, SpecError> {
         config.rx_taps = taps as usize;
     }
     Ok(config)
-}
-
-/// BPSK symbols through the scenario's channel (the paper's mild-ISI
-/// channel when no taps are given) plus AWGN at the scenario's SNR —
-/// the same recipe as the benchmark harness, sample for sample.
-fn lms_stimulus(scenario: &Scenario) -> Vec<f64> {
-    let mut pam = PamSource::bpsk(scenario.seed as u32 | 1);
-    let mut channel = if scenario.channel_taps.is_empty() {
-        FirChannel::mild_isi()
-    } else {
-        FirChannel::new(&scenario.channel_taps)
-    };
-    let mut noise = Awgn::from_snr_db(scenario.seed, scenario.snr_db, 1.0);
-    (0..scenario.samples)
-        .map(|_| {
-            let s = pam.next_symbol();
-            noise.add(channel.push(s)).clamp(-1.5, 1.5)
-        })
-        .collect()
-}
-
-fn lms_builder(config: LmsConfig) -> Box<ShardBuilder> {
-    Box::new(move |scenario: &Scenario| {
-        let design = Design::with_seed(LMS_DESIGN_SEED);
-        let eq = LmsEqualizer::new(&design, &config);
-        let stimulus = lms_stimulus(scenario);
-        ShardSim {
-            design,
-            stimulus: Box::new(move |_d: &Design, _iter: usize| {
-                eq.init();
-                for &x in &stimulus {
-                    eq.step(x);
-                }
-            }),
-        }
-    })
-}
-
-fn timing_builder(config: TimingConfig) -> Box<ShardBuilder> {
-    Box::new(move |scenario: &Scenario| {
-        let design = Design::with_seed(TIMING_DESIGN_SEED);
-        let loopm = TimingRecovery::new(&design, &config);
-        let (seed, snr_db, samples) = (scenario.seed, scenario.snr_db, scenario.samples);
-        ShardSim {
-            design,
-            stimulus: Box::new(move |_d: &Design, _iter: usize| {
-                loopm.init();
-                let mut src = ShapedPamSource::new(seed as u32 | 1, 0.35, 2, 0.3, 100.0);
-                let mut noise = Awgn::from_snr_db(seed.wrapping_add(2), snr_db, 1.0);
-                for _ in 0..samples {
-                    loopm.step(noise.add(src.next_sample()).clamp(-1.9, 1.9));
-                }
-            }),
-        }
-    })
 }
 
 #[cfg(test)]

@@ -407,7 +407,7 @@ impl Server {
         if let Err(e) = self.registry.build(&spec.design) {
             return Err(self.reject(&spec.tenant, e.to_string()));
         }
-        if let Err(e) = spec.flow.sim_backend() {
+        if let Err(e) = spec.flow.check_backend() {
             return Err(self.reject(&spec.tenant, e.to_string()));
         }
         let mut st = self.lock();

@@ -296,6 +296,52 @@ mod tests {
     }
 
     #[test]
+    fn accepted_records_naming_the_compiled_backend_run_as_interpreted_ones() {
+        use crate::server::{Server, ServerConfig};
+
+        // A log written when a job could select the compiled backend, one
+        // sequential job and one swept: recovery must run both, with the
+        // results of the same jobs asking for the interpreter.
+        let recover = |backend: &str| {
+            let dir = std::env::temp_dir().join(format!("fixref_wal_backend_{backend}"));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).expect("creates the data dir");
+            let mut log = JobLog::open(dir.join("jobs.wal")).expect("opens");
+            for (seq, shards) in [(1u64, 0usize), (2, 2)] {
+                let spec = JobSpec::new(
+                    "acme",
+                    DesignSpec::new("lms").with_input_dtype("<7,5,tc,st,rd>"),
+                    ScenarioSet::grid(&[7, 11], &[28.0], &[], &[120]),
+                )
+                .with_flow(FlowSpec {
+                    backend: backend.into(),
+                    shards,
+                    ..FlowSpec::default()
+                });
+                log.append(&WalRecord::Accepted {
+                    seq,
+                    job: format!("j-{seq}"),
+                    spec: Box::new(spec),
+                })
+                .expect("appends");
+            }
+            drop(log);
+            let mut config = ServerConfig::new(&dir);
+            config.sweep_workers = fixref_sim::shard_count_from_env(2);
+            let server = Server::open(config).expect("recovers the log");
+            assert_eq!(server.queue_depth(), 2, "both jobs are re-queued");
+            server.run_until_idle();
+            ["j-1", "j-2"].map(|job| server.result(job).expect("the job ran"))
+        };
+        let compiled = recover("compiled");
+        assert!(
+            compiled.iter().all(|r| r.status == "complete"),
+            "{compiled:?}"
+        );
+        assert_eq!(compiled, recover("interpreted"));
+    }
+
+    #[test]
     fn accepted_records_keep_seeds_and_sequence_numbers_exact() {
         let path = tmp("exact");
         let records: Vec<WalRecord> = [(1u64 << 53) + 1, u64::MAX]

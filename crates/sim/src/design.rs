@@ -24,7 +24,7 @@ use fixref_obs::{Event, Recorder};
 
 use crate::graph::{self, Graph, NodeId, RecordingId, TracedNode};
 use crate::report::SignalReport;
-use crate::tape::{BoundTrace, CompiledProgram, ExecTrace, InputSample, Instr, TraceStep};
+use crate::tape::{ExecTrace, Replay, Step, TraceStep};
 use crate::value::Value;
 
 /// Stable identifier of a signal within its [`Design`].
@@ -89,7 +89,7 @@ impl fmt::Display for OverflowEvent {
 /// bounded however long a simulation runs between flushes.
 const MONITOR_BUFFER: usize = 256;
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct SignalState {
     name: String,
     /// `sim.quant_error.<name>`, the signal's recorder histogram.
@@ -148,6 +148,23 @@ impl SignalState {
             read_trace: None,
             last_root: None,
         }
+    }
+
+    /// The signal's value as a read sees it, carrying `trace`. Its range
+    /// is the range override, else the propagated range, else the point
+    /// of the fixed value.
+    fn read_value(&self, trace: Option<TracedNode>) -> Value {
+        let itv = match self.range_override {
+            Some(r) => r,
+            None => {
+                if self.prop.is_empty() {
+                    Interval::point(self.fix)
+                } else {
+                    self.prop
+                }
+            }
+        };
+        Value::from_signal(self.flt, self.fix, itv, trace)
     }
 }
 
@@ -273,7 +290,7 @@ struct DesignInner {
     recorder: Option<Arc<dyn Recorder>>,
     /// Recorder-bound monitor output not yet flushed.
     monitors: MonitorSink,
-    /// When capturing (compiled-backend lowering), every assignment and
+    /// When capturing (for a compiled replay), every assignment and
     /// tick appends a step here. Requires graph recording, which supplies
     /// the expression roots the steps refer to.
     capture: Option<CaptureBuf>,
@@ -396,7 +413,7 @@ impl Design {
     ///
     /// These `sim.*` metrics are buffered in the design and reach the
     /// recorder in batches: at the end of every simulation a refinement
-    /// flow or [`Design::replay_compiled`] runs, whenever a signal has
+    /// flow or [`Design::replay`] runs, whenever a signal has
     /// buffered 256 values, and when the design is dropped. Each
     /// histogram still folds its values one at a time in assignment
     /// order, so the recorder ends up exactly as if every assignment had
@@ -659,13 +676,13 @@ impl Design {
         self.inner.borrow().seed
     }
 
-    /// Starts capturing an execution trace for compiled-backend lowering:
-    /// every subsequent assignment and tick is appended as a
+    /// Starts capturing an execution trace for a compiled
+    /// [`Replay`]: every subsequent assignment and tick is appended as a
     /// [`TraceStep`] until [`Design::end_capture`]. Capture requires
     /// graph recording ([`Design::record_graph`]) to be enabled for the
     /// captured run — assignments executed while recording is off are
-    /// silently absent from the trace, which lowering rejects via its
-    /// verification replay.
+    /// silently absent from the trace, which [`Design::verify_replay`]
+    /// then rejects.
     pub fn begin_capture(&self) {
         let mut inner = self.inner.borrow_mut();
         let start = inner.signals.iter().map(|st| (st.flt, st.fix)).collect();
@@ -1249,34 +1266,26 @@ impl Design {
                 st.read_trace
             }
         });
-        let itv = match st.range_override {
-            Some(r) => r,
-            None => {
-                if st.prop.is_empty() {
-                    Interval::point(st.fix)
-                } else {
-                    st.prop
-                }
-            }
-        };
-        Value::from_signal(st.flt, st.fix, itv, trace)
+        st.read_value(trace)
     }
 
     fn assign(&self, id: SignalId, value: Value) {
         self.inner.borrow_mut().assign(id, &value);
     }
 
-    /// Executes a lowered program against this design, reproducing one
-    /// interpreted run bit-for-bit: every `Store` runs the interpreter's
-    /// monitored assignment pipeline (quantization, range stats,
-    /// propagation, error injection from the live RNG stream, the monitor
-    /// sink), every tick the interpreter's tick, and read counts are
-    /// spliced from the capture. Types, range overrides and error models
-    /// are read *live*, so one tape survives annotation changes between
-    /// refinement iterations. A replayed store carries no expression, so
-    /// the replay records no graph and extends no capture. The monitor
-    /// sink is flushed to the attached recorder at the end, as a
-    /// refinement flow does after an interpreted run.
+    /// Runs a compiled replay against this design, reproducing one
+    /// interpreted run bit-for-bit: every computed step evaluates its
+    /// definition on the live signal values and every input step feeds
+    /// its captured sample through the interpreter's monitored
+    /// assignment pipeline (quantization, range stats, propagation,
+    /// error injection from the live RNG stream, the monitor sink);
+    /// every tick is the interpreter's tick, and read counts are spliced
+    /// from the capture. Types, range overrides and error models are read
+    /// *live*, so one replay survives annotation changes between
+    /// refinement iterations. A replayed assignment carries no
+    /// expression, so the replay records no graph and extends no capture.
+    /// The monitor sink is flushed to the attached recorder at the end,
+    /// as a refinement flow does after an interpreted run.
     ///
     /// The design must be in the same starting state the capture began
     /// from (freshly reset, or freshly built for sweep shards). Returns
@@ -1284,31 +1293,16 @@ impl Design {
     ///
     /// # Panics
     ///
-    /// Panics if the program and trace are inconsistent with this design
-    /// (wrong signal ids, malformed stack discipline) — callers are
-    /// expected to have proven the pair with [`Design::verify_compiled`].
-    pub fn replay_compiled(&self, program: &CompiledProgram, trace: &BoundTrace) -> u64 {
+    /// Panics if the replay names signals this design does not have —
+    /// callers are expected to have proven it with
+    /// [`Design::verify_replay`].
+    pub fn replay(&self, replay: &Replay) -> u64 {
         let mut inner = self.inner.borrow_mut();
         let inner = &mut *inner;
         let recording = inner.recording.take();
         let capture = inner.capture.take();
-        let mut stack: Vec<Value> = Vec::with_capacity(program.max_stack());
-        let mut cursor = 0usize;
-        for seg in &trace.schedule {
-            let kind = &program.kinds[seg.kind as usize];
-            replay_segment(
-                inner,
-                kind,
-                &program.dtypes,
-                &trace.inputs,
-                &mut cursor,
-                &mut stack,
-            );
-            if seg.tick_after {
-                inner.tick();
-            }
-        }
-        for (st, &reads) in inner.signals.iter_mut().zip(&trace.reads) {
+        inner.run_replay(replay, |_, _| true);
+        for (st, &reads) in inner.signals.iter_mut().zip(&replay.reads) {
             st.reads = reads;
         }
         inner.recording = recording;
@@ -1317,169 +1311,31 @@ impl Design {
         inner.cycle
     }
 
-    /// Replays `(program, trace)` against scratch state to prove the tape
-    /// reproduces the captured run: every computed store's incoming
-    /// `(flt, fix)` must match the capture bitwise, and both the input
-    /// stream and the expectation stream must be consumed exactly. Runs
-    /// under the design's *current* annotations (call it right after the
-    /// capture, before annotations change) with a fresh RNG stream from
-    /// the design seed; the design itself is untouched.
+    /// Proves that `replay` reproduces `trace`, the capture it was
+    /// compiled from: it runs on a scratch copy of this design's signals,
+    /// started from the captured values with a fresh RNG stream from the
+    /// design seed, and every computed assignment's incoming `(flt, fix)`
+    /// must match the capture bitwise. Runs under the design's *current*
+    /// annotations (call it right after the capture, before annotations
+    /// change); the design itself is untouched.
     ///
-    /// A `false` verdict means the tape cannot faithfully re-execute the
-    /// host description — typically because host code kept a read value in
-    /// a local across an intervening reassignment of the same signal (a
-    /// "stale read" the per-use `Read` ops cannot see). Callers must then
-    /// fall back to the interpreted backend.
-    pub fn verify_compiled(&self, program: &CompiledProgram, trace: &BoundTrace) -> bool {
+    /// A `false` verdict means the replay cannot faithfully re-execute
+    /// the host description — typically because host code kept a read
+    /// value in a local across an intervening reassignment of the same
+    /// signal (a "stale read" the definition's reads cannot see). Callers
+    /// must then fall back to the interpreted backend.
+    pub fn verify_replay(&self, replay: &Replay, trace: &ExecTrace) -> bool {
         let inner = self.inner.borrow();
-        let nsig = inner.signals.len();
-        if trace.start.len() != nsig {
+        if trace.start.len() != inner.signals.len() || trace.steps.len() != replay.steps.len() {
             return false;
         }
-        let mut flt: Vec<f64> = trace.start.iter().map(|p| p.0).collect();
-        let mut fix: Vec<f64> = trace.start.iter().map(|p| p.1).collect();
-        let mut next: Vec<Option<(f64, f64)>> = vec![None; nsig];
-        let mut rng = Rng64::seed_from_u64(inner.seed);
-        let mut stack: Vec<Value> = Vec::with_capacity(program.max_stack());
-        let mut in_cursor = 0usize;
-        let mut exp_cursor = 0usize;
-
-        // Scratch store: quantization + error injection + wire/register
-        // commit, on the scratch arrays only. Propagated intervals do not
-        // feed the flt/fix paths, so scratch reads use point intervals.
-        let store = |st: &SignalState,
-                     i: usize,
-                     in_flt: f64,
-                     in_fix: f64,
-                     flt: &mut [f64],
-                     fix: &mut [f64],
-                     next: &mut [Option<(f64, f64)>],
-                     rng: &mut Rng64| {
-            let mut new_fix = in_fix;
-            if let Some(dt) = &st.dtype {
-                new_fix = quantize(in_fix, dt).value;
+        let mut scratch = inner.scratch(&trace.start);
+        scratch.run_replay(replay, |step, value| match trace.steps[step] {
+            TraceStep::Assign { flt, fix, .. } => {
+                value.flt().to_bits() == flt.to_bits() && value.fix().to_bits() == fix.to_bits()
             }
-            let new_flt = match st.error_override {
-                Some(sigma) if sigma > 0.0 => new_fix + rng.symmetric(sigma * 3f64.sqrt()),
-                Some(_) => new_fix,
-                None => in_flt,
-            };
-            match st.kind {
-                SignalKind::Wire => {
-                    flt[i] = new_flt;
-                    fix[i] = new_fix;
-                }
-                SignalKind::Register => next[i] = Some((new_flt, new_fix)),
-            }
-        };
-
-        for seg in &trace.schedule {
-            let Some(kind) = program.kinds.get(seg.kind as usize) else {
-                return false;
-            };
-            for instr in &kind.instrs {
-                match instr {
-                    Instr::Const(c) => stack.push(Value::with_paths(*c, *c, Interval::point(*c))),
-                    Instr::Read(id) => {
-                        let i = id.0 as usize;
-                        if i >= nsig {
-                            return false;
-                        }
-                        stack.push(Value::with_paths(flt[i], fix[i], Interval::point(fix[i])));
-                    }
-                    Instr::Add | Instr::Sub | Instr::Mul | Instr::Div | Instr::Min | Instr::Max => {
-                        let (Some(r), Some(l)) = (stack.pop(), stack.pop()) else {
-                            return false;
-                        };
-                        stack.push(match instr {
-                            Instr::Add => l + r,
-                            Instr::Sub => l - r,
-                            Instr::Mul => l * r,
-                            Instr::Div => l / r,
-                            Instr::Min => l.min(r),
-                            _ => l.max(r),
-                        });
-                    }
-                    Instr::Neg => {
-                        let Some(v) = stack.pop() else { return false };
-                        stack.push(-v);
-                    }
-                    Instr::Abs => {
-                        let Some(v) = stack.pop() else { return false };
-                        stack.push(v.abs());
-                    }
-                    Instr::Cast(k) => {
-                        let Some(v) = stack.pop() else { return false };
-                        let Some(dt) = program.dtypes.get(*k as usize) else {
-                            return false;
-                        };
-                        stack.push(v.cast(dt));
-                    }
-                    Instr::Select => {
-                        let (Some(e), Some(t), Some(c)) = (stack.pop(), stack.pop(), stack.pop())
-                        else {
-                            return false;
-                        };
-                        stack.push(c.select_positive(t, e));
-                    }
-                    Instr::Store(id) => {
-                        let i = id.0 as usize;
-                        let Some(v) = stack.pop() else { return false };
-                        if i >= nsig {
-                            return false;
-                        }
-                        let Some(&(eflt, efix)) = trace.expected.get(exp_cursor) else {
-                            return false;
-                        };
-                        exp_cursor += 1;
-                        if v.flt().to_bits() != eflt.to_bits()
-                            || v.fix().to_bits() != efix.to_bits()
-                        {
-                            return false;
-                        }
-                        store(
-                            &inner.signals[i],
-                            i,
-                            v.flt(),
-                            v.fix(),
-                            &mut flt,
-                            &mut fix,
-                            &mut next,
-                            &mut rng,
-                        );
-                    }
-                    Instr::StoreInput(id) => {
-                        let i = id.0 as usize;
-                        if i >= nsig {
-                            return false;
-                        }
-                        let Some(s) = trace.inputs.get(in_cursor).copied() else {
-                            return false;
-                        };
-                        in_cursor += 1;
-                        store(
-                            &inner.signals[i],
-                            i,
-                            s.flt,
-                            s.fix,
-                            &mut flt,
-                            &mut fix,
-                            &mut next,
-                            &mut rng,
-                        );
-                    }
-                }
-            }
-            if seg.tick_after {
-                for i in 0..nsig {
-                    if let Some((f, x)) = next[i].take() {
-                        flt[i] = f;
-                        fix[i] = x;
-                    }
-                }
-            }
-        }
-        stack.is_empty() && exp_cursor == trace.expected.len() && in_cursor == trace.inputs.len()
+            TraceStep::Tick => false,
+        })
     }
 }
 
@@ -1495,9 +1351,75 @@ impl DesignInner {
         }
     }
 
+    /// A private copy of the signals for a verification replay: values
+    /// from `start`, statistics and propagated ranges reset, a fresh RNG
+    /// stream from the design seed, and no recorder, recording or capture.
+    fn scratch(&self, start: &[(f64, f64)]) -> DesignInner {
+        let signals = self
+            .signals
+            .iter()
+            .zip(start)
+            .map(|(st, &(flt, fix))| SignalState {
+                flt,
+                fix,
+                next: None,
+                prop: initial_prop(&st.dtype),
+                ..st.clone()
+            })
+            .collect();
+        DesignInner {
+            signals,
+            names: HashMap::new(),
+            rng: Rng64::seed_from_u64(self.seed),
+            seed: self.seed,
+            cycle: 0,
+            recording: None,
+            graph: Graph::new(),
+            overflow_events: Vec::new(),
+            overflow_event_cap: 0,
+            dirty: BTreeSet::new(),
+            static_schedule: false,
+            recorder: None,
+            monitors: MonitorSink::default(),
+            capture: None,
+        }
+    }
+
+    /// Runs the steps of `replay` through [`DesignInner::assign`] and
+    /// [`DesignInner::tick`]. `accept` sees each computed value, with the
+    /// index of its step, before it is assigned; the run stops, returning
+    /// `false`, at the first value it refuses.
+    fn run_replay(
+        &mut self,
+        replay: &Replay,
+        mut accept: impl FnMut(usize, &Value) -> bool,
+    ) -> bool {
+        let mut temps = Vec::new();
+        let mut inputs = replay.inputs.iter();
+        for (i, step) in replay.steps.iter().enumerate() {
+            match *step {
+                Step::Compute(k) => {
+                    let def = &replay.defs[k as usize];
+                    let signals = &self.signals;
+                    let value = def.eval_value(|i| signals[i].read_value(None), &mut temps);
+                    if !accept(i, &value) {
+                        return false;
+                    }
+                    self.assign(def.signal, &value);
+                }
+                Step::Input(id) => {
+                    let sample = inputs.next().expect("one captured sample per input step");
+                    self.assign(id, sample);
+                }
+                Step::Tick => self.tick(),
+            }
+        }
+        true
+    }
+
     /// The monitored assignment pipeline of paper Fig. 2, shared by the
     /// interpreter ([`Sig::set`], [`Reg::set`]) and the compiled replay's
-    /// stores: quantization, range statistics, error statistics, error
+    /// assignments: quantization, range statistics, error statistics, error
     /// injection, range propagation, graph recording and the write
     /// itself. Recorder-bound output goes to the monitor sink.
     ///
@@ -1694,71 +1616,6 @@ impl Drop for DesignInner {
         // during unwinding would abort the process.
         if !std::thread::panicking() {
             self.flush_monitors();
-        }
-    }
-}
-
-/// One cycle-kind execution for the single-lane replay.
-fn replay_segment(
-    inner: &mut DesignInner,
-    kind: &crate::tape::CycleKind,
-    dtypes: &[DType],
-    inputs: &[InputSample],
-    cursor: &mut usize,
-    stack: &mut Vec<Value>,
-) {
-    const UNDERFLOW: &str = "compiled tape stack underflow";
-    for instr in &kind.instrs {
-        match instr {
-            Instr::Const(c) => stack.push(Value::with_paths(*c, *c, Interval::point(*c))),
-            Instr::Read(id) => {
-                let st = &inner.signals[id.0 as usize];
-                let itv = match st.range_override {
-                    Some(r) => r,
-                    None if st.prop.is_empty() => Interval::point(st.fix),
-                    None => st.prop,
-                };
-                stack.push(Value::with_paths(st.flt, st.fix, itv));
-            }
-            Instr::Add | Instr::Sub | Instr::Mul | Instr::Div | Instr::Min | Instr::Max => {
-                let r = stack.pop().expect(UNDERFLOW);
-                let l = stack.pop().expect(UNDERFLOW);
-                stack.push(match instr {
-                    Instr::Add => l + r,
-                    Instr::Sub => l - r,
-                    Instr::Mul => l * r,
-                    Instr::Div => l / r,
-                    Instr::Min => l.min(r),
-                    _ => l.max(r),
-                });
-            }
-            Instr::Neg => {
-                let v = stack.pop().expect(UNDERFLOW);
-                stack.push(-v);
-            }
-            Instr::Abs => {
-                let v = stack.pop().expect(UNDERFLOW);
-                stack.push(v.abs());
-            }
-            Instr::Cast(k) => {
-                let v = stack.pop().expect(UNDERFLOW);
-                stack.push(v.cast(&dtypes[*k as usize]));
-            }
-            Instr::Select => {
-                let e = stack.pop().expect(UNDERFLOW);
-                let t = stack.pop().expect(UNDERFLOW);
-                let c = stack.pop().expect(UNDERFLOW);
-                stack.push(c.select_positive(t, e));
-            }
-            Instr::Store(id) => {
-                let v = stack.pop().expect(UNDERFLOW);
-                inner.assign(*id, &v);
-            }
-            Instr::StoreInput(id) => {
-                let s = inputs[*cursor];
-                *cursor += 1;
-                inner.assign(*id, &Value::with_paths(s.flt, s.fix, s.itv));
-            }
         }
     }
 }

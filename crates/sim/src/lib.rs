@@ -97,8 +97,6 @@ pub use scenario::{Scenario, ScenarioSet};
 pub use spec::{
     scenario_set_from_json, scenario_set_from_value, scenario_set_to_json, DesignSpec, SpecError,
 };
-pub use tape::{
-    BoundTrace, CompiledProgram, CycleKind, ExecTrace, InputSample, Instr, Segment, TraceStep,
-};
+pub use tape::{ExecTrace, Replay, TraceStep};
 pub use trace::Trace;
 pub use value::Value;

@@ -13,6 +13,10 @@
 //!   takes the then-branch for a strictly positive condition — the
 //!   simulator's fixed path.
 //!
+//! A compiled replay ([`Replay`](crate::tape::Replay)) evaluates the same
+//! compiled definitions on dual-path [`Value`]s instead, one slot per
+//! signal of the design.
+//!
 //! Each client keeps its own scope and checks: which signals it takes,
 //! which must be typed, and what a [`Role::Conditional`] signal means (an
 //! error for the interpreter, the model checker and VHDL; a mux for the
@@ -25,6 +29,7 @@ use fixref_fixed::quantize;
 
 use crate::design::{Design, SignalId, SignalKind};
 use crate::graph::{Graph, NodeId, Op};
+use crate::value::Value;
 
 /// What a signal is in the hardware the graph describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,7 +111,7 @@ pub struct Assignment {
 }
 
 impl Assignment {
-    fn compile(
+    pub(crate) fn compile(
         graph: &Graph,
         signal: SignalId,
         slot: usize,
@@ -165,6 +170,36 @@ impl Assignment {
             temps.push(value);
         }
         value
+    }
+
+    /// The definition's dual-path value, with exactly the `Value`
+    /// operators the interpreter ran: `read` yields the value of the
+    /// signal in a slot, and `temps` holds intermediate results.
+    pub(crate) fn eval_value(
+        &self,
+        read: impl Fn(usize) -> Value,
+        temps: &mut Vec<Value>,
+    ) -> Value {
+        temps.clear();
+        for (op, args) in &self.steps {
+            let arg = |i: usize| temps[args[i] as usize].clone();
+            let value = match op {
+                Op::Const(c) => Value::from(*c),
+                Op::Read(_) => read(args[0] as usize),
+                Op::Add => arg(0) + arg(1),
+                Op::Sub => arg(0) - arg(1),
+                Op::Mul => arg(0) * arg(1),
+                Op::Div => arg(0) / arg(1),
+                Op::Neg => -arg(0),
+                Op::Abs => arg(0).abs(),
+                Op::Min => arg(0).min(arg(1)),
+                Op::Max => arg(0).max(arg(1)),
+                Op::Cast(dt) => arg(0).cast(dt),
+                Op::Select => arg(0).select_positive(arg(1), arg(2)),
+            };
+            temps.push(value);
+        }
+        temps.pop().unwrap_or_default()
     }
 }
 

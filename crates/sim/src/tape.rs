@@ -1,36 +1,38 @@
-//! Straight-line bytecode programs for compiled re-simulation.
+//! Captured runs and their compiled replay.
 //!
 //! The interpreted simulator executes a design by running its host-side
-//! description — every assignment walks [`Value`](crate::Value) operator
-//! overloads and pays a registry lookup per monitor. For designs whose
-//! per-cycle behavior is *static* (the FXL001 static-schedule contract),
-//! one monitored capture run fixes the whole execution: the sequence of
-//! assignments, the expression tree behind each one, and the stimulus
-//! values fed in from outside. This module holds the plain-data result of
-//! lowering such a capture to a flat op tape:
+//! description — every assignment walks [`Value`] operator overloads and
+//! pays a registry lookup per monitor. For designs whose per-cycle
+//! behavior is *static* (the FXL001 static-schedule contract), one
+//! monitored capture run fixes the whole execution: the sequence of
+//! assignments, the recorded definition behind each one, and the stimulus
+//! values fed in from outside. This module holds the plain-data forms of
+//! that capture:
 //!
 //! - [`ExecTrace`] — what [`Design::begin_capture`](crate::Design::begin_capture)
 //!   records during one interpreted run: one [`TraceStep`] per assignment
 //!   (with its signal-flow-graph root and incoming value) or tick, plus
 //!   final read counts and the cycle total;
-//! - [`Instr`] / [`CycleKind`] / [`CompiledProgram`] — the bytecode: a
-//!   stack machine over [`Value`](crate::Value) operands whose `Store` ops feed the
-//!   same monitored assignment pipeline the interpreter uses;
-//! - [`BoundTrace`] — one design-run binding of a program: the cycle
-//!   schedule, the captured input stream consumed by `StoreInput`, the
-//!   expected values used by the post-compile verification replay, and
-//!   the read-count totals spliced in after a replay.
+//! - [`Replay`] — the capture compiled against the recorded graph: each
+//!   distinct definition it executed, compiled once into the post-order
+//!   form of [`Assignment`], and a step stream of definition indices,
+//!   captured input samples and ticks.
 //!
-//! Lowering (graph + trace → program) lives in `fixref-codegen`; the
-//! replay executor lives on [`Design`](crate::Design) because it drives
-//! the private assignment pipeline. Everything here is `Send` plain data,
-//! so scenario-sweep workers can compile in parallel and hand programs
-//! across threads.
+//! [`Design::verify_replay`](crate::Design::verify_replay) proves a
+//! replay against its capture and [`Design::replay`](crate::Design::replay)
+//! runs it; both live on the design because they drive its private
+//! assignment pipeline. Everything here is `Send` plain data, so
+//! scenario-sweep workers can compile in parallel and hand replays across
+//! threads.
 
-use fixref_fixed::{DType, Interval};
+use std::collections::HashMap;
+
+use fixref_fixed::Interval;
 
 use crate::design::SignalId;
-use crate::graph::NodeId;
+use crate::graph::{Graph, NodeId, Op};
+use crate::netlist::Assignment;
+use crate::value::Value;
 
 /// One captured step of an interpreted run.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,176 +77,180 @@ pub struct ExecTrace {
     pub cycles: u64,
 }
 
-/// One stack-machine instruction. Operands are full dual-path
-/// [`Value`](crate::Value)s, so replayed arithmetic (float path, fixed
-/// path, interval rules) is executed by the exact same operator code as
-/// the interpreter.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Instr {
-    /// Push a literal: both paths carry the constant, point interval.
-    Const(f64),
-    /// Push the current value of a signal (same interval rule as a
-    /// monitored read; the read *count* is spliced from the trace).
-    Read(SignalId),
-    /// Pop two, push their sum.
-    Add,
-    /// Pop two, push their difference.
-    Sub,
-    /// Pop two, push their product.
-    Mul,
-    /// Pop two, push their quotient.
-    Div,
-    /// Pop one, push its negation.
-    Neg,
-    /// Pop one, push its absolute value.
-    Abs,
-    /// Pop two, push the elementwise minimum.
-    Min,
-    /// Pop two, push the elementwise maximum.
-    Max,
-    /// Pop one, push it cast through the indexed type (index into
-    /// [`CompiledProgram::dtypes`]).
-    Cast(u16),
-    /// Pop `[condition, then, else]` (pushed in that order), push the
-    /// fixed-path-steered selection.
-    Select,
-    /// Pop one and run the full monitored assignment pipeline on it.
-    Store(SignalId),
-    /// Consume the next captured input sample from the bound trace and
-    /// run the full monitored assignment pipeline on it.
-    StoreInput(SignalId),
-}
-
-impl Instr {
-    /// Appends a stable word encoding of the instruction to `out` — the
-    /// key used for cycle-kind deduplication.
-    pub fn encode(&self, out: &mut Vec<u64>) {
-        match self {
-            Instr::Const(c) => out.extend([0, c.to_bits()]),
-            Instr::Read(s) => out.extend([1, u64::from(s.raw())]),
-            Instr::Add => out.push(2),
-            Instr::Sub => out.push(3),
-            Instr::Mul => out.push(4),
-            Instr::Div => out.push(5),
-            Instr::Neg => out.push(6),
-            Instr::Abs => out.push(7),
-            Instr::Min => out.push(8),
-            Instr::Max => out.push(9),
-            Instr::Cast(k) => out.extend([10, u64::from(*k)]),
-            Instr::Select => out.push(11),
-            Instr::Store(s) => out.extend([12, u64::from(s.raw())]),
-            Instr::StoreInput(s) => out.extend([13, u64::from(s.raw())]),
-        }
-    }
-
-    /// Net change this instruction applies to the operand stack depth.
-    pub fn stack_effect(&self) -> isize {
-        match self {
-            Instr::Const(_) | Instr::Read(_) => 1,
-            // `StoreInput` feeds from the bound input stream, not the stack.
-            Instr::Neg | Instr::Abs | Instr::Cast(_) | Instr::StoreInput(_) => 0,
-            Instr::Add
-            | Instr::Sub
-            | Instr::Mul
-            | Instr::Div
-            | Instr::Min
-            | Instr::Max
-            | Instr::Store(_) => -1,
-            Instr::Select => -2,
-        }
-    }
-}
-
-/// The deduplicated instruction sequence of one cycle shape. Identical
-/// cycles (same assignments, same expression structure) share one kind,
-/// so a 4000-sample loop typically lowers to a handful of kinds.
-#[derive(Debug, Clone, Default)]
-pub struct CycleKind {
-    /// The instruction tape for one execution of this cycle shape.
-    pub instrs: Vec<Instr>,
-    /// Peak operand-stack depth while executing `instrs`.
-    pub max_stack: usize,
-}
-
-/// A lowered program: the cycle kinds plus the type table `Cast` indexes
-/// into. Plain data.
-#[derive(Debug, Clone, Default)]
-pub struct CompiledProgram {
-    /// Deduplicated cycle shapes.
-    pub kinds: Vec<CycleKind>,
-    /// Types referenced by [`Instr::Cast`].
-    pub dtypes: Vec<DType>,
-}
-
-impl CompiledProgram {
-    /// Total instruction count across all kinds.
-    pub fn instruction_count(&self) -> usize {
-        self.kinds.iter().map(|k| k.instrs.len()).sum()
-    }
-
-    /// Peak operand-stack depth across all kinds.
-    pub fn max_stack(&self) -> usize {
-        self.kinds.iter().map(|k| k.max_stack).max().unwrap_or(0)
-    }
-}
-
-/// One scheduled segment of a replay: which cycle kind to execute and
-/// whether a clock tick follows it (the final segment of a run may be
-/// unticked).
+/// One step of a [`Replay`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Segment {
-    /// Index into [`CompiledProgram::kinds`].
-    pub kind: u32,
-    /// Whether a tick commits registers after this segment.
-    pub tick_after: bool,
+pub(crate) enum Step {
+    /// Evaluate the indexed definition and assign it to its signal.
+    Compute(u32),
+    /// Assign the next captured input sample to the signal.
+    Input(SignalId),
+    /// A clock tick.
+    Tick,
 }
 
-/// One captured input sample consumed by [`Instr::StoreInput`] —
-/// the incoming value of a stimulus assignment, replayed verbatim and
-/// re-quantized through the signal's *current* type at assign time.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct InputSample {
-    /// Float-path value.
-    pub flt: f64,
-    /// Fixed-path value (pre-quantization).
-    pub fix: f64,
-    /// Propagated range of the incoming value.
-    pub itv: Interval,
+/// A captured run compiled for replay: the definitions it executed and
+/// the order it executed them in.
+///
+/// An assignment whose recorded root is a constant is a stimulus input
+/// (or a pre-recording initialization): its captured incoming value is
+/// replayed verbatim and re-quantized through the signal's *current* type.
+/// Every other assignment evaluates its definition on the live signal
+/// values. Each distinct `(signal, root)` pair is compiled once, in the
+/// post-order form [`Assignment`] uses for bit-true evaluation, so shared
+/// subexpressions are evaluated once per assignment.
+///
+/// Compiling is *optimistic*: host control flow that breaks the static
+/// schedule contract (stale reads through locals, Rust-level branches)
+/// yields a replay that does not reproduce the capture. A replay is
+/// therefore only trusted once
+/// [`Design::verify_replay`](crate::Design::verify_replay) has proved it
+/// against the capture; the capture can be dropped after that.
+#[derive(Debug, Clone)]
+pub struct Replay {
+    pub(crate) defs: Vec<Assignment>,
+    /// One step per step of the capture, in the same order.
+    pub(crate) steps: Vec<Step>,
+    pub(crate) inputs: Vec<Value>,
+    pub(crate) reads: Vec<u64>,
+    cycles: u64,
 }
 
-/// The per-run binding of a [`CompiledProgram`]: schedule, input stream,
-/// verification expectations, and the read/cycle totals to splice.
-#[derive(Debug, Clone, Default)]
-pub struct BoundTrace {
-    /// Per-signal `(flt, fix)` state at capture start (raw-id indexed),
-    /// used by [`Design::verify_compiled`](crate::Design::verify_compiled)
-    /// as the scratch starting state.
-    pub start: Vec<(f64, f64)>,
-    /// Cycle-kind schedule in execution order.
-    pub schedule: Vec<Segment>,
-    /// Input samples in `StoreInput` encounter order.
-    pub inputs: Vec<InputSample>,
-    /// Expected incoming `(flt, fix)` of every computed (non-input)
-    /// `Store`, in encounter order — consumed once by
-    /// [`Design::verify_compiled`](crate::Design::verify_compiled) to
-    /// prove the tape reproduces the capture before it is trusted.
-    pub expected: Vec<(f64, f64)>,
-    /// Per-signal read-count totals (raw-id indexed) spliced in after a
-    /// replay.
-    pub reads: Vec<u64>,
-    /// Clock ticks of the captured run.
-    pub cycles: u64,
+impl Replay {
+    /// Compiles `trace` against `graph`, the signal-flow graph recorded
+    /// during the capture (its node ids are the trace's roots).
+    pub fn compile(graph: &Graph, trace: &ExecTrace) -> Replay {
+        let mut index: HashMap<(SignalId, NodeId), u32> = HashMap::new();
+        let mut defs = Vec::new();
+        let mut steps = Vec::with_capacity(trace.steps.len());
+        let mut inputs = Vec::new();
+        for step in &trace.steps {
+            match *step {
+                TraceStep::Assign {
+                    sig,
+                    root,
+                    flt,
+                    fix,
+                    itv,
+                } => {
+                    if matches!(graph.node(root).op, Op::Const(_)) {
+                        steps.push(Step::Input(sig));
+                        inputs.push(Value::with_paths(flt, fix, itv));
+                    } else {
+                        let def = *index.entry((sig, root)).or_insert_with(|| {
+                            defs.push(Assignment::compile(
+                                graph,
+                                sig,
+                                sig.raw() as usize,
+                                root,
+                                |s| Some(s.raw() as usize),
+                            ));
+                            (defs.len() - 1) as u32
+                        });
+                        steps.push(Step::Compute(def));
+                    }
+                }
+                TraceStep::Tick => steps.push(Step::Tick),
+            }
+        }
+        Replay {
+            defs,
+            steps,
+            inputs,
+            reads: trace.reads.clone(),
+            cycles: trace.cycles,
+        }
+    }
+
+    /// Distinct definitions the replay evaluates.
+    pub fn definitions(&self) -> usize {
+        self.defs.len()
+    }
+
+    /// Steps per replay: assignments plus ticks.
+    pub fn steps(&self) -> usize {
+        self.steps.len()
+    }
+
+    /// Clock cycles per replay.
+    pub fn cycles(&self) -> u64 {
+        self.cycles
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::design::Design;
+    use crate::{Reg, Sig};
+    use fixref_fixed::DType;
 
+    /// Captures an eight-cycle run and checks the compiled shape: one
+    /// definition per computed signal, input vs computed steps, and a
+    /// verification replay plus a replay that match the interpreter
+    /// bitwise.
     #[test]
-    fn stack_effects_are_consistent_with_arity() {
-        assert_eq!(Instr::Const(1.0).stack_effect(), 1);
-        assert_eq!(Instr::Add.stack_effect(), -1);
-        assert_eq!(Instr::Select.stack_effect(), -2);
-        assert_eq!(Instr::Store(SignalId::from_raw(0)).stack_effect(), -1);
+    fn lowers_and_replays_a_simple_pipeline() {
+        let t: DType = "<8,6,tc,st,rd>".parse().expect("dtype");
+        let build = || {
+            let d = Design::new();
+            let x = d.sig_typed("x", t.clone());
+            let y = d.reg_typed("y", t.clone());
+            (d, x, y)
+        };
+        let run = |d: &Design, x: &Sig, y: &Reg| {
+            for i in 0..8 {
+                x.set(0.25 * f64::from(i));
+                y.set(x.get() * 0.5 + y.get());
+                d.tick();
+            }
+        };
+
+        // Interpreted capture run.
+        let (d, x, y) = build();
+        d.record_graph(true);
+        d.begin_capture();
+        run(&d, &x, &y);
+        let trace = d.end_capture().expect("capture active");
+        d.record_graph(false);
+        let replay = Replay::compile(&d.graph(), &trace);
+
+        // x is an input every cycle; y's one definition runs 8 times.
+        assert_eq!(replay.definitions(), 1);
+        assert_eq!(replay.steps(), 8 * 3);
+        assert_eq!(replay.cycles(), 8);
+        assert_eq!(replay.inputs.len(), 8);
+        assert!(d.verify_replay(&replay, &trace), "the replay must verify");
+
+        // A replay on a fresh design matches the interpreter bitwise.
+        let (d2, x2, y2) = build();
+        run(&d2, &x2, &y2);
+        let (d3, _x3, _y3) = build();
+        assert_eq!(d3.replay(&replay), 8);
+        assert_eq!(d2.export_stats(), d3.export_stats());
+        let a = d2.report_for(&y2);
+        let b = d3.report_by_id(d3.find("y").expect("y exists"));
+        assert_eq!(a.stat.min().to_bits(), b.stat.min().to_bits());
+        assert_eq!(a.stat.max().to_bits(), b.stat.max().to_bits());
+        assert_eq!(a.produced.std().to_bits(), b.produced.std().to_bits());
+        assert_eq!(a.writes, b.writes);
+        assert_eq!(a.reads, b.reads);
+    }
+
+    /// A stale read (host keeps a local across a reassignment) must be
+    /// caught by the verification replay, not silently miscompiled.
+    #[test]
+    fn verify_rejects_stale_reads() {
+        let d = Design::new();
+        let a = d.sig("a");
+        let b = d.sig("b");
+        d.record_graph(true);
+        d.begin_capture();
+        let stale = a.get(); // reads a == 0.0
+        a.set(1.0);
+        b.set(stale + 0.0); // the definition reads a == 1.0, the capture saw 0.0
+        let trace = d.end_capture().expect("capture active");
+        let replay = Replay::compile(&d.graph(), &trace);
+        assert_eq!(replay.definitions(), 1);
+        assert!(!d.verify_replay(&replay, &trace));
     }
 }

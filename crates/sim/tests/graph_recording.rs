@@ -102,7 +102,7 @@ impl Handle {
 }
 
 #[derive(Debug, Clone)]
-enum Instr {
+enum Stmt {
     Read(usize),
     Literal(f64),
     /// `Neg`, `Abs` or a `Cast`.
@@ -132,41 +132,41 @@ fn dtypes() -> Vec<DType> {
 }
 
 /// A random loop body. Operands only name earlier values of the pass.
-fn program(rng: &mut Rng64, casts: &[DType]) -> Vec<Instr> {
+fn program(rng: &mut Rng64, casts: &[DType]) -> Vec<Stmt> {
     let len = 6 + rng.below(30) as usize;
     let mut body = Vec::with_capacity(len);
     let mut values = 0;
     for _ in 0..len {
         let pick = |rng: &mut Rng64| rng.below(values as u64) as usize;
-        let instr = match if values == 0 {
+        let stmt = match if values == 0 {
             rng.below(2)
         } else {
             rng.below(8)
         } {
-            0 => Instr::Read(rng.below(SIGNALS as u64) as usize),
-            1 => Instr::Literal(LITERALS[rng.below(LITERALS.len() as u64) as usize]),
+            0 => Stmt::Read(rng.below(SIGNALS as u64) as usize),
+            1 => Stmt::Literal(LITERALS[rng.below(LITERALS.len() as u64) as usize]),
             2 => {
                 let op = match rng.below(3) {
                     0 => Op::Neg,
                     1 => Op::Abs,
                     _ => Op::Cast(casts[rng.below(casts.len() as u64) as usize].clone()),
                 };
-                Instr::Unary(op, pick(rng))
+                Stmt::Unary(op, pick(rng))
             }
             3 | 4 => {
                 let op = [Op::Add, Op::Sub, Op::Mul, Op::Div, Op::Min, Op::Max]
                     [rng.below(6) as usize]
                     .clone();
-                Instr::Binary(op, pick(rng), pick(rng))
+                Stmt::Binary(op, pick(rng), pick(rng))
             }
-            5 => Instr::Select(pick(rng), pick(rng), pick(rng)),
-            6 => Instr::Assign(rng.below(SIGNALS as u64) as usize, pick(rng)),
-            _ => Instr::Stimulus(rng.below(SIGNALS as u64) as usize),
+            5 => Stmt::Select(pick(rng), pick(rng), pick(rng)),
+            6 => Stmt::Assign(rng.below(SIGNALS as u64) as usize, pick(rng)),
+            _ => Stmt::Stimulus(rng.below(SIGNALS as u64) as usize),
         };
-        if !matches!(instr, Instr::Assign(..) | Instr::Stimulus(_)) {
+        if !matches!(stmt, Stmt::Assign(..) | Stmt::Stimulus(_)) {
             values += 1;
         }
-        body.push(instr);
+        body.push(stmt);
     }
     body
 }
@@ -207,15 +207,15 @@ fn run(rng: &mut Rng64, casts: &[DType]) -> Recorded {
     for pass in 0..passes {
         let mut values: Vec<(Value, Tree)> = Vec::new();
         let mut assigned = Vec::new();
-        for instr in &body {
+        for stmt in &body {
             let operand = |i: usize| values[i].clone();
-            let computed = match instr {
-                Instr::Read(s) => {
+            let computed = match stmt {
+                Stmt::Read(s) => {
                     let h = &signals[*s];
                     (h.get(), Tree::Read(h.id()))
                 }
-                Instr::Literal(c) => (Value::from(*c), Tree::Off),
-                Instr::Unary(op, a) => {
+                Stmt::Literal(c) => (Value::from(*c), Tree::Off),
+                Stmt::Unary(op, a) => {
                     let (v, t) = operand(*a);
                     let fix = v.fix();
                     let out = match op {
@@ -226,7 +226,7 @@ fn run(rng: &mut Rng64, casts: &[DType]) -> Recorded {
                     };
                     (out, Tree::node(op.clone(), vec![(t, fix)]))
                 }
-                Instr::Binary(op, a, b) => {
+                Stmt::Binary(op, a, b) => {
                     let ((l, lt), (r, rt)) = (operand(*a), operand(*b));
                     let operands = vec![(lt, l.fix()), (rt, r.fix())];
                     let out = match op {
@@ -240,12 +240,12 @@ fn run(rng: &mut Rng64, casts: &[DType]) -> Recorded {
                     };
                     (out, Tree::node(op.clone(), operands))
                 }
-                Instr::Select(c, a, b) => {
+                Stmt::Select(c, a, b) => {
                     let ((c, ct), (a, at), (b, bt)) = (operand(*c), operand(*a), operand(*b));
                     let operands = vec![(ct, c.fix()), (at, a.fix()), (bt, b.fix())];
                     (c.select_positive(a, b), Tree::node(Op::Select, operands))
                 }
-                Instr::Assign(s, i) => {
+                Stmt::Assign(s, i) => {
                     let (v, t) = operand(*i);
                     // A division by zero is no assignment the engine
                     // accepts; its value stays a temporary.
@@ -257,7 +257,7 @@ fn run(rng: &mut Rng64, casts: &[DType]) -> Recorded {
                     }
                     continue;
                 }
-                Instr::Stimulus(s) => {
+                Stmt::Stimulus(s) => {
                     let sample = 0.125 * pass as f64 - 0.25 + 0.0625 * *s as f64;
                     let h = &signals[*s];
                     reference.assign(h.id(), &Tree::Off, sample);

@@ -1,20 +1,19 @@
 //! Differential conformance suite for the evaluation backends.
 //!
-//! The contract under test: selecting [`SimBackend::Compiled`] changes
-//! only wall-clock time — the refined types, per-signal statistics,
-//! overflow events, journal and counters are bit-identical to the
-//! interpreted backend (modulo the `backend.*` bookkeeping the compiled
-//! backend adds, which this suite strips before comparing).
+//! The contract under test: selecting [`SimBackend::Compiled`] on a sweep
+//! changes only wall-clock time — the refined types, per-signal
+//! statistics, overflow events, journal and counters are bit-identical
+//! to the interpreted backend (modulo the `backend.*` bookkeeping the
+//! compiled backend adds, which this suite strips before comparing).
 //!
-//! Coverage: direct capture→lower→verify→replay equality on all six
-//! example designs, plus flow-level comparisons for the LMS equalizer
-//! and the timing-recovery loop — sequential and swept, cache off and
-//! on. The swept worker count comes from `FIXREF_TEST_SHARDS` (the CI
-//! matrix sets 1, 2 and 8), defaulting to 2.
+//! Coverage: direct capture→compile→verify→replay equality on all six
+//! example designs, plus swept flow-level comparisons for the LMS
+//! equalizer (cache off and on) and the timing-recovery loop. The swept
+//! worker count comes from `FIXREF_TEST_SHARDS` (the CI matrix sets 1, 2
+//! and 8), defaulting to 2.
 
 use std::sync::Arc;
 
-use fixref::codegen::lower_trace;
 use fixref::dsp::lms::equalizer_stimulus;
 use fixref::dsp::qam::{qam_stimulus, FfeConfig, QamFfe};
 use fixref::dsp::source::ShapedPamSource;
@@ -23,13 +22,10 @@ use fixref::dsp::{
 };
 use fixref::obs::{DefaultRecorder, Event, HistogramSummary};
 use fixref::refine::{RefinePolicy, RefinementFlow, SimBackend, SweepDriver};
-use fixref::sim::{
-    shard_count_from_env, BoundTrace, CompiledProgram, Design, OverflowEvent, ScenarioSet,
-    SignalStats,
-};
+use fixref::sim::{shard_count_from_env, Design, OverflowEvent, Replay, ScenarioSet, SignalStats};
 use fixref_bench::{
-    lms_paper_scenario, lms_seed_grid, lms_shard_builder, paper_input_type, timing_shard_builder,
-    LMS_SNR_DB, TIMING_SNR_DB,
+    lms_seed_grid, lms_shard_builder, paper_input_type, timing_shard_builder, LMS_SNR_DB,
+    TIMING_SNR_DB,
 };
 
 const LMS_SAMPLES: usize = 1200;
@@ -39,14 +35,11 @@ const TIMING_SAMPLES: usize = 4000;
 // Direct replay conformance on the six example designs.
 // ---------------------------------------------------------------------
 
-/// Captures one recorded run of `drive` and tries to lower it, applying
-/// the same gates as the flow backends: FXL001 static schedule, lowering,
-/// verification replay. `None` means the backend would fall back to the
-/// interpreter for this design.
-fn try_compile_example(
-    design: &Design,
-    drive: &mut dyn FnMut(),
-) -> Option<(CompiledProgram, BoundTrace)> {
+/// Captures one recorded run of `drive` and tries to compile it, applying
+/// the same gates as the sweep's compiled backend: FXL001 static schedule
+/// and the verification replay. `None` means the backend would fall back
+/// to the interpreter for this design.
+fn try_compile_example(design: &Design, drive: &mut dyn FnMut()) -> Option<Replay> {
     design.reset_stats();
     design.reset_state();
     design.clear_graph();
@@ -59,10 +52,8 @@ fn try_compile_example(
     if !schedule_ok {
         return None;
     }
-    let (program, bound) = lower_trace(design, &trace).ok()?;
-    design
-        .verify_compiled(&program, &bound)
-        .then_some((program, bound))
+    let replay = Replay::compile(&design.graph(), &trace);
+    design.verify_replay(&replay, &trace).then_some(replay)
 }
 
 /// Everything a single simulation run is judged by.
@@ -81,12 +72,12 @@ fn run_snapshot(
 }
 
 /// Asserts the compiled backend is bit-identical to the interpreter on
-/// this design: either the tape compiles and its replay reproduces the
+/// this design: either the capture compiles and its replay reproduces the
 /// interpreted run on every monitored quantity, or the design is refused
 /// (the backend's journaled fallback) and re-interpretation is
 /// deterministic — which is what the fallback's bit-identity rests on.
 /// `expect_compiled` pins which of the two paths the design must take,
-/// so a lowering regression cannot silently demote a design to fallback.
+/// so a compile regression cannot silently demote a design to fallback.
 fn assert_replay_conformance(
     name: &str,
     design: &Design,
@@ -94,11 +85,11 @@ fn assert_replay_conformance(
     expect_compiled: bool,
 ) {
     let interpreted = match try_compile_example(design, drive) {
-        Some((program, trace)) => {
+        Some(replay) => {
             assert!(expect_compiled, "{name}: expected fallback but compiled");
             let interpreted = run_snapshot(design, &mut *drive);
             let replayed = run_snapshot(design, || {
-                design.replay_compiled(&program, &trace);
+                design.replay(&replay);
             });
             assert_eq!(interpreted, replayed, "{name}: compiled replay diverged");
             interpreted
@@ -238,7 +229,7 @@ fn qam_ffe_replay_is_bit_identical() {
 }
 
 // ---------------------------------------------------------------------
-// Flow-level conformance: backends through RefinementFlow / SweepDriver.
+// Flow-level conformance: backends through SweepDriver.
 // ---------------------------------------------------------------------
 
 /// Everything the outcome of a refinement run is judged by, with the
@@ -308,36 +299,12 @@ fn timing_config() -> TimingConfig {
     }
 }
 
-/// Runs the full sequential flow on the builder's shard for the single
-/// scenario, under the given backend and cache setting.
-fn run_sequential(
-    builder: Box<fixref::refine::ShardBuilder>,
-    force_saturate: &[&str],
-    scenarios: &ScenarioSet,
-    backend: SimBackend,
-    cache: bool,
-) -> Fingerprint {
-    let shard = builder(&scenarios.as_slice()[0]);
-    let design = shard.design;
-    let mut stimulus = shard.stimulus;
-    let mut flow = RefinementFlow::new(design.clone(), RefinePolicy::default());
-    flow.set_backend(backend);
-    if cache {
-        flow.enable_cache();
-    }
-    for name in force_saturate {
-        flow.force_saturate(design.find(name).expect("declared"));
-    }
-    let outcome = flow
-        .run(move |d: &Design, i: usize| stimulus(d, i))
-        .expect("sequential flow converges");
-    fingerprint(&design, flow.recorder(), &outcome)
-}
-
-/// Runs the full swept flow under the given driver backend.
-/// `expect_compiled` pins whether the sweep must actually compile its
-/// scenario tapes (designs that refuse the FXL001 gate, like the timing
-/// loop, run the journaled fallback instead and must NOT compile).
+/// Runs the full swept flow under the given driver backend, with the
+/// driver's evaluation cache on when `cache` is set (a cached run must
+/// score hits). `expect_compiled` pins whether the sweep must actually
+/// compile its scenario captures (designs that refuse the FXL001 gate,
+/// like the timing loop, run the journaled fallback instead and must NOT
+/// compile).
 fn run_swept(
     builder: Box<fixref::refine::ShardBuilder>,
     force_saturate: &[&str],
@@ -349,67 +316,29 @@ fn run_swept(
 ) -> Fingerprint {
     let master = builder(&scenarios.as_slice()[0]).design;
     let mut flow = RefinementFlow::new(master.clone(), RefinePolicy::default());
-    if cache {
-        flow.enable_cache();
-    }
     for name in force_saturate {
         flow.force_saturate(master.find(name).expect("declared"));
     }
     let mut sweep = SweepDriver::new(scenarios.clone(), workers, builder);
     sweep.set_backend(backend);
+    if cache {
+        sweep.enable_cache();
+    }
     let outcome = flow.run_swept(&mut sweep).expect("swept flow converges");
     if backend != SimBackend::Interpreted {
         assert_eq!(
             sweep.has_compiled_program(),
             expect_compiled,
-            "sweep compiled-tape state disagrees with what this design must do"
+            "sweep compiled-replay state disagrees with what this design must do"
+        );
+    }
+    if cache {
+        assert!(
+            flow.recorder().counter("cache.hits") > 0,
+            "the cached sweep never replayed its cache"
         );
     }
     fingerprint(&master, flow.recorder(), &outcome)
-}
-
-#[test]
-fn lms_sequential_compiled_matches_interpreted() {
-    let set = lms_paper_scenario(LMS_SAMPLES);
-    for cache in [false, true] {
-        let interpreted = run_sequential(
-            lms_shard_builder(lms_config()),
-            &[],
-            &set,
-            SimBackend::Interpreted,
-            cache,
-        );
-        let compiled = run_sequential(
-            lms_shard_builder(lms_config()),
-            &[],
-            &set,
-            SimBackend::Compiled,
-            cache,
-        );
-        assert_eq!(interpreted, compiled, "cache={cache}");
-        assert!(!interpreted.types.is_empty(), "refinement decided types");
-    }
-}
-
-#[test]
-fn timing_sequential_compiled_matches_interpreted() {
-    let saturate = ["terr", "lp", "lferr", "step", "mu"];
-    let set = ScenarioSet::single(31, TIMING_SNR_DB, TIMING_SAMPLES);
-    let interpreted = run_sequential(
-        timing_shard_builder(timing_config()),
-        &saturate,
-        &set,
-        SimBackend::Interpreted,
-        false,
-    );
-    let compiled = run_sequential(
-        timing_shard_builder(timing_config()),
-        &saturate,
-        &set,
-        SimBackend::Compiled,
-        false,
-    );
-    assert_eq!(interpreted, compiled);
 }
 
 #[test]
