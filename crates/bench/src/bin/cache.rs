@@ -7,65 +7,17 @@
 //! ```
 //!
 //! Defaults: `LMS_SAMPLES` samples. `--json` prints the JSON document to
-//! stdout instead of the human summary (the file is written either way).
+//! stdout instead of the text table (the file is written either way).
+//! Exits non-zero if the cached and uncached flows disagree or the warm
+//! replay is less than 1.5x faster than a cold simulation.
 
-use fixref_bench::{run_cache_bench, write_bench_json, LMS_SAMPLES};
+use std::process::ExitCode;
 
-fn parse_flag(args: &[String], name: &str, default: usize) -> usize {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+use fixref_bench::{run_cache_bench, BenchArgs, LMS_SAMPLES};
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json = args.iter().any(|a| a == "--json");
-    let samples = parse_flag(&args, "--samples", LMS_SAMPLES);
-
-    let result = run_cache_bench(samples).expect("refinement converges on the equalizer");
-
-    let rendered = result.render_json();
-    write_bench_json("cache", &rendered);
-
-    if json {
-        println!("{rendered}");
-    } else {
-        println!("Evaluation cache — LMS equalizer, {samples} samples");
-        println!("===================================================");
-        println!(
-            "driver: cold {:.2} ms   warm replay {:.3} ms   speedup {:.1}x   ({} cycles)",
-            result.cold_ns as f64 / 1e6,
-            result.warm_ns as f64 / 1e6,
-            result.warm_speedup,
-            result.cycles
-        );
-        println!(
-            "driver cache: {} hit(s), {} miss(es)",
-            result.driver_hits, result.driver_misses
-        );
-        println!(
-            "flow: uncached {:.1} ms   cached {:.1} ms   speedup {:.2}x",
-            result.flow_uncached_ns as f64 / 1e6,
-            result.flow_cached_ns as f64 / 1e6,
-            result.flow_speedup
-        );
-        println!(
-            "flow cache: {} hit(s), {} miss(es)   outcomes match: {}",
-            result.flow_hits, result.flow_misses, result.outcomes_match
-        );
-    }
-
-    if !result.outcomes_match {
-        eprintln!("error: cached and uncached refinements disagree");
-        std::process::exit(1);
-    }
-    if result.warm_speedup < 1.5 {
-        eprintln!(
-            "error: warm replay speedup {:.2}x below the 1.5x floor",
-            result.warm_speedup
-        );
-        std::process::exit(1);
-    }
+fn main() -> ExitCode {
+    let args = BenchArgs::from_env();
+    run_cache_bench(args.number("--samples", LMS_SAMPLES))
+        .expect("refinement converges on the equalizer")
+        .publish(args.has("--json"))
 }

@@ -7,61 +7,24 @@
 //! cargo run --release -p fixref-bench --bin fault -- [--samples N] [--repeats N] [--json]
 //! ```
 //!
-//! Defaults: `LMS_SAMPLES` samples, 3 repeats (minimum wall time wins).
-//! `--json` prints the JSON document to stdout instead of the human
-//! summary (the file is written either way).
+//! Defaults: `LMS_SAMPLES` samples, 3 interleaved repeats. `--json`
+//! prints the JSON document to stdout instead of the text table (the
+//! file is written either way). Exits non-zero if the checkpointed and
+//! plain flows disagree; a best-run overhead above 3% is a warning.
 
-use fixref_bench::{run_fault_bench, write_bench_json, LMS_SAMPLES};
+use std::process::ExitCode;
 
-fn parse_flag(args: &[String], name: &str, default: usize) -> usize {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+use fixref_bench::{best_run_overhead_pct, run_fault_bench, BenchArgs, LMS_SAMPLES};
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json = args.iter().any(|a| a == "--json");
-    let samples = parse_flag(&args, "--samples", LMS_SAMPLES);
-    let repeats = parse_flag(&args, "--repeats", 3);
-
-    let result = run_fault_bench(samples, repeats).expect("refinement converges");
-
-    let rendered = result.render_json();
-    write_bench_json("fault", &rendered);
-
-    if json {
-        println!("{rendered}");
-    } else {
-        println!("Fault tolerance — LMS equalizer, {samples} samples, best of {repeats}");
-        println!("==================================================================");
-        println!(
-            "flow: plain {:.2} ms   checkpointed {:.2} ms   overhead {:+.2}%",
-            result.plain_ns as f64 / 1e6,
-            result.checkpointed_ns as f64 / 1e6,
-            result.checkpoint_overhead_pct
-        );
-        println!(
-            "checkpoints: {} written, final document {} bytes",
-            result.checkpoints_written, result.checkpoint_bytes
-        );
-        println!(
-            "isolation: {:.0} ns/job isolated vs {:.0} ns/job direct ({:+.0} ns catch_unwind cost)",
-            result.isolated_ns_per_job, result.direct_ns_per_job, result.isolation_cost_ns
-        );
-        println!("outcomes match: {}", result.outcomes_match);
+fn main() -> ExitCode {
+    let args = BenchArgs::from_env();
+    let report = run_fault_bench(
+        args.number("--samples", LMS_SAMPLES),
+        args.number("--repeats", 3),
+    )
+    .expect("refinement converges");
+    if let Some(pct) = best_run_overhead_pct(&report).filter(|&pct| pct > 3.0) {
+        eprintln!("warning: checkpoint overhead {pct:.2}% above the 3% target (noisy machine?)");
     }
-
-    if !result.outcomes_match {
-        eprintln!("error: checkpointed and plain refinements disagree");
-        std::process::exit(1);
-    }
-    if result.checkpoint_overhead_pct > 3.0 {
-        eprintln!(
-            "warning: checkpoint overhead {:.2}% above the 3% target (noisy machine?)",
-            result.checkpoint_overhead_pct
-        );
-    }
+    report.publish(args.has("--json"))
 }

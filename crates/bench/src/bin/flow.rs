@@ -1,24 +1,20 @@
 //! Runs the full refinement flow (MSB + LSB + verification) on the paper
-//! equalizer and prints the flow's
-//! [`MetricsReport`](fixref_obs::MetricsReport) — span timings, event
-//! counts, simulation counters — named `flow`.
+//! equalizer.
 //!
-//! With `--json`, prints the report as JSON and writes it to
-//! `BENCH_flow.json` for downstream tooling; otherwise prints a plain
-//! summary of the converged flow.
+//! With `--json`, prints the flow's span times, counters and event
+//! tallies as the `flow` bench report and writes it to
+//! `BENCH_flow.json`; otherwise prints a plain summary of the converged
+//! flow.
 
-use fixref_bench::{run_flow_report, write_bench_json, LMS_SAMPLES};
+use std::process::ExitCode;
 
-fn main() {
-    let json = std::env::args().skip(1).any(|a| a == "--json");
+use fixref_bench::{run_flow_report, BenchArgs, BenchReport, LMS_SAMPLES};
+
+fn main() -> ExitCode {
     let (outcome, report) =
         run_flow_report(LMS_SAMPLES).expect("the refinement flow converges on the equalizer");
-
-    if json {
-        let rendered = report.render_json();
-        write_bench_json("flow", &rendered);
-        println!("{rendered}");
-        return;
+    if BenchArgs::from_env().has("--json") {
+        return BenchReport::from_metrics(&report).publish(true);
     }
 
     println!("Refinement flow — Fig. 1 LMS equalizer, input <7,5,tc>");
@@ -30,4 +26,5 @@ fn main() {
     for iv in &outcome.interventions {
         println!("  {iv}");
     }
+    ExitCode::SUCCESS
 }

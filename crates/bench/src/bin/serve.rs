@@ -1,60 +1,21 @@
 //! Job-server benchmark: throughput at queue depths 1/8/64, per-job
-//! submit-to-complete latency (p50/p99) and crash-recovery time, written
-//! to `BENCH_serve.json`.
+//! submit-to-complete latency and crash-recovery time, written to
+//! `BENCH_serve.json`.
 //!
 //! ```text
 //! cargo run --release -p fixref-bench --bin serve -- [--samples N] [--json]
 //! ```
 //!
 //! Defaults: 120-sample LMS jobs (small on purpose — the flow itself,
-//! not the stimulus, is what the server schedules around).
+//! not the stimulus, is what the server schedules around). Exits
+//! non-zero if a job recovered after the injected crash does not finish
+//! complete.
 
-use fixref_bench::{run_serve_bench, write_bench_json};
+use std::process::ExitCode;
 
-fn parse_flag(args: &[String], name: &str, default: usize) -> usize {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+use fixref_bench::{run_serve_bench, BenchArgs};
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json = args.iter().any(|a| a == "--json");
-    let samples = parse_flag(&args, "--samples", 120);
-
-    let result = run_serve_bench(samples, &[1, 8, 64]);
-
-    let rendered = result.render_json();
-    write_bench_json("serve", &rendered);
-
-    if json {
-        println!("{rendered}");
-    } else {
-        println!("Job server — LMS refinement jobs, {samples} samples each");
-        println!("=========================================================");
-        println!("depth   jobs/sec   p50 (ms)   p99 (ms)");
-        for row in &result.rows {
-            println!(
-                "{:>5}   {:>8.1}   {:>8.2}   {:>8.2}",
-                row.depth,
-                row.jobs_per_sec,
-                row.p50_ns as f64 / 1e6,
-                row.p99_ns as f64 / 1e6
-            );
-        }
-        println!(
-            "recovery: {} jobs re-queued, open {:.2} ms, drain {:.2} ms, all complete: {}",
-            result.recovery_jobs,
-            result.recovery_open_ns as f64 / 1e6,
-            result.recovery_drain_ns as f64 / 1e6,
-            result.recovery_complete
-        );
-    }
-
-    if !result.recovery_complete {
-        eprintln!("error: not every recovered job finished complete");
-        std::process::exit(1);
-    }
+fn main() -> ExitCode {
+    let args = BenchArgs::from_env();
+    run_serve_bench(args.number("--samples", 120), &[1, 8, 64]).publish(args.has("--json"))
 }

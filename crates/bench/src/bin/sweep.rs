@@ -10,70 +10,20 @@
 //!
 //! Defaults: 8 scenarios × `LMS_SAMPLES` samples, one worker per hardware
 //! thread. `--json` prints the JSON document to stdout instead of the
-//! human summary (the file is written either way).
+//! text table (the file is written either way). Exits non-zero if the
+//! two refinements disagree.
 
-use fixref_bench::{run_sweep_bench, write_bench_json, LMS_SAMPLES};
+use std::process::ExitCode;
 
-fn parse_flag(args: &[String], name: &str, default: usize) -> usize {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+use fixref_bench::{run_sweep_bench, BenchArgs, Machine, LMS_SAMPLES};
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json = args.iter().any(|a| a == "--json");
-    let default_workers = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    let scenarios = parse_flag(&args, "--scenarios", 8);
-    let samples = parse_flag(&args, "--samples", LMS_SAMPLES);
-    let workers = parse_flag(&args, "--workers", default_workers);
-
-    let result =
-        run_sweep_bench(scenarios, samples, workers).expect("MSB sweep converges on the equalizer");
-
-    let rendered = result.render_json();
-    write_bench_json("parallel", &rendered);
-
-    if json {
-        println!("{rendered}");
-        return;
-    }
-
-    println!("Parallel scenario sweep — LMS equalizer MSB refinement");
-    println!("======================================================");
-    println!(
-        "{} scenarios x {} samples, {} worker(s), host parallelism {}",
-        result.scenarios, result.samples, result.workers, result.available_parallelism
-    );
-    println!(
-        "sequential: {:.1} ms   parallel: {:.1} ms   speedup: {:.2}x",
-        result.sequential_ns as f64 / 1e6,
-        result.parallel_ns as f64 / 1e6,
-        result.speedup
-    );
-    println!(
-        "msb iterations: {}   outcomes match: {}",
-        result.msb_iterations, result.outcomes_match
-    );
-    println!();
-    println!("per-shard (last parallel iteration):");
-    for s in &result.shards {
-        println!(
-            "  s{} seed={} snr={}dB n={}  cycles={}  wall={:.2} ms",
-            s.index,
-            s.seed,
-            s.snr_db,
-            s.samples,
-            s.cycles,
-            s.wall_ns as f64 / 1e6
-        );
-    }
-    if !result.outcomes_match {
-        eprintln!("error: sequential and parallel refinements disagree");
-        std::process::exit(1);
-    }
+fn main() -> ExitCode {
+    let args = BenchArgs::from_env();
+    run_sweep_bench(
+        args.number("--scenarios", 8),
+        args.number("--samples", LMS_SAMPLES),
+        args.number("--workers", Machine::current().available_parallelism),
+    )
+    .expect("MSB sweep converges on the equalizer")
+    .publish(args.has("--json"))
 }

@@ -7,23 +7,20 @@
 //! equivalent of the paper's `b.range(-0.2, 0.2)`) resolves both in
 //! iteration 2.
 //!
-//! With `--json`, prints the flow's
-//! [`MetricsReport`](fixref_obs::MetricsReport) as JSON instead and
-//! writes it to `BENCH_table1.json` for downstream tooling.
+//! With `--json`, prints the flow's span times, counters and event
+//! tallies as the `table1` bench report instead and writes it to
+//! `BENCH_table1.json`.
 
-use fixref_bench::{run_table1_report, table1_text, write_bench_json, LMS_SAMPLES};
+use std::process::ExitCode;
 
-fn main() {
-    let json = std::env::args().skip(1).any(|a| a == "--json");
+use fixref_bench::{run_table1_report, table1_text, BenchArgs, BenchReport, LMS_SAMPLES};
+
+fn main() -> ExitCode {
     let (history, interventions, report) =
         run_table1_report(LMS_SAMPLES).expect("MSB phase converges on the equalizer");
-
-    if json {
-        let rendered = report.render_json();
-        write_bench_json("table1", &rendered);
-        println!("{rendered}");
-        return;
+    if BenchArgs::from_env().has("--json") {
+        return BenchReport::from_metrics(&report).publish(true);
     }
-
     print!("{}", table1_text(&history, &interventions));
+    ExitCode::SUCCESS
 }

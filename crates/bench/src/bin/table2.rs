@@ -5,23 +5,20 @@
 //! every signal; the slicer output `y` is exact (all-zero error
 //! statistics) with LSB 0.
 //!
-//! With `--json`, prints the flow's
-//! [`MetricsReport`](fixref_obs::MetricsReport) as JSON instead and
-//! writes it to `BENCH_table2.json` for downstream tooling.
+//! With `--json`, prints the flow's span times, counters and event
+//! tallies as the `table2` bench report instead and writes it to
+//! `BENCH_table2.json`.
 
-use fixref_bench::{run_table2_report, table2_text, write_bench_json, LMS_SAMPLES};
+use std::process::ExitCode;
 
-fn main() {
-    let json = std::env::args().skip(1).any(|a| a == "--json");
+use fixref_bench::{run_table2_report, table2_text, BenchArgs, BenchReport, LMS_SAMPLES};
+
+fn main() -> ExitCode {
     let (history, report) =
         run_table2_report(LMS_SAMPLES).expect("LSB phase converges on the equalizer");
-
-    if json {
-        let rendered = report.render_json();
-        write_bench_json("table2", &rendered);
-        println!("{rendered}");
-        return;
+    if BenchArgs::from_env().has("--json") {
+        return BenchReport::from_metrics(&report).publish(true);
     }
-
     print!("{}", table2_text(&history));
+    ExitCode::SUCCESS
 }

@@ -5,25 +5,18 @@
 //! ```
 //!
 //! Prints each example's verdict-annotated report (the text
-//! `tests/golden/verify_*.txt` pins in CI) and writes the timing figures —
-//! BMC states/second and proof wall-time per design — to
-//! `BENCH_verify.json`.
+//! `tests/golden/verify_*.txt` pins in CI), then the timing figures —
+//! BMC states/second and proof wall-time per design — which it also
+//! writes to `BENCH_verify.json`.
 
-fn main() {
-    let result = fixref_bench::run_verify_bench();
-    for ex in &result.examples {
+use std::process::ExitCode;
+
+fn main() -> ExitCode {
+    let examples = fixref_bench::verify_example_designs();
+    for ex in &examples {
         println!("=== {} ===", ex.name);
         print!("{}", ex.verified.render_text());
         println!();
     }
-    for ex in &result.examples {
-        println!(
-            "{}: {} states in {:.3} ms ({:.0} states/s)",
-            ex.name,
-            ex.states,
-            ex.wall_ns as f64 * 1e-6,
-            ex.states_per_sec()
-        );
-    }
-    fixref_bench::write_bench_json("verify", &result.render_json());
+    fixref_bench::verify_bench_report(&examples).publish(false)
 }

@@ -25,83 +25,22 @@
 //!
 //! The timing follows the repo's interleaved-repeat methodology (see
 //! `faultbench`): the variants alternate within each repeat so a
-//! background-load spike degrades all minima instead of biasing one
-//! block, and the best-of-N wall time wins. The replayed statistics are
-//! checked bit-identical against the interpreted run (`outcomes_match`)
-//! so the speedup is never bought with divergence.
+//! background-load spike hits all three instead of biasing one block, and
+//! the report gives each variant's median, best and worst over the
+//! repeats (each speedup is taken within a repeat). The replayed
+//! statistics are checked bit-identical against the interpreted run
+//! (`outcomes_match`) so the speedup is never bought with divergence.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use fixref_dsp::lms::equalizer_stimulus;
 use fixref_dsp::{LmsConfig, LmsEqualizer};
-use fixref_obs::json::fmt_f64;
 use fixref_obs::DefaultRecorder;
 use fixref_sim::{Design, Replay, SignalStats};
 
+use crate::report::{ms, BenchReport, Metric};
 use crate::{lms_setup, LMS_SNR_DB};
-
-/// Outcome of the compiled-backend benchmark.
-#[derive(Debug, Clone)]
-pub struct CompileBenchResult {
-    /// Stimulus length.
-    pub samples: usize,
-    /// Interleaved repeats per variant (minimum wall time wins).
-    pub repeats: usize,
-    /// Best wall time of the interpreted simulation with graph recording
-    /// on — the flow's `iteration == 1` cost — in nanoseconds.
-    pub first_iteration_ns: u128,
-    /// Best wall time of the interpreted simulation with recording off
-    /// (steady-state iteration), nanoseconds.
-    pub interpreted_ns: u128,
-    /// Best wall time of the compiled replay, nanoseconds.
-    pub compiled_ns: u128,
-    /// `first_iteration_ns / compiled_ns`: mostly the cost of recording.
-    pub first_iteration_speedup: f64,
-    /// `interpreted_ns / compiled_ns` — the conservative comparison.
-    pub steady_speedup: f64,
-    /// Cycles every variant simulated (they must agree).
-    pub cycles: u64,
-    /// Distinct definitions the replay evaluates.
-    pub definitions: usize,
-    /// Steps per replay: assignments plus ticks.
-    pub steps: usize,
-    /// Whether the compiled replay reproduced the interpreted run's
-    /// exported statistics bit-identically.
-    pub outcomes_match: bool,
-}
-
-impl CompileBenchResult {
-    /// Renders the result as the `BENCH_compile.json` document.
-    pub fn render_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"bench\": \"compile\",\n");
-        out.push_str("  \"design\": \"lms\",\n");
-        out.push_str(&format!("  \"samples\": {},\n", self.samples));
-        out.push_str(&format!("  \"repeats\": {},\n", self.repeats));
-        out.push_str(&format!(
-            "  \"first_iteration_ns\": {},\n",
-            self.first_iteration_ns
-        ));
-        out.push_str(&format!("  \"interpreted_ns\": {},\n", self.interpreted_ns));
-        out.push_str(&format!("  \"compiled_ns\": {},\n", self.compiled_ns));
-        out.push_str(&format!(
-            "  \"first_iteration_speedup\": {},\n",
-            fmt_f64(self.first_iteration_speedup)
-        ));
-        out.push_str(&format!(
-            "  \"steady_speedup\": {},\n",
-            fmt_f64(self.steady_speedup)
-        ));
-        out.push_str(&format!("  \"cycles\": {},\n", self.cycles));
-        out.push_str(&format!("  \"definitions\": {},\n", self.definitions));
-        out.push_str(&format!("  \"steps\": {},\n", self.steps));
-        out.push_str(&format!("  \"outcomes_match\": {}\n", self.outcomes_match));
-        out.push_str("}\n");
-        out
-    }
-}
 
 /// One benchable lane: the table-1 design with a flow-style recorder
 /// attached, plus its captured-and-verified replay.
@@ -163,13 +102,14 @@ fn run_and_export(design: &Design, f: impl FnOnce()) -> (Vec<SignalStats>, u64) 
 }
 
 /// The compiled-backend benchmark on the table-1 first-MSB-iteration hot
-/// loop.
+/// loop, `repeats` interleaved rounds of the three variants. Checks that
+/// the replay reproduces the interpreted statistics bit-identically.
 ///
 /// # Panics
 ///
 /// Panics if the LMS capture fails its verification replay — that is a
 /// regression in the compiled backend, not a measurement.
-pub fn run_compile_bench(samples: usize, repeats: usize) -> CompileBenchResult {
+pub fn run_compile_bench(samples: usize, repeats: usize) -> BenchReport {
     let repeats = repeats.max(1);
     let lane = build_lane(samples);
     let design = &lane.design;
@@ -183,10 +123,10 @@ pub fn run_compile_bench(samples: usize, repeats: usize) -> CompileBenchResult {
     let outcomes_match = interp_stats == replay_stats && interp_cycles == replay_cycles;
 
     // Interleaved timing: first-iteration, interpreted and compiled
-    // within each repeat; best of N.
-    let mut first_iteration_ns = u128::MAX;
-    let mut interpreted_ns = u128::MAX;
-    let mut compiled_ns = u128::MAX;
+    // within each repeat.
+    let mut first_iteration = Vec::with_capacity(repeats);
+    let mut interpreted = Vec::with_capacity(repeats);
+    let mut compiled = Vec::with_capacity(repeats);
     for _ in 0..repeats {
         design.reset_stats();
         design.reset_state();
@@ -196,35 +136,43 @@ pub fn run_compile_bench(samples: usize, repeats: usize) -> CompileBenchResult {
         lane.drive(samples);
         design.record_graph(false);
         design.flush_monitors();
-        first_iteration_ns = first_iteration_ns.min(start.elapsed().as_nanos());
+        first_iteration.push(ms(start.elapsed().as_nanos()));
 
         design.reset_stats();
         design.reset_state();
         let start = Instant::now();
         lane.drive(samples);
         design.flush_monitors();
-        interpreted_ns = interpreted_ns.min(start.elapsed().as_nanos());
+        interpreted.push(ms(start.elapsed().as_nanos()));
 
         design.reset_stats();
         design.reset_state();
         let start = Instant::now();
         design.replay(&lane.replay);
-        compiled_ns = compiled_ns.min(start.elapsed().as_nanos());
+        compiled.push(ms(start.elapsed().as_nanos()));
     }
+    let ratio = |num: &[f64]| -> Vec<f64> {
+        num.iter()
+            .zip(&compiled)
+            .map(|(n, c)| n / c.max(1e-6))
+            .collect()
+    };
+    let count = |n: usize| Metric::once("count", n as f64);
 
-    CompileBenchResult {
-        samples,
-        repeats,
-        first_iteration_ns,
-        interpreted_ns,
-        compiled_ns,
-        first_iteration_speedup: first_iteration_ns as f64 / compiled_ns.max(1) as f64,
-        steady_speedup: interpreted_ns as f64 / compiled_ns.max(1) as f64,
-        cycles: interp_cycles,
-        definitions: lane.replay.definitions(),
-        steps: lane.replay.steps(),
-        outcomes_match,
-    }
+    BenchReport::new("compile", repeats)
+        .metric("samples", count(samples))
+        .metric("first_iteration_ms", Metric::over("ms", &first_iteration))
+        .metric("interpreted_ms", Metric::over("ms", &interpreted))
+        .metric("compiled_ms", Metric::over("ms", &compiled))
+        .metric(
+            "first_iteration_speedup",
+            Metric::over("x", &ratio(&first_iteration)),
+        )
+        .metric("steady_speedup", Metric::over("x", &ratio(&interpreted)))
+        .metric("cycles", count(interp_cycles as usize))
+        .metric("definitions", count(lane.replay.definitions()))
+        .metric("steps", count(lane.replay.steps()))
+        .check("outcomes_match", outcomes_match)
 }
 
 #[cfg(test)]
@@ -233,23 +181,15 @@ mod tests {
 
     #[test]
     fn compile_bench_replays_bit_identically() {
-        let result = run_compile_bench(600, 1);
+        let report = run_compile_bench(600, 2);
         assert!(
-            result.outcomes_match,
+            report.passed(),
             "the compiled replay diverged from the interpreter"
         );
-        assert!(result.definitions >= 1);
-        assert!(result.steps > 600);
-        assert_eq!(result.cycles, 600);
-        let json = result.render_json();
-        let parsed = fixref_obs::Json::parse(&json).expect("well-formed JSON");
-        assert_eq!(
-            parsed.get("bench").and_then(fixref_obs::Json::as_str),
-            Some("compile")
-        );
-        assert!(matches!(
-            parsed.get("outcomes_match"),
-            Some(fixref_obs::Json::Bool(true))
-        ));
+        assert_eq!(report.repeats, 2);
+        let median = |name: &str| report.get(name).map(|m| m.median);
+        assert!(median("definitions") >= Some(1.0));
+        assert!(median("steps") > Some(600.0));
+        assert_eq!(median("cycles"), Some(600.0));
     }
 }

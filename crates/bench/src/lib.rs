@@ -21,6 +21,7 @@ pub mod compilebench;
 pub mod faultbench;
 pub mod lintbench;
 pub mod microbench;
+pub mod report;
 pub mod servebench;
 pub mod sweep;
 pub mod verifybench;
@@ -42,45 +43,28 @@ use fixref_fixed::{DType, Interval, SqnrMeter};
 use fixref_obs::MetricsReport;
 use fixref_sim::{Design, SignalRef};
 
-pub use cachebench::{run_cache_bench, CacheBenchResult};
-pub use compilebench::{run_compile_bench, CompileBenchResult};
-pub use faultbench::{run_fault_bench, FaultBenchResult};
+pub use cachebench::run_cache_bench;
+pub use compilebench::run_compile_bench;
+pub use faultbench::{best_run_overhead_pct, run_fault_bench};
 pub use lintbench::{lint_example_designs, ExampleLint};
-pub use servebench::{run_serve_bench, DepthRow, ServeBenchResult};
+pub use report::{BenchArgs, BenchReport, Machine, Metric};
+pub use servebench::run_serve_bench;
 pub use sweep::{
     lms_paper_scenario, lms_scenario_stimulus, lms_seed_grid, lms_shard_builder, run_sweep_bench,
-    run_table1_swept, run_table2_swept, timing_shard_builder, ShardRow, SweepBenchResult,
+    run_table1_swept, run_table2_swept, timing_shard_builder,
 };
-pub use verifybench::{run_verify_bench, verify_example_designs, ExampleVerify, VerifyBenchResult};
+pub use verifybench::{verify_bench_report, verify_example_designs, ExampleVerify};
 
-/// Writes a rendered bench/report JSON document to `BENCH_{stem}.json`,
-/// asserting first that the document's own `name`/`bench` key agrees with
-/// the stem — the invariant that keeps every `BENCH_*.json` artifact
-/// self-describing (a `table1` report can never clobber `BENCH_flow.json`
-/// again).
-///
-/// IO failure is a warning, not an error: benches still print their
-/// results when the working directory is read-only.
-///
-/// # Panics
-///
-/// Panics if `rendered` is not valid JSON, carries no `name`/`bench`
-/// key, or its report name disagrees with `stem`.
-pub fn write_bench_json(stem: &str, rendered: &str) {
-    let parsed = fixref_obs::Json::parse(rendered).expect("bench JSON renders valid JSON");
-    let name = parsed
-        .get("name")
-        .or_else(|| parsed.get("bench"))
-        .and_then(fixref_obs::Json::as_str)
-        .expect("bench JSON carries a name/bench key");
-    assert_eq!(
-        name, stem,
-        "bench report name must match its BENCH_<name>.json file stem"
-    );
-    let path = format!("BENCH_{stem}.json");
-    if let Err(e) = std::fs::write(&path, rendered.as_bytes()) {
-        eprintln!("warning: could not write {path}: {e}");
-    }
+/// The types a flow decided, by signal name and sorted: what two runs
+/// of the same refinement are compared by.
+pub(crate) fn decided_types(design: &Design, outcome: &FlowOutcome) -> Vec<(String, String)> {
+    let mut types: Vec<(String, String)> = outcome
+        .types
+        .iter()
+        .map(|(id, t)| (design.name_of(*id), t.to_string()))
+        .collect();
+    types.sort();
+    types
 }
 
 /// The paper's input type `<7,5,tc>` with saturation and rounding.
@@ -308,28 +292,15 @@ pub fn run_sqnr(samples: usize) -> Result<(SqnrResult, FlowOutcome), FlowError> 
         ..LmsConfig::default()
     };
 
-    let measure = |d: &Design, eq: &LmsEqualizer| {
-        d.reset_stats();
-        d.reset_state();
-        eq.init();
-        let mut meter = SqnrMeter::new();
-        for &x in &equalizer_stimulus(7, LMS_SNR_DB, samples) {
-            eq.step(x);
-            let v = eq.w().get();
-            meter.record(v.flt(), v.fix());
-        }
-        meter.sqnr_db()
-    };
-
     // Stage A: input-only quantization.
     let (d, eq) = lms_setup(&config);
-    let before_db = measure(&d, &eq);
+    let before_db = lms_quality(&d, &eq, samples);
 
     // Stage B: full refinement on a fresh design, then re-measure.
     let (d2, eq2) = lms_setup(&config);
     let mut flow = RefinementFlow::new(d2.clone(), RefinePolicy::default());
     let outcome = flow.run(lms_stimulus(&eq2, samples))?;
-    let after_db = measure(&d2, &eq2);
+    let after_db = lms_quality(&d2, &eq2, samples);
 
     Ok((
         SqnrResult {

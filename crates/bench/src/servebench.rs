@@ -6,9 +6,9 @@
 //!    and 64: each round submits `depth` identical LMS refinement jobs,
 //!    then measures from first submit to last completion with a worker
 //!    thread draining the queue.
-//! 2. **Latency** — per-job submit-to-complete wall time (p50/p99 over
-//!    the round), observed by polling job status at sub-millisecond
-//!    granularity.
+//! 2. **Latency** — per-job submit-to-complete wall time (median, best
+//!    and worst over the round, plus the p99), observed by polling job
+//!    status at sub-millisecond granularity.
 //! 3. **Recovery** — after an injected `kill -9`-equivalent crash
 //!    ([`fixref_sim::FaultPlan::server_crash_after_n_checkpoints`])
 //!    mid-job with a full queue behind it: how long the restart takes
@@ -26,41 +26,10 @@
 use std::time::{Duration, Instant};
 
 use fixref_core::{FlowSpec, JobSpec};
-use fixref_obs::json::fmt_f64;
 use fixref_serve::{JobState, Server, ServerConfig};
 use fixref_sim::{DesignSpec, FaultPlan, ScenarioSet};
 
-/// Throughput/latency measurements at one queue depth.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DepthRow {
-    /// Jobs submitted before the worker starts draining.
-    pub depth: usize,
-    /// First-submit to last-completion wall time, ns.
-    pub wall_ns: u128,
-    /// Completed jobs per second over the round.
-    pub jobs_per_sec: f64,
-    /// Median submit-to-complete latency, ns.
-    pub p50_ns: u128,
-    /// 99th-percentile submit-to-complete latency, ns.
-    pub p99_ns: u128,
-}
-
-/// Result of [`run_serve_bench`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeBenchResult {
-    /// LMS stimulus length per job.
-    pub samples: usize,
-    /// One row per measured queue depth.
-    pub rows: Vec<DepthRow>,
-    /// Jobs queued behind the crash in the recovery measurement.
-    pub recovery_jobs: usize,
-    /// Restart cost: jobs-log replay + re-queue (`Server::open`), ns.
-    pub recovery_open_ns: u128,
-    /// Drain cost: finishing every recovered job after restart, ns.
-    pub recovery_drain_ns: u128,
-    /// Every recovered job finished `"complete"`.
-    pub recovery_complete: bool,
-}
+use crate::report::{ms, BenchReport, Metric};
 
 fn lms_job(samples: usize, tenant: &str) -> JobSpec {
     JobSpec::new(
@@ -77,17 +46,19 @@ fn data_dir(name: &str) -> std::path::PathBuf {
     dir
 }
 
-fn percentile(sorted: &[u128], pct: f64) -> u128 {
+/// The nearest-rank percentile of ascending `sorted` (0 when empty).
+fn percentile(sorted: &[f64], pct: f64) -> f64 {
     if sorted.is_empty() {
-        return 0;
+        return 0.0;
     }
     let rank = ((pct / 100.0) * (sorted.len() - 1) as f64).round() as usize;
     sorted[rank.min(sorted.len() - 1)]
 }
 
 /// One throughput round: submit `depth` jobs, drain with a worker
-/// thread, observe per-job completion by polling.
-fn run_depth(samples: usize, depth: usize) -> DepthRow {
+/// thread, observe per-job completion by polling. Adds the round's
+/// throughput and latencies to `report` as `depth<depth>.*`.
+fn run_depth(report: BenchReport, samples: usize, depth: usize) -> BenchReport {
     let mut config = ServerConfig::new(data_dir(&format!("depth{depth}")));
     config.queue_capacity = depth.max(1);
     config.tenant_queue_capacity = depth.max(1);
@@ -105,12 +76,12 @@ fn run_depth(samples: usize, depth: usize) -> DepthRow {
         let server = std::sync::Arc::clone(&server);
         std::thread::spawn(move || server.run_until_idle())
     };
-    let mut latencies_ns: Vec<u128> = Vec::with_capacity(depth);
+    let mut latencies: Vec<f64> = Vec::with_capacity(depth);
     let mut pending: Vec<(String, Instant)> = jobs;
     while !pending.is_empty() {
         pending.retain(|(job, submitted)| match server.status(job) {
             Some(s) if s.state == JobState::Finished => {
-                latencies_ns.push(submitted.elapsed().as_nanos());
+                latencies.push(ms(submitted.elapsed().as_nanos()));
                 false
             }
             _ => true,
@@ -119,17 +90,22 @@ fn run_depth(samples: usize, depth: usize) -> DepthRow {
             std::thread::sleep(Duration::from_micros(100));
         }
     }
-    let wall_ns = t0.elapsed().as_nanos();
+    let wall_s = t0.elapsed().as_secs_f64();
     assert_eq!(worker.join().expect("worker"), depth);
 
-    latencies_ns.sort_unstable();
-    DepthRow {
-        depth,
-        wall_ns,
-        jobs_per_sec: depth as f64 / (wall_ns as f64 / 1e9),
-        p50_ns: percentile(&latencies_ns, 50.0),
-        p99_ns: percentile(&latencies_ns, 99.0),
-    }
+    latencies.sort_by(f64::total_cmp);
+    let name = |what: &str| format!("depth{depth}.{what}");
+    report
+        .metric(&name("wall_ms"), Metric::once("ms", wall_s * 1e3))
+        .metric(
+            &name("jobs_per_sec"),
+            Metric::once("1/s", depth as f64 / wall_s),
+        )
+        .metric(&name("latency_ms"), Metric::over("ms", &latencies))
+        .metric(
+            &name("p99_latency_ms"),
+            Metric::once("ms", percentile(&latencies, 99.0)),
+        )
 }
 
 /// Crash-recovery timing: `jobs` queued, server killed after 2
@@ -161,51 +137,21 @@ fn run_recovery(samples: usize, jobs: usize) -> (usize, u128, u128, bool) {
     (recovered, open_ns, drain_ns, complete)
 }
 
-/// Runs the full server benchmark over the given queue depths.
-pub fn run_serve_bench(samples: usize, depths: &[usize]) -> ServeBenchResult {
-    let rows: Vec<DepthRow> = depths.iter().map(|&d| run_depth(samples, d)).collect();
-    let recovery_jobs = 8;
-    let (recovered, open_ns, drain_ns, complete) = run_recovery(samples, recovery_jobs);
-    ServeBenchResult {
-        samples,
-        rows,
-        recovery_jobs: recovered,
-        recovery_open_ns: open_ns,
-        recovery_drain_ns: drain_ns,
-        recovery_complete: complete,
+/// Runs the full server benchmark over the given queue depths, each
+/// round once. Checks that every job recovered after the crash finishes
+/// `"complete"`.
+pub fn run_serve_bench(samples: usize, depths: &[usize]) -> BenchReport {
+    let mut report =
+        BenchReport::new("serve", 1).metric("samples", Metric::once("count", samples as f64));
+    for &depth in depths {
+        report = run_depth(report, samples, depth);
     }
-}
-
-impl ServeBenchResult {
-    /// Renders the result as the `BENCH_serve.json` document.
-    pub fn render_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"bench\": \"serve\",\n");
-        out.push_str("  \"design\": \"lms\",\n");
-        out.push_str(&format!("  \"samples\": {},\n", self.samples));
-        out.push_str("  \"depths\": [\n");
-        for (i, row) in self.rows.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"depth\": {}, \"wall_ns\": {}, \"jobs_per_sec\": {}, \"p50_ns\": {}, \"p99_ns\": {}}}{}\n",
-                row.depth,
-                row.wall_ns,
-                fmt_f64(row.jobs_per_sec),
-                row.p50_ns,
-                row.p99_ns,
-                if i + 1 == self.rows.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"recovery\": {\n");
-        out.push_str(&format!("    \"jobs\": {},\n", self.recovery_jobs));
-        out.push_str(&format!("    \"open_ns\": {},\n", self.recovery_open_ns));
-        out.push_str(&format!("    \"drain_ns\": {},\n", self.recovery_drain_ns));
-        out.push_str(&format!("    \"complete\": {}\n", self.recovery_complete));
-        out.push_str("  }\n");
-        out.push_str("}\n");
-        out
-    }
+    let (recovered, open_ns, drain_ns, complete) = run_recovery(samples, 8);
+    report
+        .metric("recovery_jobs", Metric::once("count", recovered as f64))
+        .metric("recovery_open_ms", Metric::once("ms", ms(open_ns)))
+        .metric("recovery_drain_ms", Metric::once("ms", ms(drain_ns)))
+        .check("recovery_complete", complete)
 }
 
 #[cfg(test)]
@@ -213,25 +159,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn serve_bench_runs_and_renders_valid_json() {
-        let result = run_serve_bench(100, &[1, 2]);
-        assert_eq!(result.rows.len(), 2);
-        assert!(result.rows.iter().all(|r| r.jobs_per_sec > 0.0));
-        assert!(result.rows.iter().all(|r| r.p50_ns <= r.p99_ns));
-        assert!(result.recovery_complete, "recovered jobs must all finish");
-        assert_eq!(result.recovery_jobs, 8);
-        let json = result.render_json();
-        let parsed = fixref_obs::Json::parse(&json).expect("well-formed JSON");
-        assert_eq!(
-            parsed.get("bench").and_then(fixref_obs::Json::as_str),
-            Some("serve")
-        );
-        assert_eq!(
-            parsed
-                .get("depths")
-                .and_then(fixref_obs::Json::as_arr)
-                .map(<[fixref_obs::Json]>::len),
-            Some(2)
-        );
+    fn serve_bench_runs_and_recovers_every_job() {
+        let report = run_serve_bench(100, &[1, 2]);
+        assert!(report.passed(), "recovered jobs must all finish");
+        for depth in [1, 2] {
+            let get = |what: &str| report.get(&format!("depth{depth}.{what}")).cloned();
+            assert!(get("jobs_per_sec").is_some_and(|m| m.median > 0.0));
+            let latency = get("latency_ms").expect("latency");
+            assert!(latency.min <= latency.median && latency.median <= latency.max);
+            assert!(get("p99_latency_ms").is_some_and(|m| m.median <= latency.max));
+        }
+        assert_eq!(report.get("recovery_jobs").map(|m| m.median), Some(8.0));
     }
 }

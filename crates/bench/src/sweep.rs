@@ -17,10 +17,10 @@ use fixref_core::{
     SweepDriver,
 };
 use fixref_dsp::LmsConfig;
-use fixref_obs::json::{escape, fmt_f64};
 use fixref_obs::MetricsReport;
 use fixref_sim::ScenarioSet;
 
+use crate::report::{ms, BenchReport, Metric};
 use crate::{lms_setup, LMS_SNR_DB};
 
 /// The stimulus of one equalizer scenario. With empty `channel_taps` it
@@ -95,102 +95,21 @@ pub fn run_table2_swept(
     Ok((history, report))
 }
 
-/// One shard row of a [`SweepBenchResult`], taken from the parallel run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardRow {
-    /// Scenario index within the set.
-    pub index: usize,
-    /// Stimulus seed.
-    pub seed: u64,
-    /// Stimulus SNR (dB).
-    pub snr_db: f64,
-    /// Stimulus length.
-    pub samples: usize,
-    /// Clock cycles the shard's design ticked in the last iteration.
-    pub cycles: u64,
-    /// Wall-clock nanoseconds the shard spent on its worker thread in the
-    /// last iteration.
-    pub wall_ns: u128,
+/// One timed MSB refinement over `set`.
+struct MsbSweep {
+    /// The final rendered MSB table.
+    table: String,
+    iterations: usize,
+    /// Each shard's wall time in the last iteration, ms.
+    shard_ms: Vec<f64>,
+    /// Each shard's ticked cycles in the last iteration.
+    shard_cycles: Vec<f64>,
+    wall_ms: f64,
 }
 
-/// Outcome of the parallel scenario-sweep benchmark: the same MSB
-/// refinement of the LMS equalizer over a seed grid, once with one worker
-/// and once with `workers`.
-#[derive(Debug, Clone)]
-pub struct SweepBenchResult {
-    /// Scenario count in the grid.
-    pub scenarios: usize,
-    /// Stimulus length per scenario.
-    pub samples: usize,
-    /// Worker threads of the parallel run.
-    pub workers: usize,
-    /// `std::thread::available_parallelism()` on the benchmarking host —
-    /// read this before trusting the speedup number.
-    pub available_parallelism: usize,
-    /// Wall time of the one-worker (sequential) refinement, nanoseconds.
-    pub sequential_ns: u128,
-    /// Wall time of the `workers`-thread refinement, nanoseconds.
-    pub parallel_ns: u128,
-    /// `sequential_ns / parallel_ns`.
-    pub speedup: f64,
-    /// MSB iterations both runs took (they must agree).
-    pub msb_iterations: usize,
-    /// Whether the sequential and parallel runs produced the same final
-    /// MSB table — the conformance check riding along with the timing.
-    pub outcomes_match: bool,
-    /// Per-shard statistics from the last parallel iteration.
-    pub shards: Vec<ShardRow>,
-}
-
-impl SweepBenchResult {
-    /// Renders the result as the `BENCH_parallel.json` document.
-    pub fn render_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"bench\": \"parallel\",\n");
-        out.push_str(&format!("  \"scenarios\": {},\n", self.scenarios));
-        out.push_str(&format!("  \"samples\": {},\n", self.samples));
-        out.push_str(&format!("  \"workers\": {},\n", self.workers));
-        out.push_str(&format!(
-            "  \"available_parallelism\": {},\n",
-            self.available_parallelism
-        ));
-        out.push_str(&format!("  \"sequential_ns\": {},\n", self.sequential_ns));
-        out.push_str(&format!("  \"parallel_ns\": {},\n", self.parallel_ns));
-        out.push_str(&format!("  \"speedup\": {},\n", fmt_f64(self.speedup)));
-        out.push_str(&format!("  \"msb_iterations\": {},\n", self.msb_iterations));
-        out.push_str(&format!("  \"outcomes_match\": {},\n", self.outcomes_match));
-        out.push_str("  \"shards\": [\n");
-        for (i, s) in self.shards.iter().enumerate() {
-            let comma = if i + 1 < self.shards.len() { "," } else { "" };
-            out.push_str(&format!(
-                "    {{\"index\": {}, \"label\": \"{}\", \"seed\": {}, \"snr_db\": {}, \
-                 \"samples\": {}, \"cycles\": {}, \"wall_ns\": {}}}{comma}\n",
-                s.index,
-                escape(&format!(
-                    "s{} seed={} snr={}dB n={}",
-                    s.index, s.seed, s.snr_db, s.samples
-                )),
-                s.seed,
-                fmt_f64(s.snr_db),
-                s.samples,
-                s.cycles,
-                s.wall_ns,
-            ));
-        }
-        out.push_str("  ]\n");
-        out.push_str("}\n");
-        out
-    }
-}
-
-/// Runs the MSB refinement of `run_msb_with` over `set` and returns the
-/// final rendered MSB table, the iteration count, the per-shard rows of
-/// the last iteration, and the wall time.
-fn timed_msb_sweep(
-    set: &ScenarioSet,
-    workers: usize,
-) -> Result<(String, usize, Vec<ShardRow>, u128), FlowError> {
+/// Runs the MSB refinement of `run_msb_with` over `set` with `workers`
+/// threads.
+fn timed_msb_sweep(set: &ScenarioSet, workers: usize) -> Result<MsbSweep, FlowError> {
     let (design, _eq) = lms_setup(&LmsConfig::default());
     let mut flow = RefinementFlow::new(design, RefinePolicy::default());
     let mut driver = SweepDriver::new(
@@ -200,33 +119,28 @@ fn timed_msb_sweep(
     );
     let start = Instant::now();
     let (history, _interventions) = flow.run_msb_with(&mut driver)?;
-    let wall_ns = start.elapsed().as_nanos();
-    let table = history
-        .last()
-        .map(|a| render_msb_table(a))
-        .unwrap_or_default();
-    let shards = driver
-        .shard_summaries()
-        .iter()
-        .map(|s| ShardRow {
-            index: s.scenario.index,
-            seed: s.scenario.seed,
-            snr_db: s.scenario.snr_db,
-            samples: s.scenario.samples,
-            cycles: s.cycles,
-            wall_ns: s.wall_ns,
-        })
-        .collect();
-    Ok((table, history.len(), shards, wall_ns))
+    let wall_ms = ms(start.elapsed().as_nanos());
+    let shards = driver.shard_summaries();
+    Ok(MsbSweep {
+        table: history
+            .last()
+            .map(|a| render_msb_table(a))
+            .unwrap_or_default(),
+        iterations: history.len(),
+        shard_ms: shards.iter().map(|s| ms(s.wall_ns)).collect(),
+        shard_cycles: shards.iter().map(|s| s.cycles as f64).collect(),
+        wall_ms,
+    })
 }
 
-/// The parallel-sweep benchmark: refines the equalizer's MSB side over a
-/// `scenarios`-seed grid sequentially (one worker) and with `workers`
-/// threads, verifying the two runs agree and reporting the timing.
+/// The parallel-sweep benchmark behind `BENCH_parallel.json`: refines
+/// the equalizer's MSB side over a `scenarios`-seed grid sequentially
+/// (one worker) and with `workers` threads, once each, and checks that
+/// the two runs agree. The shard metrics spread over the parallel run's
+/// shards in its last iteration.
 ///
-/// The speedup is only meaningful when `available_parallelism` actually
-/// offers `workers` hardware threads; the JSON carries the host's count
-/// so downstream tooling can judge.
+/// The speedup is only meaningful when the machine's
+/// `available_parallelism` actually offers `workers` hardware threads.
 ///
 /// # Errors
 ///
@@ -235,25 +149,29 @@ pub fn run_sweep_bench(
     scenarios: usize,
     samples: usize,
     workers: usize,
-) -> Result<SweepBenchResult, FlowError> {
+) -> Result<BenchReport, FlowError> {
     let set = lms_seed_grid(scenarios, samples);
-    let (seq_table, seq_iters, _seq_shards, sequential_ns) = timed_msb_sweep(&set, 1)?;
-    let (par_table, par_iters, shards, parallel_ns) = timed_msb_sweep(&set, workers)?;
+    let seq = timed_msb_sweep(&set, 1)?;
+    let par = timed_msb_sweep(&set, workers)?;
+    let count = |n: usize| Metric::once("count", n as f64);
 
-    Ok(SweepBenchResult {
-        scenarios: set.len(),
-        samples,
-        workers,
-        available_parallelism: std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1),
-        sequential_ns,
-        parallel_ns,
-        speedup: sequential_ns as f64 / parallel_ns.max(1) as f64,
-        msb_iterations: seq_iters.max(par_iters),
-        outcomes_match: seq_table == par_table && seq_iters == par_iters,
-        shards,
-    })
+    Ok(BenchReport::new("parallel", 1)
+        .metric("scenarios", count(set.len()))
+        .metric("samples", count(samples))
+        .metric("workers", count(workers))
+        .metric("sequential_ms", Metric::once("ms", seq.wall_ms))
+        .metric("parallel_ms", Metric::once("ms", par.wall_ms))
+        .metric(
+            "speedup",
+            Metric::once("x", seq.wall_ms / par.wall_ms.max(1e-6)),
+        )
+        .metric("msb_iterations", count(seq.iterations.max(par.iterations)))
+        .metric("shard_ms", Metric::over("ms", &par.shard_ms))
+        .metric("shard_cycles", Metric::over("count", &par.shard_cycles))
+        .check(
+            "outcomes_match",
+            seq.table == par.table && seq.iterations == par.iterations,
+        ))
 }
 
 #[cfg(test)]
@@ -302,29 +220,14 @@ mod tests {
     }
 
     #[test]
-    fn sweep_bench_agrees_across_worker_counts_and_renders_json() {
-        let result = run_sweep_bench(3, SAMPLES, 2).expect("bench converges");
-        assert!(result.outcomes_match);
-        assert_eq!(result.scenarios, 3);
-        assert_eq!(result.shards.len(), 3);
-        assert!(result.speedup > 0.0);
-        let json = result.render_json();
-        let parsed = fixref_obs::Json::parse(&json).expect("well-formed JSON");
-        assert_eq!(
-            parsed.get("bench").and_then(fixref_obs::Json::as_str),
-            Some("parallel")
-        );
-        assert_eq!(
-            parsed.get("scenarios").and_then(fixref_obs::Json::as_u64),
-            Some(3)
-        );
-        assert_eq!(
-            parsed
-                .get("shards")
-                .and_then(fixref_obs::Json::as_arr)
-                .map(<[fixref_obs::Json]>::len),
-            Some(3)
-        );
+    fn sweep_bench_agrees_across_worker_counts() {
+        let report = run_sweep_bench(3, SAMPLES, 2).expect("bench converges");
+        assert!(report.passed());
+        assert_eq!(report.bench, "parallel");
+        let median = |name: &str| report.get(name).map(|m| m.median);
+        assert_eq!(median("scenarios"), Some(3.0));
+        assert!(median("speedup") > Some(0.0));
+        assert_eq!(median("shard_cycles"), Some(SAMPLES as f64));
     }
 
     #[test]

@@ -21,10 +21,11 @@
 use std::time::Instant;
 
 use fixref_fixed::{DType, OverflowMode, RoundingMode};
-use fixref_lint::Linter;
-use fixref_obs::json::fmt_f64;
+use fixref_lint::{Linter, Verdict};
 use fixref_sim::Design;
 use fixref_verify::{VerifiedReport, Verifier};
+
+use crate::report::{ms, BenchReport, Metric};
 
 /// One example's verification outcome.
 #[derive(Debug, Clone)]
@@ -219,58 +220,40 @@ pub fn verify_example_designs() -> Vec<ExampleVerify> {
     ]
 }
 
-/// The whole bench run.
-#[derive(Debug, Clone)]
-pub struct VerifyBenchResult {
-    /// Per-example outcomes, in fixed order.
-    pub examples: Vec<ExampleVerify>,
-}
-
-/// Runs the verification bench over all six examples.
-pub fn run_verify_bench() -> VerifyBenchResult {
-    VerifyBenchResult {
-        examples: verify_example_designs(),
-    }
-}
-
-impl VerifyBenchResult {
-    /// The machine-readable report written to `BENCH_verify.json`:
-    /// verdict tallies per example plus the timing figures the goldens
-    /// deliberately exclude.
-    pub fn render_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("{\"name\":\"verify\",\"examples\":[");
-        for (i, ex) in self.examples.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let mut proved = 0usize;
-            let mut refuted = 0usize;
-            let mut unknown = 0usize;
-            for o in &ex.verified.outcomes {
-                match o.verdict {
-                    fixref_lint::Verdict::Proved => proved += 1,
-                    fixref_lint::Verdict::CounterexampleFound => refuted += 1,
-                    fixref_lint::Verdict::Unknown { .. } => unknown += 1,
-                }
-            }
-            let _ = write!(
-                out,
-                "{{\"example\":\"{}\",\"checks\":{},\"proved\":{},\"refuted\":{},\
-                 \"unknown\":{},\"states\":{},\"wall_ns\":{},\"states_per_sec\":{}}}",
-                ex.name,
-                ex.verified.outcomes.len(),
-                proved,
-                refuted,
-                unknown,
-                ex.states,
-                ex.wall_ns,
-                fmt_f64(ex.states_per_sec()),
+/// The `BENCH_verify.json` report of one verification run, measured
+/// once: per example, its checks and their verdict tallies, the states
+/// explored, and the wall time and states per second that the goldens
+/// deliberately exclude.
+pub fn verify_bench_report(examples: &[ExampleVerify]) -> BenchReport {
+    let mut report = BenchReport::new("verify", 1);
+    for ex in examples {
+        let tally = |verdict: fn(&Verdict) -> bool| {
+            let n = ex.verified.outcomes.iter().filter(|o| verdict(&o.verdict));
+            Metric::once("count", n.count() as f64)
+        };
+        let name = |what: &str| format!("{}.{what}", ex.name);
+        report = report
+            .metric(
+                &name("checks"),
+                Metric::once("count", ex.verified.outcomes.len() as f64),
+            )
+            .metric(&name("proved"), tally(|v| matches!(v, Verdict::Proved)))
+            .metric(
+                &name("refuted"),
+                tally(|v| matches!(v, Verdict::CounterexampleFound)),
+            )
+            .metric(
+                &name("unknown"),
+                tally(|v| matches!(v, Verdict::Unknown { .. })),
+            )
+            .metric(&name("states"), Metric::once("count", ex.states as f64))
+            .metric(&name("ms"), Metric::once("ms", ms(ex.wall_ns)))
+            .metric(
+                &name("states_per_sec"),
+                Metric::once("1/s", ex.states_per_sec()),
             );
-        }
-        out.push_str("]}");
-        out
     }
+    report
 }
 
 #[cfg(test)]
@@ -347,15 +330,13 @@ mod tests {
     }
 
     #[test]
-    fn bench_json_is_valid_and_self_describing() {
-        let result = run_verify_bench();
-        let json = result.render_json();
-        let parsed = fixref_obs::Json::parse(&json).expect("valid JSON");
-        assert_eq!(
-            parsed.get("name").and_then(fixref_obs::Json::as_str),
-            Some("verify")
-        );
-        let examples = parsed.get("examples").expect("examples array");
-        assert_eq!(examples.as_arr().map(<[_]>::len), Some(6));
+    fn the_report_tallies_every_example_verdict() {
+        let report = verify_bench_report(&verify_example_designs());
+        assert_eq!(report.bench, "verify");
+        let median = |name: &str| report.get(name).map(|m| m.median);
+        assert_eq!(median("lms_equalizer.proved"), Some(3.0));
+        assert_eq!(median("iir_refinement.refuted"), Some(2.0));
+        assert_eq!(median("timing_recovery.unknown"), Some(1.0));
+        assert_eq!(report.metrics.len(), 6 * 7);
     }
 }

@@ -11,8 +11,8 @@
 //! * **Replay** — nothing is dirty: the previous run would repeat
 //!   bit-identically (all stimuli are functions of the iteration-stable
 //!   scenario, and the error-injection RNG restarts from the design seed
-//!   on every `reset_state`), so the cached monitors are spliced back and
-//!   the stimulus is skipped entirely. This is always sound.
+//!   on every `reset_state`), so the cached monitors are merged back into
+//!   the reset design and the stimulus is skipped entirely. This is always sound.
 //! * **Cold** — everything else: a graph recording was requested, the
 //!   cache is empty, or some annotation changed.
 //!
@@ -30,7 +30,7 @@ use fixref_sim::{Design, OverflowEvent, SignalStats};
 pub enum CachePlan {
     /// Run everything live.
     Cold,
-    /// Nothing is dirty: splice every cached monitor and skip the
+    /// Nothing is dirty: put every cached monitor back and skip the
     /// stimulus.
     Replay,
 }
@@ -62,7 +62,7 @@ pub(crate) fn plan_for(
 
 /// The sequential driver's monitor cache: the previous run's exported
 /// statistics, overflow events and cycle count, plus hit/miss accounting
-/// (one hit per signal spliced from cache, one miss per signal simulated
+/// (one hit per signal restored from cache, one miss per signal simulated
 /// live).
 #[derive(Debug, Default)]
 pub struct EvalCache {
@@ -107,8 +107,10 @@ impl EvalCache {
         self.cycles = design.cycle();
     }
 
-    /// Splices every cached monitor into the (freshly reset) design and
-    /// returns the cached cycle count — the Replay path.
+    /// Merges every cached monitor into the freshly reset design and
+    /// returns the cached cycle count — the Replay path. A merge into
+    /// reset monitors is exact, as in the sweep's single-scenario fold,
+    /// so the design ends up with exactly the cached monitors.
     ///
     /// # Panics
     ///
@@ -116,9 +118,9 @@ impl EvalCache {
     pub fn replay(&self, design: &Design) -> u64 {
         let stats = self.stats.as_ref().expect("replay requires a warm cache");
         design
-            .splice_stats(stats)
+            .absorb_stats(stats)
             .expect("cached stats were exported from this design");
-        design.splice_overflow_events(self.overflow_events.clone());
+        design.absorb_overflow_events(self.overflow_events.clone());
         self.cycles
     }
 
@@ -148,13 +150,13 @@ impl EvalCache {
         }
     }
 
-    /// Accounts `spliced` cache hits and `live` misses, mirroring them
+    /// Accounts `restored` cache hits and `live` misses, mirroring them
     /// onto the recorder's `cache.hits` / `cache.misses` counters.
-    pub fn note(&mut self, recorder: &dyn Recorder, spliced: u64, live: u64) {
-        self.hits += spliced;
+    pub fn note(&mut self, recorder: &dyn Recorder, restored: u64, live: u64) {
+        self.hits += restored;
         self.misses += live;
-        if spliced > 0 {
-            recorder.inc("cache.hits", spliced);
+        if restored > 0 {
+            recorder.inc("cache.hits", restored);
         }
         if live > 0 {
             recorder.inc("cache.misses", live);
@@ -212,7 +214,7 @@ mod tests {
         cache.store(&d);
 
         // A warm cache with one dirty signal re-runs live: a stale
-        // monitor is never spliced, whatever the design declares.
+        // monitor is never restored, whatever the design declares.
         d.set_range(d.find("y").unwrap(), -1.0, 1.0);
         assert_eq!(cache.plan(&d, false, &rec), CachePlan::Cold);
         // The invalidation was journaled.
@@ -223,7 +225,7 @@ mod tests {
     }
 
     #[test]
-    fn replay_splices_monitors_bit_identically() {
+    fn replay_restores_monitors_bit_identically() {
         let d = tiny_design();
         let rec = DefaultRecorder::new();
         let mut cache = EvalCache::new();

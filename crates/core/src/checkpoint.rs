@@ -146,13 +146,52 @@ impl std::error::Error for CheckpointError {}
 // File store
 // ---------------------------------------------------------------------------
 
+/// Writes `contents` to `path` atomically and durably: a `*.tmp` sibling
+/// is written and fsynced, renamed over `path`, and the directory is
+/// fsynced so the rename itself is durable (best effort: not every
+/// filesystem can open a directory for sync). A crash at any point leaves
+/// either the previous complete file or the new complete file, never a
+/// truncated one; a stray `*.tmp` from a crashed write is inert, since
+/// readers only open `path`.
+///
+/// # Errors
+///
+/// Any filesystem failure; `path` is untouched in that case.
+pub fn write_file_atomic(path: &Path, contents: &[u8]) -> std::io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let mut file = fs::File::create(&tmp)?;
+    file.write_all(contents)?;
+    file.sync_all()?;
+    drop(file);
+    fs::rename(&tmp, path)?;
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        if let Ok(d) = fs::File::open(dir) {
+            let _ = d.sync_all();
+        }
+    }
+    Ok(())
+}
+
+/// `name` as a flat file stem: every character other than an ASCII
+/// letter, digit, `-` or `.` becomes `_`, so a job id can never name a
+/// path outside the directory it is stored in.
+pub fn safe_file_stem(name: &str) -> String {
+    name.chars()
+        .map(|c| {
+            if c.is_ascii_alphanumeric() || c == '-' || c == '.' {
+                c
+            } else {
+                '_'
+            }
+        })
+        .collect()
+}
+
 impl Checkpoint {
-    /// Atomically persists the checkpoint at `path`: the document is
-    /// written to a `*.tmp` sibling, fsynced, and renamed over the
-    /// destination. A crash at any point leaves either the previous
-    /// complete checkpoint or the new complete checkpoint — never a
-    /// truncated one. (A stray `*.tmp` from a crashed write is inert:
-    /// readers only ever open the destination path.)
+    /// Atomically persists the checkpoint at `path` through
+    /// [`write_file_atomic`].
     ///
     /// # Errors
     ///
@@ -160,23 +199,8 @@ impl Checkpoint {
     /// destination is untouched in that case.
     pub fn write_atomic(&self, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
         let path = path.as_ref();
-        let io = |e: std::io::Error| CheckpointError::Io(format!("{}: {e}", path.display()));
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = PathBuf::from(tmp);
-        let mut file = fs::File::create(&tmp).map_err(io)?;
-        file.write_all(self.to_json().as_bytes()).map_err(io)?;
-        file.sync_all().map_err(io)?;
-        drop(file);
-        fs::rename(&tmp, path).map_err(io)?;
-        // Best-effort directory sync so the rename itself is durable;
-        // not all filesystems support opening a directory for sync.
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            if let Ok(d) = fs::File::open(dir) {
-                let _ = d.sync_all();
-            }
-        }
-        Ok(())
+        write_file_atomic(path, self.to_json().as_bytes())
+            .map_err(|e| CheckpointError::Io(format!("{}: {e}", path.display())))
     }
 
     /// Reads and decodes the checkpoint at `path`.
@@ -216,21 +240,10 @@ impl CheckpointStore {
         Ok(CheckpointStore { dir })
     }
 
-    /// The file path a named checkpoint lives at. Path separators and
-    /// other non-filename characters in `name` are flattened to `_` so a
-    /// job id can never escape the store directory.
+    /// The file path a named checkpoint lives at: `<name>.ckpt`, with
+    /// `name` flattened by [`safe_file_stem`].
     pub fn path_of(&self, name: &str) -> PathBuf {
-        let safe: String = name
-            .chars()
-            .map(|c| {
-                if c.is_ascii_alphanumeric() || c == '-' || c == '.' {
-                    c
-                } else {
-                    '_'
-                }
-            })
-            .collect();
-        self.dir.join(format!("{safe}.ckpt"))
+        self.dir.join(format!("{}.ckpt", safe_file_stem(name)))
     }
 
     /// Atomically saves `cp` under `name`.

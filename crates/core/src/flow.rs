@@ -522,7 +522,7 @@ impl<F: FnMut(&Design, usize)> SequentialDriver<F> {
         SequentialDriver { sim, cache: None }
     }
 
-    /// A caching driver: clean iterations splice cached monitors instead
+    /// A caching driver: clean iterations restore cached monitors instead
     /// of re-simulating.
     pub fn with_cache(sim: F) -> Self {
         SequentialDriver {
@@ -727,7 +727,7 @@ impl RefinementFlow {
     }
 
     /// Enables the incremental evaluation cache for the closure-based
-    /// entry points: iterations whose annotations did not change splice
+    /// entry points: iterations whose annotations did not change restore
     /// the previous run's monitors instead of re-simulating. The decided
     /// types, merged ranges and `type_applied` journal are bit-identical
     /// with or without the cache; cache hit/miss counts land on the

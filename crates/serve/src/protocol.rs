@@ -19,12 +19,14 @@
 //! never a dropped connection. The dispatcher is transport-agnostic
 //! (`handle_line` maps a request line to a response line), so tests
 //! drive it without sockets and the binary's TCP accept loop stays
-//! a thin wrapper. A request line longer than [`MAX_REQUEST_LINE`] bytes
-//! is answered with an error and its connection closed.
+//! a thin wrapper. Each connection is served on its own thread, at most
+//! [`MAX_CONNECTIONS`] at once. A request line longer than
+//! [`MAX_REQUEST_LINE`] bytes is answered with an error and its
+//! connection closed.
 
-use std::io::{BufRead as _, BufReader, Read as _, Write as _};
+use std::io::{BufRead as _, BufReader, ErrorKind, Read as _, Write as _};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use fixref_core::JobSpec;
@@ -96,11 +98,21 @@ fn reply(server: &Server, line: &str) -> Result<(&'static str, Json), String> {
     }
 }
 
+/// The most connections [`serve_listener`] serves at once; a client past
+/// the cap is answered with an error and closed.
+pub const MAX_CONNECTIONS: usize = 64;
+
+/// How often a connection waiting for its next request line checks
+/// whether the server is shutting down.
+const STOP_POLL: std::time::Duration = std::time::Duration::from_millis(50);
+
 /// Serves the line protocol on `listener` until a `shutdown` command
 /// arrives (or `stop` is raised externally), then returns so the caller
-/// can drain. Each connection is handled on the accept thread — the
-/// protocol is request/response, and job execution happens on the
-/// server's worker threads, so a slow client never blocks a job.
+/// can drain. Each connection is served on its own thread, at most
+/// [`MAX_CONNECTIONS`] at once, so an idle or slow client never stalls
+/// another; job execution happens on the server's worker threads. Once
+/// `stop` is raised, every connection closes within 50 ms of its last
+/// request and the function returns.
 ///
 /// # Errors
 ///
@@ -112,48 +124,64 @@ pub fn serve_listener(
     stop: &Arc<AtomicBool>,
 ) -> std::io::Result<()> {
     listener.set_nonblocking(true)?;
-    loop {
+    let open = AtomicUsize::new(0);
+    std::thread::scope(|scope| loop {
         if stop.load(Ordering::SeqCst) {
             return Ok(());
         }
-        match listener.accept() {
-            Ok((stream, _addr)) => {
-                if handle_connection(server, stream, stop) {
-                    return Ok(());
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+        let mut stream = match listener.accept() {
+            Ok((stream, _addr)) => stream,
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {
                 std::thread::sleep(std::time::Duration::from_millis(10));
+                continue;
             }
-            Err(e) => return Err(e),
+            Err(e) => {
+                // Close the open connections too, so the scope can end.
+                stop.store(true, Ordering::SeqCst);
+                return Err(e);
+            }
+        };
+        if open.fetch_add(1, Ordering::SeqCst) >= MAX_CONNECTIONS {
+            open.fetch_sub(1, Ordering::SeqCst);
+            let message = format!("too many connections (limit {MAX_CONNECTIONS})");
+            let _ = stream.write_all(format!("{}\n", respond(Err(message))).as_bytes());
+            continue;
         }
-    }
+        let open = &open;
+        let spawned = std::thread::Builder::new()
+            .name("fixref-conn".into())
+            .spawn_scoped(scope, move || {
+                handle_connection(server, stream, stop);
+                open.fetch_sub(1, Ordering::SeqCst);
+            });
+        if spawned.is_err() {
+            open.fetch_sub(1, Ordering::SeqCst);
+        }
+    })
 }
 
-/// Handles one connection to completion; returns `true` when the
-/// client asked for shutdown. A line that is not UTF-8 gets an error
-/// response and the connection keeps serving; a line longer than
+/// Serves one connection until it closes, the client asks for shutdown,
+/// or `stop` is raised. A line that is not UTF-8 gets an error response
+/// and the connection keeps serving; a line longer than
 /// [`MAX_REQUEST_LINE`] gets an error response and the connection is
 /// closed, since the rest of the line is never read.
-fn handle_connection(server: &Server, stream: TcpStream, stop: &Arc<AtomicBool>) -> bool {
+fn handle_connection(server: &Server, stream: TcpStream, stop: &AtomicBool) {
     let _ = stream.set_nonblocking(false);
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return false,
+    let _ = stream.set_read_timeout(Some(STOP_POLL));
+    let Ok(mut writer) = stream.try_clone() else {
+        return;
     };
     let mut reader = BufReader::new(stream);
     let mut buf = Vec::new();
     loop {
         buf.clear();
-        let limit = MAX_REQUEST_LINE as u64 + 1;
-        match (&mut reader).take(limit).read_until(b'\n', &mut buf) {
-            Ok(0) | Err(_) => return false,
-            Ok(_) => {}
+        if !read_request(&mut reader, &mut buf, stop) {
+            return;
         }
         if buf.len() > MAX_REQUEST_LINE && buf.last() != Some(&b'\n') {
             let message = format!("request line exceeds {MAX_REQUEST_LINE} bytes");
             let _ = writer.write_all(format!("{}\n", respond(Err(message))).as_bytes());
-            return false;
+            return;
         }
         let reply = match std::str::from_utf8(&buf) {
             Ok(line) if line.trim().is_empty() => continue,
@@ -173,11 +201,35 @@ fn handle_connection(server: &Server, stream: TcpStream, stop: &Arc<AtomicBool>)
             .and_then(|()| writer.flush())
             .is_err()
         {
-            return false;
+            return;
         }
         if is_shutdown {
             stop.store(true, Ordering::SeqCst);
-            return true;
+            return;
+        }
+    }
+}
+
+/// Reads one request line into `buf`, at most one byte past
+/// [`MAX_REQUEST_LINE`]. Returns `false` when the connection ended with
+/// nothing read, failed, or `stop` was raised while it waited.
+fn read_request(reader: &mut BufReader<TcpStream>, buf: &mut Vec<u8>, stop: &AtomicBool) -> bool {
+    loop {
+        let limit = (MAX_REQUEST_LINE + 1 - buf.len()) as u64;
+        match reader.take(limit).read_until(b'\n', buf) {
+            Ok(_) => return !buf.is_empty(),
+            // The read timed out: the bytes read so far stay in `buf`.
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                ) =>
+            {
+                if stop.load(Ordering::SeqCst) {
+                    return false;
+                }
+            }
+            Err(_) => return false,
         }
     }
 }
@@ -357,6 +409,84 @@ mod tests {
         assert!(line.starts_with(r#"{"ok":true,"metrics":"#), "{line}");
         line.clear();
         reader.read_line(&mut line).expect("reads");
+        assert!(line.contains(r#""draining":true"#), "{line}");
+        acceptor.join().expect("joins").expect("listener ok");
+    }
+
+    /// Serves `server` on a loopback port from a background thread.
+    fn listen(
+        server: &Arc<Server>,
+    ) -> (
+        std::net::SocketAddr,
+        std::thread::JoinHandle<std::io::Result<()>>,
+    ) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("binds");
+        let addr = listener.local_addr().expect("addr");
+        let server = Arc::clone(server);
+        let stop = Arc::new(AtomicBool::new(false));
+        let acceptor = std::thread::spawn(move || serve_listener(&server, &listener, &stop));
+        (addr, acceptor)
+    }
+
+    /// Sends `request` and reads the response line, failing after 10 s.
+    fn call(addr: std::net::SocketAddr, request: &str) -> std::io::Result<String> {
+        use std::io::{BufRead as _, BufReader, Write as _};
+        let mut stream = TcpStream::connect(addr)?;
+        stream.set_read_timeout(Some(std::time::Duration::from_secs(10)))?;
+        stream.write_all(format!("{request}\n").as_bytes())?;
+        let mut line = String::new();
+        BufReader::new(stream).read_line(&mut line)?;
+        Ok(line)
+    }
+
+    #[test]
+    fn an_idle_connection_stalls_neither_other_clients_nor_shutdown() {
+        let server = Arc::new(test_server("idle"));
+        let (addr, acceptor) = listen(&server);
+        // Connected, half a request sent, then silent.
+        let mut idle = TcpStream::connect(addr).expect("connects");
+        idle.write_all(br#"{"cmd":"#).expect("writes");
+
+        let line = call(addr, r#"{"cmd":"metrics"}"#).expect("answered while another idles");
+        assert!(line.starts_with(r#"{"ok":true,"metrics":"#), "{line}");
+        let line = call(addr, r#"{"cmd":"shutdown"}"#).expect("answered");
+        assert!(line.contains(r#""draining":true"#), "{line}");
+        acceptor.join().expect("joins").expect("listener ok");
+        drop(idle);
+    }
+
+    #[test]
+    fn a_connection_past_the_cap_is_refused_with_an_error() {
+        let server = Arc::new(test_server("cap"));
+        let (addr, acceptor) = listen(&server);
+        let held: Vec<TcpStream> = (0..MAX_CONNECTIONS)
+            .map(|_| TcpStream::connect(addr).expect("connects"))
+            .collect();
+        // Every held connection is being served once one answers.
+        let mut probe = TcpStream::connect(addr).expect("connects");
+        probe
+            .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .expect("timeout");
+        let mut refused = String::new();
+        BufReader::new(&mut probe)
+            .read_line(&mut refused)
+            .expect("refused with a line");
+        assert_eq!(
+            refused,
+            format!(
+                "{{\"ok\":false,\"error\":\"too many connections (limit {MAX_CONNECTIONS})\"}}\n"
+            )
+        );
+        drop(held);
+        // Closed connections free their slots.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        let line = loop {
+            let line = call(addr, r#"{"cmd":"shutdown"}"#).expect("answered");
+            if line.contains("draining") || std::time::Instant::now() > deadline {
+                break line;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(20));
+        };
         assert!(line.contains(r#""draining":true"#), "{line}");
         acceptor.join().expect("joins").expect("listener ok");
     }

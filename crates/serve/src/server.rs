@@ -25,9 +25,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
+use fixref_core::checkpoint::{safe_file_stem, write_file_atomic};
 use fixref_core::{
-    CheckpointStore, FaultMode, FaultPolicy, FlowError, FlowSpec, FlowStatus, JobSpec,
-    RefinePolicy, RefinementFlow, SweepDriver,
+    CheckpointStore, FaultMode, FaultPolicy, FlowError, FlowStatus, JobSpec, RefinePolicy,
+    RefinementFlow, SweepDriver,
 };
 use fixref_obs::{DefaultRecorder, Event, MetricsReport, Recorder as _};
 use fixref_sim::{Design, FaultPlan, RetryPolicy, SpecError};
@@ -59,9 +60,6 @@ pub struct ServerConfig {
     /// Job-level retry policy (attempts + deterministic jittered
     /// backoff) applied to panics and flow errors.
     pub retry: RetryPolicy,
-    /// Per-tenant simulation-budget caps: jobs of a listed tenant run
-    /// with `min(job's own budget, cap)` simulations.
-    pub tenant_sim_caps: Vec<(String, u64)>,
     /// Injected faults (tests): shard panics/NaN bursts pass through
     /// to each job's sweep, and
     /// [`FaultPlan::server_crash_after_n_checkpoints`] kills the whole
@@ -78,7 +76,6 @@ impl ServerConfig {
             tenant_queue_capacity: 64,
             sweep_workers: 1,
             retry: RetryPolicy::default(),
-            tenant_sim_caps: Vec::new(),
             fault_plan: FaultPlan::default(),
         }
     }
@@ -604,35 +601,8 @@ impl Server {
     }
 
     fn result_path(&self, job: &str) -> PathBuf {
-        let safe: String = job
-            .chars()
-            .map(|c| {
-                if c.is_ascii_alphanumeric() || c == '-' || c == '.' {
-                    c
-                } else {
-                    '_'
-                }
-            })
-            .collect();
-        self.results_dir.join(format!("{safe}.json"))
-    }
-
-    /// Effective flow spec for a job: the tenant's simulation cap
-    /// tightens (never loosens) the job's own budget.
-    fn effective_flow(&self, tenant: &str, flow: &FlowSpec) -> FlowSpec {
-        let cap = self
-            .config
-            .tenant_sim_caps
-            .iter()
-            .find(|(t, _)| t == tenant)
-            .map(|&(_, cap)| cap);
-        let mut flow = flow.clone();
-        flow.max_simulations = match (flow.max_simulations, cap) {
-            (Some(own), Some(cap)) => Some(own.min(cap)),
-            (None, Some(cap)) => Some(cap),
-            (own, None) => own,
-        };
-        flow
+        self.results_dir
+            .join(format!("{}.json", safe_file_stem(job)))
     }
 
     /// Runs one job to a terminal state (or the injected server
@@ -654,7 +624,6 @@ impl Server {
                 None => return,
             }
         };
-        let flow_spec = self.effective_flow(&spec.tenant, &spec.flow);
         let checkpoint_path = self.store.path_of(job);
 
         loop {
@@ -706,13 +675,7 @@ impl Server {
             }
 
             let outcome = catch_unwind(AssertUnwindSafe(|| {
-                self.run_once(
-                    &spec,
-                    &flow_spec,
-                    &checkpoint_path,
-                    &cancel,
-                    crash_remaining,
-                )
+                self.run_once(&spec, &checkpoint_path, &cancel, crash_remaining)
             }))
             .unwrap_or_else(|payload| {
                 let cause = payload
@@ -781,11 +744,11 @@ impl Server {
     fn run_once(
         &self,
         spec: &JobSpec,
-        flow_spec: &FlowSpec,
         checkpoint_path: &Path,
         cancel: &fixref_core::CancelToken,
         crash_remaining: Option<usize>,
     ) -> Result<RunOutput, RunFailure> {
+        let flow_spec = &spec.flow;
         let builder = self
             .registry
             .build(&spec.design)
@@ -901,8 +864,8 @@ impl Server {
         }
     }
 
-    /// Persists the result (atomically), journals the terminal record,
-    /// and retires the job's checkpoint.
+    /// Persists the result (atomically and durably), journals the
+    /// terminal record, and retires the job's checkpoint.
     fn finish(&self, job: &str, spec: &JobSpec, attempts: usize, out: RunOutput) {
         let result = JobResult {
             job: job.into(),
@@ -917,18 +880,10 @@ impl Server {
             annotations: out.annotations,
             journal: out.journal,
         };
-        // Result before terminal record: a crash between the two
-        // re-runs the job (idempotent), never loses the record of it.
-        let path = self.result_path(job);
-        let tmp = self.results_dir.join(format!(
-            "{}.tmp",
-            path.file_name()
-                .and_then(|n| n.to_str())
-                .unwrap_or("result")
-        ));
-        let written = std::fs::write(&tmp, result.to_json())
-            .and_then(|()| std::fs::rename(&tmp, &path))
-            .is_ok();
+        // Result before terminal record, durably: a crash between the
+        // two re-runs the job (idempotent), never loses the record of it.
+        let written =
+            write_file_atomic(&self.result_path(job), result.to_json().as_bytes()).is_ok();
 
         let mut st = self.lock();
         st.running -= 1;

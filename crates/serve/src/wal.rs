@@ -6,11 +6,12 @@
 //! nothing: on restart the log replays into the exact set of accepted,
 //! in-flight and finished jobs. A torn final line (the artifact of a
 //! crash mid-append) is dropped silently, because the transition it
-//! described never committed; a torn line *before* the end is
-//! corruption and surfaces as a structured error.
+//! described never committed, and [`JobLog::open`] cuts it off before
+//! the next append; a torn line *before* the end is corruption and
+//! surfaces as a structured error.
 
 use std::fs::{File, OpenOptions};
-use std::io::Write as _;
+use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
 
 use fixref_core::JobSpec;
@@ -110,17 +111,37 @@ pub struct JobLog {
 }
 
 impl JobLog {
-    /// Opens (creating if absent) the log at `path`.
+    /// Opens (creating if absent) the log at `path`, ending it at a record
+    /// boundary before anything is appended. A crash mid-append leaves the
+    /// file ending in a torn fragment, or in a complete record without its
+    /// newline, and the next record would run on into that line: a
+    /// fragment that does not decode is cut off (it never committed), a
+    /// complete final record gets its newline, and the repair is synced.
     ///
     /// # Errors
     ///
-    /// I/O errors opening the file.
+    /// I/O errors opening, reading, repairing or syncing the file.
     pub fn open(path: impl Into<PathBuf>) -> std::io::Result<Self> {
         let path = path.into();
         if let Some(dir) = path.parent() {
             std::fs::create_dir_all(dir)?;
         }
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
+        let mut file = OpenOptions::new()
+            .create(true)
+            .read(true)
+            .append(true)
+            .open(&path)?;
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes)?;
+        let boundary = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+        if boundary < bytes.len() {
+            if decode_line(&bytes[boundary..]).is_ok() {
+                file.write_all(b"\n")?;
+            } else {
+                file.set_len(boundary as u64)?;
+            }
+            file.sync_data()?;
+        }
         Ok(JobLog { path, file })
     }
 
@@ -153,36 +174,44 @@ impl JobLog {
     /// [`SpecError`] for corruption anywhere but the final line.
     pub fn replay(path: impl AsRef<Path>) -> Result<(Vec<WalRecord>, usize), SpecError> {
         let path = path.as_ref();
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
+        let bytes = match std::fs::read(path) {
+            Ok(b) => b,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((Vec::new(), 0)),
             Err(e) => return Err(SpecError::new(format!("{}: {e}", path.display()))),
         };
         let mut records = Vec::new();
         let mut dropped = 0;
-        let lines: Vec<&str> = text.split_inclusive('\n').collect();
+        let lines: Vec<&[u8]> = bytes.split_inclusive(|&b| b == b'\n').collect();
         for (i, raw) in lines.iter().enumerate() {
             let is_last = i + 1 == lines.len();
-            let line = raw.trim_end_matches('\n');
+            let line = raw.strip_suffix(b"\n").unwrap_or(raw);
             if line.is_empty() {
                 continue;
             }
-            let parsed = Json::parse(line)
-                .and_then(|v| WalRecord::decode(&v))
-                .map_err(|e| SpecError::new(format!("wal line {}: wal record: {e}", i + 1)));
-            match parsed {
+            match decode_line(line) {
                 Ok(r) => records.push(r),
                 // A torn append: the crash hit mid-write, so the
                 // transition never committed. Only the final line may
                 // be torn.
-                Err(_) if is_last && !raw.ends_with('\n') => {
+                Err(_) if is_last && !raw.ends_with(b"\n") => {
                     dropped = raw.len();
                 }
-                Err(e) => return Err(e),
+                Err(e) => {
+                    return Err(SpecError::new(format!(
+                        "wal line {}: wal record: {e}",
+                        i + 1
+                    )))
+                }
             }
         }
         Ok((records, dropped))
     }
+}
+
+/// Decodes one log line, its newline excluded.
+fn decode_line(line: &[u8]) -> Result<WalRecord, JsonError> {
+    let text = std::str::from_utf8(line).map_err(|_| JsonError::new("not UTF-8"))?;
+    WalRecord::decode(&Json::parse(text)?)
 }
 
 #[cfg(test)]
@@ -269,6 +298,37 @@ mod tests {
         text.push('\n');
         std::fs::write(&path, &text).expect("write");
         assert!(JobLog::replay(&path).is_err());
+    }
+
+    #[test]
+    fn open_cuts_a_torn_tail_and_terminates_a_complete_one() {
+        let path = tmp("repair");
+        let mut log = JobLog::open(&path).expect("opens");
+        log.append(&WalRecord::Cancelled { job: "j-1".into() })
+            .expect("appends");
+        drop(log);
+        let clean = std::fs::read_to_string(&path).expect("read");
+
+        // A torn record (cut mid-character, too) is cut off.
+        let mut torn = clean.clone().into_bytes();
+        torn.extend_from_slice(b"{\"wal\":\"cancelled\",\"job\":\"j-\xc3");
+        std::fs::write(&path, &torn).expect("write");
+        assert_eq!(JobLog::replay(&path).expect("tolerated").0.len(), 1);
+        let mut log = JobLog::open(&path).expect("re-opens");
+        assert_eq!(std::fs::read_to_string(&path).expect("read"), clean);
+        log.append(&WalRecord::Cancelled { job: "j-2".into() })
+            .expect("appends");
+        let (records, dropped) = JobLog::replay(&path).expect("replays");
+        assert_eq!((records.len(), dropped), (2, 0));
+
+        // A complete record without its newline keeps the record.
+        let text = std::fs::read_to_string(&path).expect("read");
+        std::fs::write(&path, text.trim_end()).expect("write");
+        let mut log = JobLog::open(&path).expect("re-opens");
+        log.append(&WalRecord::Cancelled { job: "j-3".into() })
+            .expect("appends");
+        let (records, dropped) = JobLog::replay(&path).expect("replays");
+        assert_eq!((records.len(), dropped), (3, 0));
     }
 
     #[test]

@@ -881,19 +881,6 @@ impl Design {
         self.inner.borrow().overflow_events.clone()
     }
 
-    /// Merges cached overflow events into the recorded ones, restoring
-    /// chronological order and the retention cap — the incremental
-    /// engine's replay restores a previous run's events this way. The
-    /// sort is stable, so same-cycle events keep recorded-before-cached
-    /// order.
-    pub fn splice_overflow_events(&self, cached: Vec<OverflowEvent>) {
-        let mut inner = self.inner.borrow_mut();
-        inner.overflow_events.extend(cached);
-        inner.overflow_events.sort_by_key(|e| e.cycle);
-        let cap = inner.overflow_event_cap;
-        inner.overflow_events.truncate(cap);
-    }
-
     /// Drains the set of signals whose annotations changed since the last
     /// drain (every signal starts dirty at declaration).
     pub fn take_dirty(&self) -> Vec<SignalId> {
@@ -943,43 +930,6 @@ impl Design {
     /// Whether [`Design::declare_static_schedule`] was called.
     pub fn has_static_schedule(&self) -> bool {
         self.inner.borrow().static_schedule
-    }
-
-    /// Overwrites the monitors of the named signals with cached snapshots
-    /// — the incremental engine's replay step. Unlike
-    /// [`Design::absorb_stats`] this *replaces* instead of merging.
-    ///
-    /// # Errors
-    ///
-    /// [`UnknownSignalError`] if a snapshot name does not exist here; the
-    /// design is left unchanged in that case.
-    pub fn splice_stats(&self, stats: &[SignalStats]) -> Result<(), UnknownSignalError> {
-        let mut inner = self.inner.borrow_mut();
-        let ids: Vec<usize> = stats
-            .iter()
-            .map(|s| {
-                inner
-                    .names
-                    .get(&s.name)
-                    .map(|id| id.0 as usize)
-                    .ok_or_else(|| UnknownSignalError {
-                        name: s.name.clone(),
-                    })
-            })
-            .collect::<Result<_, _>>()?;
-        for (s, idx) in stats.iter().zip(ids) {
-            let st = &mut inner.signals[idx];
-            st.stat = s.stat;
-            st.prop = s.prop;
-            st.consumed = s.consumed;
-            st.produced = s.produced;
-            st.overflows = s.overflows;
-            st.reads = s.reads;
-            st.writes = s.writes;
-            st.granularity = s.granularity;
-            st.non_dyadic = s.non_dyadic;
-        }
-        Ok(())
     }
 
     /// Resets every monitoring statistic (ranges, errors, counters,
@@ -2495,48 +2445,6 @@ mod incremental_tests {
         assert!(!d.has_static_schedule());
         d.declare_static_schedule();
         assert!(d.has_static_schedule());
-    }
-
-    #[test]
-    fn splice_rejects_unknown_signals_without_side_effects() {
-        let d = Design::new();
-        let x = d.sig("x");
-        x.set(1.0);
-        let mut stats = d.export_stats();
-        stats[0].name = "ghost".into();
-        let err = d.splice_stats(&stats).unwrap_err();
-        assert_eq!(err.name, "ghost");
-        assert_eq!(d.report_by_id(x.id()).writes, 1);
-    }
-
-    #[test]
-    fn overflow_events_splice_back_in_cycle_order() {
-        let et = DType::new(
-            "e",
-            4,
-            2,
-            Signedness::TwosComplement,
-            OverflowMode::Error,
-            RoundingMode::Round,
-        )
-        .unwrap();
-        let d = Design::new();
-        let x = d.sig_typed("x", et);
-        x.set(100.0); // cycle 0
-        d.tick();
-        d.tick();
-        x.set(100.0); // cycle 2
-        let mut events = d.take_overflow_events();
-        assert_eq!(events.len(), 2);
-        // Splice the events back in two batches.
-        let early = events.remove(0);
-        d.splice_overflow_events(vec![early]);
-        d.splice_overflow_events(events);
-        let merged = d.peek_overflow_events();
-        assert_eq!(merged.len(), 2);
-        assert!(merged[0].cycle <= merged[1].cycle);
-        // peek does not drain.
-        assert_eq!(d.take_overflow_events().len(), 2);
     }
 }
 

@@ -487,3 +487,60 @@ fn finished_jobs_answer_status_from_their_results_and_the_journal_stays_bounded(
     );
     assert!(server.status("j-999999").is_none());
 }
+
+#[test]
+fn a_torn_or_unterminated_wal_tail_is_repaired_before_the_next_life_appends() {
+    let wal = |dir: &std::path::Path| dir.join("jobs.wal");
+    // The two ways a crash mid-append can end the log: a record cut off
+    // mid-write, and a complete record whose newline never made it.
+    let torn = |path: &std::path::Path| {
+        let mut text = std::fs::read_to_string(path).expect("reads the log");
+        text.push_str(r#"{"wal":"started","job":"j-9","att"#);
+        std::fs::write(path, text).expect("tears the log");
+    };
+    let unterminated = |path: &std::path::Path| {
+        let text = std::fs::read_to_string(path).expect("reads the log");
+        let text = text.strip_suffix('\n').expect("newline-terminated");
+        std::fs::write(path, text).expect("drops the newline");
+    };
+    for (name, crash) in [
+        ("wal_torn_tail", &torn as &dyn Fn(&std::path::Path)),
+        ("wal_unterminated_tail", &unterminated),
+    ] {
+        let dir = data_dir(name);
+
+        // Life 1 finishes j-1, then dies mid-append.
+        let server = Server::open(ServerConfig::new(&dir)).expect("life 1 opens");
+        let first = server
+            .submit(lms_job("acme", FlowSpec::default()))
+            .expect("accepted");
+        server.run_until_idle();
+        drop(server);
+        crash(&wal(&dir));
+
+        // Life 2 accepts j-2 and dies before running it.
+        let server = Server::open(ServerConfig::new(&dir)).expect("life 2 opens");
+        let second = server
+            .submit(lms_job("globex", FlowSpec::default()))
+            .expect("accepted");
+        drop(server);
+
+        // Life 3 starts, knows both jobs and finishes the second.
+        let server = Server::open(ServerConfig::new(&dir))
+            .unwrap_or_else(|e| panic!("{name}: life 3 cannot open: {e}"));
+        let status = server.status(&first).expect("j-1 is known");
+        assert_eq!(status.state, JobState::Finished, "{name}");
+        assert_eq!(status.status.as_deref(), Some("complete"), "{name}");
+        assert_eq!(
+            server.status(&second).expect("j-2 is known").state,
+            JobState::Queued,
+            "{name}: j-2's acceptance survived"
+        );
+        server.run_until_idle();
+        let status = server.status(&second).expect("j-2 is known");
+        assert_eq!(status.status.as_deref(), Some("complete"), "{name}");
+        let text = std::fs::read_to_string(wal(&dir)).expect("reads the log");
+        assert!(!text.contains("j-9"), "{name}: the torn fragment is gone");
+        assert!(text.ends_with('\n'), "{name}");
+    }
+}
