@@ -314,17 +314,22 @@ fn stimulus(seed: u64, snr_db: f64, channel_taps: &[f64], len: usize) -> Vec<f64
 
 /// Sweep shard builder for the equalizer: every shard gets a fresh
 /// design seeded with [`DESIGN_SEED`], driven by its scenario's
-/// [`scenario_stimulus`].
+/// [`scenario_stimulus`]. The stimulus is generated on the closure's
+/// first call and kept for the later ones, so a shard whose simulations
+/// all replay a capture never generates it.
 pub fn shard_builder(config: LmsConfig) -> Box<ShardBuilder> {
     Box::new(move |scenario: &Scenario| {
         let design = Design::with_seed(DESIGN_SEED);
         let eq = LmsEqualizer::new(&design, &config);
-        let stimulus = scenario_stimulus(scenario);
+        let (seed, snr_db, samples) = (scenario.seed, scenario.snr_db, scenario.samples);
+        let taps = scenario.channel_taps.clone();
+        let mut generated = None;
         ShardSim {
             design,
             stimulus: Box::new(move |_d: &Design, _iter: usize| {
+                let xs = generated.get_or_insert_with(|| stimulus(seed, snr_db, &taps, samples));
                 eq.init();
-                for &x in &stimulus {
+                for &x in xs.iter() {
                     eq.step(x);
                 }
             }),

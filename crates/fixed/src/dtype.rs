@@ -90,8 +90,9 @@ impl fmt::Display for OverflowMode {
 /// LSB-side rounding behaviour (the paper's `lsbspec`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum RoundingMode {
-    /// Round-off (`rd`): round half away from zero upward, i.e.
-    /// `floor(x + 0.5)` on the scaled mantissa — the classic DSP rounder.
+    /// Round-off (`rd`): round to nearest with ties rounding up, toward
+    /// +∞, i.e. `floor(x + 0.5)` on the scaled mantissa, taken exactly —
+    /// the classic DSP rounder, which adds half an LSB and truncates.
     #[default]
     Round,
     /// Floor (`fl`): truncate toward negative infinity — cheaper hardware,
@@ -120,6 +121,18 @@ impl fmt::Display for RoundingMode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.token())
     }
+}
+
+/// The exact power of two `2^k`, built from its IEEE-754 exponent bits.
+///
+/// Every exponent a [`DType`] produces is normal: `1 <= n <= 63` and
+/// `-256 <= f <= 256` keep `lsb`, `msb` and `msb + 1` within
+/// `-256..=319`, far inside `-1022..=1023`. The bits are the same as
+/// `(k as f64).exp2()`, without the libm call.
+#[inline]
+pub(crate) fn pow2(k: i32) -> f64 {
+    debug_assert!((-1022..=1023).contains(&k), "2^{k} is not a normal f64");
+    f64::from_bits(((k + 1023) as u64) << 52)
 }
 
 /// A fixed-point type descriptor.
@@ -232,31 +245,37 @@ impl DType {
     }
 
     /// The type's name (used in reports and generated VHDL).
+    #[inline]
     pub fn name(&self) -> &str {
         &self.name
     }
 
     /// Total wordlength in bits, including the sign bit for two's complement.
+    #[inline]
     pub fn n(&self) -> i32 {
         self.n
     }
 
     /// Number of fractional bits.
+    #[inline]
     pub fn f(&self) -> i32 {
         self.f
     }
 
     /// Signal representation.
+    #[inline]
     pub fn signedness(&self) -> Signedness {
         self.signedness
     }
 
     /// Overflow behaviour on the MSB side.
+    #[inline]
     pub fn overflow(&self) -> OverflowMode {
         self.overflow
     }
 
     /// Rounding behaviour on the LSB side.
+    #[inline]
     pub fn rounding(&self) -> RoundingMode {
         self.rounding
     }
@@ -287,40 +306,46 @@ impl DType {
 
     /// Absolute MSB position with respect to the binary point:
     /// `msb = n - f - 1`.
+    #[inline]
     pub fn msb(&self) -> i32 {
         self.n - self.f - 1
     }
 
     /// Absolute LSB position with respect to the binary point: `lsb = -f`.
+    #[inline]
     pub fn lsb(&self) -> i32 {
         -self.f
     }
 
     /// The quantization step `2^lsb = 2^-f`.
+    #[inline]
     pub fn resolution(&self) -> f64 {
-        (self.lsb() as f64).exp2()
+        pow2(self.lsb())
     }
 
     /// Smallest representable value:
     /// `-2^msb` for two's complement, `0` for unsigned.
+    #[inline]
     pub fn min_value(&self) -> f64 {
         match self.signedness {
-            Signedness::TwosComplement => -((self.msb() as f64).exp2()),
+            Signedness::TwosComplement => -pow2(self.msb()),
             Signedness::Unsigned => 0.0,
         }
     }
 
     /// Largest representable value:
     /// `2^msb - 2^lsb` (tc) or `2^(msb+1) - 2^lsb` (unsigned).
+    #[inline]
     pub fn max_value(&self) -> f64 {
         let lsb = self.resolution();
         match self.signedness {
-            Signedness::TwosComplement => (self.msb() as f64).exp2() - lsb,
-            Signedness::Unsigned => ((self.msb() + 1) as f64).exp2() - lsb,
+            Signedness::TwosComplement => pow2(self.msb()) - lsb,
+            Signedness::Unsigned => pow2(self.msb() + 1) - lsb,
         }
     }
 
     /// Smallest mantissa (scaled integer) value.
+    #[inline]
     pub fn min_mantissa(&self) -> i64 {
         match self.signedness {
             Signedness::TwosComplement => -(1i64 << (self.n - 1)),
@@ -329,6 +354,7 @@ impl DType {
     }
 
     /// Largest mantissa (scaled integer) value.
+    #[inline]
     pub fn max_mantissa(&self) -> i64 {
         match self.signedness {
             Signedness::TwosComplement => (1i64 << (self.n - 1)) - 1,

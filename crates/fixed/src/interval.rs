@@ -56,6 +56,7 @@ impl Interval {
     ///
     /// Panics if `lo > hi` (use [`Interval::EMPTY`] for the empty interval)
     /// or either bound is NaN.
+    #[inline]
     pub fn new(lo: f64, hi: f64) -> Self {
         assert!(!lo.is_nan() && !hi.is_nan(), "interval bound is NaN");
         assert!(
@@ -82,6 +83,7 @@ impl Interval {
     }
 
     /// The degenerate interval `[x, x]`.
+    #[inline]
     pub fn point(x: f64) -> Self {
         Interval::new(x, x)
     }
@@ -96,11 +98,13 @@ impl Interval {
     }
 
     /// The representable range of a fixed-point type.
+    #[inline]
     pub fn from_dtype(dtype: &DType) -> Self {
         Interval::new(dtype.min_value(), dtype.max_value())
     }
 
     /// Whether the interval contains no points.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.lo > self.hi
     }
@@ -146,6 +150,7 @@ impl Interval {
 
     /// Smallest interval covering both operands (the paper's
     /// `c.min = MIN(c.min, a.min)` assignment rule, on both ends).
+    #[inline]
     pub fn union(&self, other: &Interval) -> Interval {
         if self.is_empty() {
             return *other;
@@ -222,6 +227,7 @@ impl Interval {
     /// a range lying entirely outside `bounds` collapses onto the nearer
     /// boundary (saturation maps every out-of-range value to the rail),
     /// never to the empty interval.
+    #[inline]
     pub fn clamp_to(&self, bounds: &Interval) -> Interval {
         if self.is_empty() || bounds.is_empty() {
             return Interval::EMPTY;
@@ -260,6 +266,7 @@ impl fmt::Display for Interval {
 /// poison: it later panics in `Interval::new` via `abs`/`min`/`max`. Map
 /// each NaN bound to the conservative infinity of its side instead — the
 /// result stays "exploded", which is what range propagation reports anyway.
+#[inline]
 fn denan(lo: f64, hi: f64) -> Interval {
     Interval {
         lo: if lo.is_nan() { f64::NEG_INFINITY } else { lo },
@@ -269,6 +276,7 @@ fn denan(lo: f64, hi: f64) -> Interval {
 
 impl Add for Interval {
     type Output = Interval;
+    #[inline]
     fn add(self, rhs: Interval) -> Interval {
         if self.is_empty() || rhs.is_empty() {
             return Interval::EMPTY;
@@ -279,6 +287,7 @@ impl Add for Interval {
 
 impl Sub for Interval {
     type Output = Interval;
+    #[inline]
     fn sub(self, rhs: Interval) -> Interval {
         if self.is_empty() || rhs.is_empty() {
             return Interval::EMPTY;
@@ -289,6 +298,7 @@ impl Sub for Interval {
 
 impl Mul for Interval {
     type Output = Interval;
+    #[inline]
     fn mul(self, rhs: Interval) -> Interval {
         if self.is_empty() || rhs.is_empty() {
             return Interval::EMPTY;
@@ -330,6 +340,7 @@ impl Div for Interval {
 
 impl Neg for Interval {
     type Output = Interval;
+    #[inline]
     fn neg(self) -> Interval {
         if self.is_empty() {
             return Interval::EMPTY;

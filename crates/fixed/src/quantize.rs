@@ -7,7 +7,7 @@
 //! mode, then applies the MSB overflow mode, and reports what happened so
 //! the monitors can collect statistics.
 
-use crate::dtype::{DType, OverflowMode, RoundingMode, Signedness};
+use crate::dtype::{pow2, DType, OverflowMode, RoundingMode, Signedness};
 use crate::error::OverflowError;
 
 /// The result of quantizing one value through a [`DType`].
@@ -75,6 +75,7 @@ impl Quantized {
 /// # Ok(())
 /// # }
 /// ```
+#[inline]
 pub fn quantize(x: f64, dtype: &DType) -> Quantized {
     let step = dtype.resolution();
     let min_m = dtype.min_mantissa();
@@ -99,9 +100,11 @@ pub fn quantize(x: f64, dtype: &DType) -> Quantized {
         };
     }
 
-    let scaled = x / step;
+    // `x · 2^f` and `x / 2^-f` round the same real number, since both
+    // powers are exact: the product is the quotient, bit for bit.
+    let scaled = x * pow2(dtype.f());
     let rounded = match dtype.rounding() {
-        RoundingMode::Round => (scaled + 0.5).floor(),
+        RoundingMode::Round => round_half_up(scaled),
         RoundingMode::Floor => scaled.floor(),
     };
     let rounding_error = rounded * step - x;
@@ -131,15 +134,31 @@ pub fn quantize(x: f64, dtype: &DType) -> Quantized {
     }
 }
 
+/// `floor(s + 0.5)` taken exactly: ties round up, toward +∞.
+///
+/// Adding the half in `f64` first rounds the sum: `0.5 - 2^-54` would
+/// reach 1, and above 2^52 an odd `s` would tie to its even neighbour.
+/// The remainder `s - floor(s)` decides instead. It is exact unless
+/// `-0.5 < s < 0`, where it lies above 0.5 and rounds to no less.
+#[inline]
+fn round_half_up(s: f64) -> f64 {
+    let floor = s.floor();
+    if s - floor >= 0.5 {
+        floor + 1.0
+    } else {
+        floor
+    }
+}
+
 /// Two's-complement / unsigned wrap of an out-of-range scaled value into the
 /// `n`-bit mantissa range.
 fn wrap_mantissa(rounded: f64, dtype: &DType) -> i64 {
     let n = dtype.n();
-    let modulus = (n as f64).exp2();
+    let modulus = pow2(n);
     // Euclidean remainder in f64 is exact for |rounded| < 2^52, which covers
-    // every mantissa a 63-bit type can produce from finite inputs after the
-    // division below; fall back to clamping for pathological magnitudes.
-    if rounded.abs() >= 2f64.powi(52) {
+    // every mantissa a 63-bit type can produce from finite inputs after
+    // scaling; fall back to clamping for pathological magnitudes.
+    if rounded.abs() >= pow2(52) {
         return if rounded > 0.0 {
             dtype.max_mantissa()
         } else {
@@ -242,6 +261,21 @@ mod tests {
         // -0.4375 scaled = -3.5 -> floor(-3.0) = -3 (half-up toward +inf).
         let q = quantize(-0.4375, &ty);
         assert_eq!(q.mantissa, -3);
+    }
+
+    #[test]
+    fn rounding_is_exact_where_adding_half_in_f64_would_round() {
+        // 0.5 - 2^-54 plus 0.5 rounds to 1.0 in f64; floor(x + 0.5) is 0.
+        let ty = t(8, 0, OverflowMode::Saturate, RoundingMode::Round);
+        let q = quantize(0.49999999999999994, &ty);
+        assert_eq!(q.mantissa, 0);
+        assert_eq!(q.rounding_error, -0.49999999999999994);
+        // Above 2^52 every f64 is an integer, so an odd one must pass
+        // through; adding 0.5 in f64 ties it to the even neighbour.
+        let ty = t(63, 0, OverflowMode::Saturate, RoundingMode::Round);
+        let q = quantize(4503599627370497.0, &ty);
+        assert_eq!(q.mantissa, 4503599627370497);
+        assert_eq!(q.rounding_error, 0.0);
     }
 
     #[test]

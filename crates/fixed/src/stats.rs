@@ -29,6 +29,7 @@ impl RangeStats {
 
     /// Records one observation. NaN observations are counted but do not
     /// move the extremes.
+    #[inline]
     pub fn record(&mut self, x: f64) {
         self.count += 1;
         if x.is_nan() {
@@ -162,6 +163,7 @@ impl ErrorStats {
     /// Records one error observation. NaN observations are ignored (they
     /// arise only from NaN quantization inputs, which are flagged
     /// separately as overflows).
+    #[inline]
     pub fn record(&mut self, e: f64) {
         if e.is_nan() {
             return;

@@ -623,6 +623,7 @@ impl Design {
 
     /// Advances the clock: every pending register assignment becomes
     /// visible and the cycle counter increments.
+    #[inline]
     pub fn tick(&self) {
         self.inner.borrow_mut().tick();
     }
@@ -1625,12 +1626,14 @@ pub struct Sig {
 
 impl Sig {
     /// Reads the signal's current dual value.
+    #[inline]
     pub fn get(&self) -> Value {
         self.design.read(self.id)
     }
 
     /// Assigns immediately (combinational semantics), performing
     /// quantization and all monitoring.
+    #[inline]
     pub fn set(&self, value: impl Into<Value>) {
         self.design.assign(self.id, value.into());
     }
@@ -1655,12 +1658,14 @@ pub struct Reg {
 
 impl Reg {
     /// Reads the register's current (pre-tick) dual value.
+    #[inline]
     pub fn get(&self) -> Value {
         self.design.read(self.id)
     }
 
     /// Schedules an assignment for the next clock tick, performing
     /// quantization and all monitoring now.
+    #[inline]
     pub fn set(&self, value: impl Into<Value>) {
         self.design.assign(self.id, value.into());
     }
@@ -1687,6 +1692,7 @@ impl SigArray {
     /// # Panics
     ///
     /// Panics if `i` is out of bounds.
+    #[inline]
     pub fn at(&self, i: usize) -> &Sig {
         &self.sigs[i]
     }
@@ -1734,6 +1740,7 @@ impl RegArray {
     /// # Panics
     ///
     /// Panics if `i` is out of bounds.
+    #[inline]
     pub fn at(&self, i: usize) -> &Reg {
         &self.regs[i]
     }
@@ -1772,6 +1779,7 @@ impl<'a> IntoIterator for &'a RegArray {
 impl std::ops::Index<usize> for SigArray {
     type Output = Sig;
     /// Indexes the element handles (`&arr[i]` ≡ `arr.at(i)`).
+    #[inline]
     fn index(&self, i: usize) -> &Sig {
         self.at(i)
     }
@@ -1780,6 +1788,7 @@ impl std::ops::Index<usize> for SigArray {
 impl std::ops::Index<usize> for RegArray {
     type Output = Reg;
     /// Indexes the element handles (`&arr[i]` ≡ `arr.at(i)`).
+    #[inline]
     fn index(&self, i: usize) -> &Reg {
         self.at(i)
     }

@@ -72,6 +72,7 @@ pub struct Value {
 impl Value {
     /// Builds a value with explicit float and fixed components (used by the
     /// design when reading signals; mostly useful in tests).
+    #[inline]
     pub fn with_paths(flt: f64, fix: f64, itv: Interval) -> Self {
         Value {
             flt,
@@ -101,16 +102,19 @@ impl Value {
     }
 
     /// The floating-point reference value.
+    #[inline]
     pub fn flt(&self) -> f64 {
         self.flt
     }
 
     /// The fixed-point path value.
+    #[inline]
     pub fn fix(&self) -> f64 {
         self.fix
     }
 
     /// The propagated worst-case range.
+    #[inline]
     pub fn interval(&self) -> Interval {
         self.itv
     }
@@ -209,6 +213,7 @@ impl Value {
     /// The propagated range is the union of both branches and the
     /// recorded `Select` node keeps both, so the analytical method covers
     /// whichever branch the stimuli did not trigger.
+    #[inline]
     pub fn select_positive(self, then_v: Value, else_v: Value) -> Value {
         let take_then = self.fix > 0.0;
         Value {
@@ -260,6 +265,7 @@ impl Value {
 
 impl From<f64> for Value {
     /// A constant: both paths carry `c`, range is the point `[c, c]`.
+    #[inline]
     fn from(c: f64) -> Self {
         Value::with_paths(c, c, Interval::point(c))
     }
@@ -275,6 +281,7 @@ macro_rules! binop {
     ($trait:ident, $method:ident, $op:tt, $exprop:expr, $itv:expr) => {
         impl $trait for Value {
             type Output = Value;
+            #[inline]
             fn $method(self, rhs: Value) -> Value {
                 let itv: fn(Interval, Interval) -> Interval = $itv;
                 Value {
@@ -291,6 +298,7 @@ macro_rules! binop {
 
         impl $trait<f64> for Value {
             type Output = Value;
+            #[inline]
             fn $method(self, rhs: f64) -> Value {
                 self $op Value::from(rhs)
             }
@@ -298,6 +306,7 @@ macro_rules! binop {
 
         impl $trait<Value> for f64 {
             type Output = Value;
+            #[inline]
             fn $method(self, rhs: Value) -> Value {
                 Value::from(self) $op rhs
             }
@@ -312,6 +321,7 @@ binop!(Div, div, /, Op::Div, |a, b| a / b);
 
 impl Neg for Value {
     type Output = Value;
+    #[inline]
     fn neg(self) -> Value {
         Value {
             flt: -self.flt,
