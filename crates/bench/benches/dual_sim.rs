@@ -126,6 +126,21 @@ fn main() {
             }
             acc
         });
+        // The same, fed one repeated input value: `x` records one `Const`
+        // definition instead of one per sample, so the difference to the
+        // case above is what the per-sample constant definitions cost.
+        let repeated = vec![stimulus[0]; SAMPLES];
+        h.bench("dual_sim/fresh_graph_recording_one_value", || {
+            let d = Design::new();
+            let eq = LmsEqualizer::new(&d, &config);
+            d.record_graph(true);
+            eq.init();
+            let mut acc = 0.0;
+            for &x in &repeated {
+                acc += eq.step(x).0;
+            }
+            acc
+        });
     }
 
     h.finish();

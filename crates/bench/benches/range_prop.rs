@@ -2,6 +2,7 @@
 //! analytical fixpoint over the equalizer's signal-flow graph.
 
 use std::collections::HashMap;
+use std::rc::Rc;
 
 use fixref_bench::microbench::{black_box, Harness};
 use fixref_dsp::lms::equalizer_stimulus;
@@ -35,7 +36,7 @@ fn main() {
 
 /// Records the equalizer's graph over `samples` stimulus samples, with the
 /// input and the adaptive coefficient seeded.
-fn lms_graph(samples: usize) -> (Graph, HashMap<SignalId, Interval>) {
+fn lms_graph(samples: usize) -> (Rc<Graph>, HashMap<SignalId, Interval>) {
     let d = Design::new();
     let eq = LmsEqualizer::new(&d, &LmsConfig::default());
     d.record_graph(true);

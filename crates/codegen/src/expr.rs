@@ -263,7 +263,7 @@ mod tests {
         assert_eq!(vhdl_name("_"), "s_");
     }
 
-    fn gen_env() -> (Design, Graph) {
+    fn gen_env() -> (Design, std::rc::Rc<Graph>) {
         let d = Design::new();
         let t: DType = "<8,5,tc,st,rd>".parse().unwrap();
         let x = d.sig_typed("x", t.clone());

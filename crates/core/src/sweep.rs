@@ -36,6 +36,7 @@
 //! running the stimulus.
 
 use std::collections::BTreeSet;
+use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -104,6 +105,15 @@ fn capture_and_compile(design: &Design, stimulus: impl FnOnce(&Design)) -> Resul
         );
     }
     Ok(replay)
+}
+
+/// Moves a shard's recorded graph out for the master: once the design has
+/// let go of its graph, the snapshot is the only owner and unwraps without
+/// a copy.
+fn take_graph(shard: &Design) -> Graph {
+    let graph = shard.graph();
+    shard.clear_graph();
+    Rc::unwrap_or_clone(graph)
 }
 
 /// How the sweep reacts to a shard that fails all its attempts.
@@ -573,7 +583,7 @@ impl SimDriver for SweepDriver {
                 ShardResult {
                     stats: shard.export_stats(),
                     overflow_events: shard.take_overflow_events(),
-                    graph: record_here.then(|| shard.graph()),
+                    graph: record_here.then(|| take_graph(&shard)),
                     recorder: shard_recorder,
                     cycles: shard.cycle(),
                     wall_ns: started.elapsed().as_nanos(),
@@ -835,6 +845,32 @@ mod tests {
             assert_eq!(a.consumed, b.consumed, "consumed of {}", a.name);
             assert_eq!(a.produced, b.produced, "produced of {}", a.name);
         }
+    }
+
+    /// The graph's nodes and every signal's definitions, as text.
+    fn graph_text(d: &Design) -> Vec<String> {
+        let g = d.graph();
+        let nodes = g.iter().map(|(id, n)| format!("{id}: {n:?}"));
+        let defs = (0..d.num_signals() as u32)
+            .map(fixref_sim::SignalId::from_raw)
+            .map(|s| format!("{s}: {:?}", g.defs(s)));
+        nodes.chain(defs).collect()
+    }
+
+    #[test]
+    fn a_swept_master_installs_its_shard_zero_recording() {
+        let scenarios = ScenarioSet::grid(&[3, 5, 11], &[24.0], &[], &[300]);
+        let first = scenarios.iter().next().expect("three scenarios").clone();
+        let master = build_design();
+        let recorder = Arc::new(DefaultRecorder::new());
+        sweep(scenarios, 2)
+            .simulate(&master, &recorder, 1, true)
+            .expect("no faults injected");
+
+        let shard0 = build_design();
+        execute(&shard0, true, |d| drive(d, first.seed, first.samples));
+        assert!(!shard0.graph().is_empty());
+        assert_eq!(graph_text(&master), graph_text(&shard0));
     }
 
     #[test]

@@ -213,7 +213,7 @@ mod tests {
     /// facts for `n` signals named s0..s{n-1}.
     fn input_for(graph: Graph, n: u32) -> LintInput {
         LintInput {
-            graph,
+            graph: graph.into(),
             signals: (0..n)
                 .map(|i| crate::input::SignalInfo {
                     id: sid(i),

@@ -1,13 +1,15 @@
 //! The linter's immutable view of a design.
 //!
 //! Passes never touch a [`Design`] directly: they consume a [`LintInput`]
-//! snapshot — the recorded signal-flow graph plus per-signal annotations
-//! and monitor counters. Snapshotting keeps passes pure (trivially
-//! testable on synthetic inputs) and pins down exactly which design state
-//! the diagnostics depend on: graph structure, declared types/ranges,
-//! read/write counts and propagated intervals — all of which are
-//! bit-identical across `FIXREF_TEST_SHARDS` worker-pool shapes, so lint
-//! output is too.
+//! snapshot — the recorded signal-flow graph (shared with the design, not
+//! copied) plus per-signal annotations and monitor counters. Snapshotting
+//! keeps passes pure (trivially testable on synthetic inputs) and pins
+//! down exactly which design state the diagnostics depend on: graph
+//! structure, declared types/ranges, read/write counts and propagated
+//! intervals — all of which are bit-identical across `FIXREF_TEST_SHARDS`
+//! worker-pool shapes, so lint output is too.
+
+use std::rc::Rc;
 
 use fixref_fixed::{DType, Interval};
 use fixref_sim::{Design, Graph, SignalId, SignalKind};
@@ -38,8 +40,9 @@ pub struct SignalInfo {
 /// Everything a lint pass may look at.
 #[derive(Debug, Clone)]
 pub struct LintInput {
-    /// The recorded signal-flow graph.
-    pub graph: Graph,
+    /// The recorded signal-flow graph: the design's snapshot
+    /// ([`Design::graph`]), which later recording never changes.
+    pub graph: Rc<Graph>,
     /// Per-signal facts, indexed by raw signal id.
     pub signals: Vec<SignalInfo>,
     /// Whether the author asserted a static schedule

@@ -271,7 +271,9 @@ struct DesignInner {
     cycle: u64,
     /// The graph recording in progress, if any (see [`crate::graph`]).
     recording: Option<RecordingId>,
-    graph: Graph,
+    /// The recorded graph, shared with every snapshot taken since it last
+    /// changed; recording writes through `Rc::make_mut`.
+    graph: Rc<Graph>,
     overflow_events: Vec<OverflowEvent>,
     /// Cap on retained overflow events; further overflows only count.
     overflow_event_cap: usize,
@@ -391,7 +393,7 @@ impl Design {
                 seed,
                 cycle: 0,
                 recording: None,
-                graph: Graph::new(),
+                graph: Rc::default(),
                 overflow_events: Vec::new(),
                 overflow_event_cap: 1024,
                 dirty: BTreeSet::new(),
@@ -636,11 +638,14 @@ impl Design {
     /// Enables or disables signal-flow-graph recording. Typically enabled
     /// for the first iteration of a stimulus loop only. While it records,
     /// the design is the current thread's recording context: every
-    /// operator on values read from it interns its node at once, one
-    /// table probe that allocates only for a new node, and an assignment
-    /// adds to the graph only the nodes no earlier assignment reached.
-    /// Repeated executions therefore cost about twice a plain run and
-    /// allocate nothing once the graph holds their structure. With
+    /// operator on values read from it interns its node at once, and an
+    /// assignment adds to the graph only the nodes no earlier assignment
+    /// reached. An operator that repeats the operator at its position in
+    /// the previous clock cycle costs one key comparison; any other costs
+    /// one table probe and allocates only for a new node. A loop body
+    /// that executes the same operators every cycle therefore records at
+    /// about twice the cost of a plain run (the `dual_sim` bench), and
+    /// allocates nothing once the graph holds its structure. With
     /// recording off, `Value` arithmetic allocates nothing and never looks
     /// at a recording.
     ///
@@ -666,9 +671,14 @@ impl Design {
         self.inner.borrow().recording.is_some()
     }
 
-    /// A snapshot of the recorded signal-flow graph.
-    pub fn graph(&self) -> Graph {
-        self.inner.borrow().graph.clone()
+    /// A snapshot of the recorded signal-flow graph, shared rather than
+    /// copied: two calls with no recording in between return the same
+    /// allocation. The snapshot never changes. Recording into the design
+    /// while a snapshot is alive copies the graph once (copy-on-write),
+    /// and [`Design::clear_graph`] and [`Design::install_graph`] replace
+    /// the design's graph without touching the snapshot.
+    pub fn graph(&self) -> Rc<Graph> {
+        Rc::clone(&self.inner.borrow().graph)
     }
 
     /// The design's error-injection RNG seed (reinstated by
@@ -1104,7 +1114,8 @@ impl Design {
 
     /// Replaces the recorded signal-flow graph — how the sweep engine
     /// installs the graph recorded by shard 0 on the master design, since
-    /// the master never simulates itself in swept mode.
+    /// the master never simulates itself in swept mode. The graph moves
+    /// in; snapshots of the replaced one are unaffected.
     pub fn install_graph(&self, graph: Graph) {
         self.inner.borrow_mut().replace_graph(graph);
     }
@@ -1295,7 +1306,7 @@ impl DesignInner {
     /// since the nodes it has copied into the old graph are not in the
     /// new one.
     fn replace_graph(&mut self, new: Graph) {
-        self.graph = new;
+        self.graph = Rc::new(new);
         if let Some(id) = self.recording {
             graph::end_recording(id);
             self.recording = Some(graph::begin_recording());
@@ -1325,7 +1336,7 @@ impl DesignInner {
             seed: self.seed,
             cycle: 0,
             recording: None,
-            graph: Graph::new(),
+            graph: Rc::default(),
             overflow_events: Vec::new(),
             overflow_event_cap: 0,
             dirty: BTreeSet::new(),
@@ -1470,9 +1481,10 @@ impl DesignInner {
             let root = match (trace, st.last_root) {
                 (Some(t), Some((last, root))) if t == last => root,
                 _ => {
-                    let root = graph::record_root(rec, trace, &mut self.graph)
-                        .unwrap_or_else(|| self.graph.add(graph::Op::Const(value.fix()), vec![]));
-                    self.graph.record_def(id, root);
+                    let sfg = Rc::make_mut(&mut self.graph);
+                    let root = graph::record_root(rec, trace, sfg)
+                        .unwrap_or_else(|| sfg.add(graph::Op::Const(value.fix()), vec![]));
+                    sfg.record_def(id, root);
                     st.last_root = trace.map(|t| (t, root));
                     root
                 }
@@ -1512,6 +1524,9 @@ impl DesignInner {
             }
         }
         self.cycle += 1;
+        if let Some(rec) = self.recording {
+            graph::tick_recording(rec);
+        }
         if let Some(cap) = &mut self.capture {
             cap.steps.push(TraceStep::Tick);
         }
@@ -1971,7 +1986,7 @@ mod sweep_snapshot_tests {
         let dst = Design::new();
         dst.sig("a");
         assert_eq!(dst.graph().len(), 0);
-        dst.install_graph(g.clone());
+        dst.install_graph((*g).clone());
         assert_eq!(dst.graph().len(), g.len());
     }
 }
@@ -1987,7 +2002,7 @@ mod recording_tests {
     }
 
     /// `y = a * 0.5 + b; z = -a` over a fresh design's `a`, `b`, `y`, `z`.
-    fn lone(design: &Design) -> Graph {
+    fn lone(design: &Design) -> Rc<Graph> {
         let [a, b, y, z] = ["a", "b", "y", "z"].map(|n| design.sig(n));
         design.record_graph(true);
         y.set(a.get() * 0.5 + b.get());
@@ -2099,12 +2114,166 @@ mod recording_tests {
         d.record_graph(true);
         y.set(a.get() * 3.0);
         let stale = a.get() * 3.0;
-        d.install_graph(src.graph());
+        d.install_graph((*src.graph()).clone());
         // The node copied into the replaced graph is not in this one.
         y.set(stale);
         let g = d.graph();
         assert_eq!(g.len(), src.graph().len() + 1);
         assert_eq!(g.node(*g.defs(y.id()).last().unwrap()).op, Op::Const(0.0));
+    }
+
+    #[test]
+    fn a_snapshot_is_shared_until_recording_and_never_changes() {
+        let d = Design::new();
+        let [a, b, y, z] = ["a", "b", "y", "z"].map(|n| d.sig(n));
+        d.record_graph(true);
+        y.set(a.get() * 0.5 + b.get());
+        let first = d.graph();
+        let before = nodes(&first);
+        assert!(Rc::ptr_eq(&first, &d.graph()), "no recording in between");
+
+        // Recording again copies the graph once; the snapshot stays.
+        z.set(-a.get());
+        let second = d.graph();
+        assert!(!Rc::ptr_eq(&first, &second));
+        assert_eq!(nodes(&first), before);
+        assert_eq!(second.len(), first.len() + 1);
+        // A repeated assignment adds nothing and leaves the graph alone.
+        z.set(-a.get());
+        assert!(Rc::ptr_eq(&second, &d.graph()));
+
+        d.clear_graph();
+        assert!(d.graph().is_empty());
+        d.install_graph(Graph::new());
+        d.record_graph(false);
+        assert_eq!(nodes(&first), before);
+        assert_eq!(second.len(), before.len() + 1);
+        assert!(Rc::ptr_eq(&d.graph(), &d.graph()));
+    }
+
+    /// The memo's hits and memoized interns of `design`'s recording.
+    fn memo_stats(design: &Design) -> (u64, u64) {
+        let id = design.inner.borrow().recording.expect("recording");
+        graph::memo_stats(id).expect("live recording")
+    }
+
+    /// The paper's Fig. 1 LMS equalizer step over 4 taps (as in
+    /// `fixref-dsp`), on a fresh recording design; returns the memo's
+    /// hits and memoized interns after `cycles` steps.
+    fn lms_memo_stats(cycles: usize) -> (u64, u64) {
+        let d = Design::new();
+        let x = d.sig("x");
+        let c = d.sig_array("c", 4);
+        let dl = d.reg_array("d", 4);
+        let v = d.sig_array("v", 5);
+        let (w, y, b, s) = (d.sig("w"), d.sig("y"), d.reg("b"), d.reg("s"));
+        d.record_graph(true);
+        for (i, coef) in [0.1, 0.8, -0.3, 0.05].into_iter().enumerate() {
+            c.at(i).set(coef);
+        }
+        for k in 0..cycles {
+            x.set((k as f64 * 0.7).sin());
+            dl.at(0).set(x.get());
+            for i in 1..4 {
+                dl.at(i).set(dl.at(i - 1).get());
+            }
+            v.at(0).set(0.0);
+            for i in 1..=4 {
+                v.at(i)
+                    .set(v.at(i - 1).get() + dl.at(i - 1).get() * c.at(i - 1).get());
+            }
+            w.set(v.at(4).get() - b.get() * s.get());
+            y.set(w.get().select_positive(Value::from(1.0), Value::from(-1.0)));
+            b.set(b.get() + 0.01 * s.get() * (w.get() - y.get()));
+            s.set(y.get());
+            d.tick();
+        }
+        memo_stats(&d)
+    }
+
+    #[test]
+    fn a_repeated_loop_body_hits_the_memo_after_its_first_cycle() {
+        let (hits, interned) = lms_memo_stats(512);
+        assert_eq!(interned % 512, 0, "every cycle runs the same operators");
+        let per_cycle = interned / 512;
+        assert!(per_cycle > 10, "{per_cycle} operators per cycle");
+        assert_eq!(hits, interned - per_cycle, "only the first cycle misses");
+    }
+
+    #[test]
+    fn a_host_branch_misses_only_where_the_cycles_differ() {
+        let d = Design::new();
+        let (acc, y, t) = (d.reg("acc"), d.sig("y"), d.sig("t"));
+        d.record_graph(true);
+        for k in 0..100 {
+            acc.set(acc.get() * 0.5 + 0.25);
+            // A strobe every other cycle, decided on the host.
+            if k % 2 == 0 {
+                t.set(-acc.get());
+            }
+            y.set(acc.get() - 0.125);
+            d.tick();
+        }
+        let (hits, interned) = memo_stats(&d);
+        // A strobe cycle interns 7 keys (3 constant operands, 4
+        // operators), the others 6. Every cycle after the first hits the
+        // 4 positions before the branch; a strobe cycle also hits its
+        // last position, left there by the previous strobe cycle.
+        assert_eq!(interned, 50 * 7 + 50 * 6);
+        assert_eq!(hits, 50 * 4 + 49 * 5);
+    }
+
+    #[test]
+    fn operators_past_the_memo_bound_probe_the_table() {
+        let d = Design::new();
+        let (a, y) = (d.sig("a"), d.sig("y"));
+        // Each product interns a constant and a multiply.
+        let products = graph::MEMO_BOUND as u64 / 2 + 100;
+        d.record_graph(true);
+        for _ in 0..3 {
+            let cycle: Vec<Value> = (0..products).map(|k| a.get() * k as f64).collect();
+            y.set(cycle.last().expect("products > 0").clone());
+            d.tick();
+        }
+        let (hits, interned) = memo_stats(&d);
+        assert_eq!(interned, 3 * 2 * products);
+        assert_eq!(hits, 2 * graph::MEMO_BOUND as u64);
+        assert_eq!(d.graph().defs(y.id()).len(), 1);
+    }
+
+    #[test]
+    fn clearing_the_graph_mid_cycle_starts_a_fresh_memo() {
+        let d = Design::new();
+        let (acc, y) = (d.reg("acc"), d.sig("y"));
+        let acc_line = || acc.set(acc.get() * 0.5 + 0.25);
+        let y_line = || y.set(acc.get() - 0.125);
+        d.record_graph(true);
+        acc_line();
+        y_line();
+        d.tick();
+        acc_line();
+        d.clear_graph();
+        y_line();
+        d.tick();
+        for _ in 0..2 {
+            acc_line();
+            y_line();
+            d.tick();
+        }
+        // The fresh recording saw 2 keys before its first tick, then 6 per
+        // cycle; the first full cycle misses throughout, the next hits.
+        assert_eq!(memo_stats(&d), (6, 2 + 6 + 6));
+
+        // The same graph as the lines after the clear record on their own.
+        let fresh = Design::new();
+        let (acc, y) = (fresh.reg("acc"), fresh.sig("y"));
+        fresh.record_graph(true);
+        y.set(acc.get() - 0.125);
+        acc.set(acc.get() * 0.5 + 0.25);
+        assert_eq!(nodes(&d.graph()), nodes(&fresh.graph()));
+        for id in [acc.id(), y.id()] {
+            assert_eq!(d.graph().defs(id), fresh.graph().defs(id));
+        }
     }
 }
 

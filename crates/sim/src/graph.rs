@@ -36,8 +36,39 @@
 //! node: assigned later, it records as a `Const` definition of its fixed
 //! value, the way an untraced literal does. Each design records into its
 //! own recording, so two designs may record on one thread at once.
+//!
+//! # Repeated cycles
+//!
+//! A loop body executes the same operators in the same order every clock
+//! cycle. Each recording therefore keeps, per position since the last
+//! [`Design::tick`](crate::Design::tick), the key and node interned there
+//! by an operator or by the `Const` of an operator's untraced operand (up
+//! to 4096 positions per cycle). A key that equals the one at
+//! its position in the previous cycle takes that node after one
+//! comparison, without hashing. Any other key (a first cycle, a cycle
+//! whose host code took another branch, positions past the bound) probes
+//! the intern table once and takes the position over. A memo entry is only ever a copy of an intern-table
+//! entry of the same recording, so a hit and a probe return the same
+//! node: the memo changes what recording costs, never what it records.
+//! Its buffer grows only while a cycle runs longer than every cycle
+//! before it.
+//!
+//! # Sharing the graph
+//!
+//! A design keeps its graph behind an `Rc`, and
+//! [`Design::graph`](crate::Design::graph) hands out that `Rc`: every
+//! consumer (the MSB phase's feedback scan, lint, the model checker, the
+//! VHDL back-end, the cost estimate, the compiled replay) reads the one
+//! recorded graph without copying it. Recording writes through
+//! `Rc::make_mut`, so a snapshot taken earlier never changes: the design
+//! copies the graph once if it records again while a snapshot is alive.
+//! `clear_graph` and `install_graph` replace the design's `Rc` and leave
+//! older snapshots alone. A sweep's recording shard lets go of its graph
+//! before handing it to the master, which then installs it without a
+//! copy.
 
 use std::cell::{Cell, RefCell};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
@@ -228,7 +259,8 @@ impl Hasher for WordHasher {
     }
 }
 
-type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
+/// A hash map keyed by a few machine words, hashed with [`WordHasher`].
+pub(crate) type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
 type WordSet<K> = HashSet<K, BuildHasherDefault<WordHasher>>;
 
 /// A recorded signal-flow graph: nodes plus, per signal, the set of
@@ -398,16 +430,18 @@ impl Graph {
         k
     }
 
-    /// Looks `key` up, building the owned node with `make` only on a miss.
+    /// Looks `key` up with one probe, building the owned node with `make`
+    /// only on a miss.
     fn intern(&mut self, key: NodeKey, make: impl FnOnce() -> (Op, Vec<NodeId>)) -> NodeId {
-        if let Some(&id) = self.intern.get(&key) {
-            return id;
+        match self.intern.entry(key) {
+            Entry::Occupied(entry) => *entry.get(),
+            Entry::Vacant(entry) => {
+                let id = NodeId(self.nodes.len() as u32);
+                let (op, args) = make();
+                self.nodes.push(Node { op, args });
+                *entry.insert(id)
+            }
         }
-        let id = NodeId(self.nodes.len() as u32);
-        let (op, args) = make();
-        self.nodes.push(Node { op, args });
-        self.intern.insert(key, id);
-        id
     }
 
     /// The distinct nodes of the subtree under `root`, operands first: in
@@ -498,6 +532,10 @@ impl TracedNode {
 /// A slot of [`Recording::promoted`] not filled yet.
 const UNSET: u32 = u32::MAX;
 
+/// Interned keys per cycle a recording memoizes (32 bytes each); the
+/// later keys of a longer cycle probe the intern table.
+pub(crate) const MEMO_BOUND: usize = 4096;
+
 /// One design's recording in progress (see the module docs).
 struct Recording {
     id: RecordingId,
@@ -507,9 +545,61 @@ struct Recording {
     /// Per node of `nodes`, its id in the design's graph once an
     /// assignment has reached it.
     promoted: Vec<u32>,
+    /// Per position since a tick, the key and node last interned there:
+    /// the previous cycle's at that position.
+    memo: Vec<(NodeKey, NodeId)>,
+    /// Keys interned since the last tick.
+    position: usize,
+    /// Memo hits and memoized interns, for the tests' hit share.
+    #[cfg(test)]
+    memo_stats: (u64, u64),
 }
 
 impl Recording {
+    fn new(id: RecordingId) -> Self {
+        Recording {
+            id,
+            nodes: Graph::new(),
+            promoted: Vec::new(),
+            memo: Vec::new(),
+            position: 0,
+            #[cfg(test)]
+            memo_stats: (0, 0),
+        }
+    }
+
+    /// Interns an operator node (or an operator's constant operand) of
+    /// the current cycle: one key comparison when the previous cycle
+    /// interned the same key at this position, one table probe otherwise.
+    fn intern(&mut self, op: OpRef<'_>, args: &[NodeId]) -> NodeId {
+        let key = self.nodes.key(&op, args);
+        let at = self.position;
+        self.position += 1;
+        #[cfg(test)]
+        {
+            self.memo_stats.1 += 1;
+        }
+        match self.memo.get_mut(at) {
+            Some(&mut (memo_key, id)) if memo_key == key => {
+                #[cfg(test)]
+                {
+                    self.memo_stats.0 += 1;
+                }
+                id
+            }
+            slot => {
+                let id = self.nodes.intern(key, || (op.into_op(), args.to_vec()));
+                match slot {
+                    Some(slot) => *slot = (key, id),
+                    // Positions fill in order, so `at` is the memo's length.
+                    None if at < MEMO_BOUND => self.memo.push((key, id)),
+                    None => {}
+                }
+                id
+            }
+        }
+    }
+
     /// The design-graph id of `node`, adding it to `graph` after its
     /// operands (left to right) if no assignment has reached it yet.
     fn promote(&mut self, node: NodeId, graph: &mut Graph) -> NodeId {
@@ -552,14 +642,14 @@ pub(crate) fn begin_recording() -> RecordingId {
         raw
     });
     let id = RecordingId(NonZeroU32::new(raw).expect("ids start at 1"));
-    RECORDINGS.with(|recs| {
-        recs.borrow_mut().push(Recording {
-            id,
-            nodes: Graph::new(),
-            promoted: Vec::new(),
-        })
-    });
+    RECORDINGS.with(|recs| recs.borrow_mut().push(Recording::new(id)));
     id
+}
+
+/// Marks a clock tick of recording `id`: its next key is compared with
+/// the first key of the cycle just ended.
+pub(crate) fn tick_recording(id: RecordingId) {
+    with_recording(id, |rec| rec.position = 0);
 }
 
 /// Ends a recording, dropping its nodes: values traced in it resolve to
@@ -604,12 +694,12 @@ pub(crate) fn trace_op<const N: usize>(
         for (arg, (trace, fix)) in args.iter_mut().zip(operands) {
             *arg = match trace {
                 Some(t) if t.recording == rec.id => t.node,
-                _ => rec.nodes.intern_ref(OpRef::Owned(Op::Const(fix)), &[]),
+                _ => rec.intern(OpRef::Owned(Op::Const(fix)), &[]),
             };
         }
         Some(TracedNode {
             recording: rec.id,
-            node: rec.nodes.intern_ref(op, &args),
+            node: rec.intern(op, &args),
         })
     })
 }
@@ -618,6 +708,13 @@ pub(crate) fn trace_op<const N: usize>(
 #[cfg(test)]
 pub(crate) fn recordings_on_this_thread() -> usize {
     RECORDINGS.with(|recs| recs.borrow().len())
+}
+
+/// Recording `id`'s memo hits and memoized interns so far (`None` once
+/// it has ended).
+#[cfg(test)]
+pub(crate) fn memo_stats(id: RecordingId) -> Option<(u64, u64)> {
+    with_recording(id, |rec| rec.memo_stats)
 }
 
 /// The root of a value assigned while recording `id`, in the design's

@@ -25,12 +25,10 @@
 //! scenario-sweep workers can compile in parallel and hand replays across
 //! threads.
 
-use std::collections::HashMap;
-
 use fixref_fixed::Interval;
 
 use crate::design::SignalId;
-use crate::graph::{Graph, NodeId, Op};
+use crate::graph::{Graph, NodeId, Op, WordMap};
 use crate::netlist::Assignment;
 use crate::value::Value;
 
@@ -119,7 +117,7 @@ impl Replay {
     /// Compiles `trace` against `graph`, the signal-flow graph recorded
     /// during the capture (its node ids are the trace's roots).
     pub fn compile(graph: &Graph, trace: &ExecTrace) -> Replay {
-        let mut index: HashMap<(SignalId, NodeId), u32> = HashMap::new();
+        let mut index: WordMap<(SignalId, NodeId), u32> = WordMap::default();
         let mut defs = Vec::new();
         let mut steps = Vec::with_capacity(trace.steps.len());
         let mut inputs = Vec::new();
