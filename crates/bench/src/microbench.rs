@@ -3,7 +3,9 @@
 //! criterion harness was replaced with this self-contained runner).
 //!
 //! Each measurement warms up, then runs repeatedly until a small time
-//! budget is spent, and reports mean/min wall time per iteration. The
+//! budget is spent, and reports mean, median and minimum wall time per
+//! iteration; the median and minimum follow the code more than the host's
+//! background load does, which moves the mean. The
 //! harness doubles as an observability consumer: every sample lands in a
 //! [`DefaultRecorder`] histogram so the whole run can be rendered (or
 //! serialized) as one [`MetricsReport`].
@@ -12,6 +14,8 @@ pub use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use fixref_obs::{DefaultRecorder, MetricsReport, Recorder};
+
+use crate::report::Metric;
 
 /// One finished measurement.
 #[derive(Debug, Clone)]
@@ -22,6 +26,8 @@ pub struct BenchResult {
     pub iters: u64,
     /// Mean wall time per iteration, nanoseconds.
     pub mean_ns: f64,
+    /// Median wall time per iteration, nanoseconds.
+    pub median_ns: f64,
     /// Fastest iteration, nanoseconds.
     pub min_ns: f64,
 }
@@ -60,28 +66,31 @@ impl Harness {
         black_box(f());
         let mut iters = 0u64;
         let mut total = Duration::ZERO;
-        let mut min_ns = f64::INFINITY;
+        let mut samples = Vec::with_capacity(self.max_iters as usize);
         while iters < 3 || (total < self.budget && iters < self.max_iters) {
             let t = Instant::now();
             black_box(f());
             let dt = t.elapsed();
             let ns = dt.as_nanos() as f64;
             self.recorder.observe(&format!("bench.{name}.ns"), ns);
-            min_ns = min_ns.min(ns);
+            samples.push(ns);
             total += dt;
             iters += 1;
         }
         self.recorder.inc(&format!("bench.{name}.iters"), iters);
+        let per_iter = Metric::over("ns", &samples);
         let result = BenchResult {
             name: name.to_string(),
             iters,
             mean_ns: total.as_nanos() as f64 / iters as f64,
-            min_ns,
+            median_ns: per_iter.median,
+            min_ns: per_iter.min,
         };
         println!(
-            "{:<44} {:>12} /iter  (min {:>12}, {} iters)",
+            "{:<44} {:>12} /iter  (median {:>12}, min {:>12}, {} iters)",
             result.name,
             fmt_ns(result.mean_ns),
+            fmt_ns(result.median_ns),
             fmt_ns(result.min_ns),
             result.iters
         );
@@ -130,10 +139,20 @@ mod tests {
         assert!(r.min_ns <= r.mean_ns);
         let report = h.report();
         assert_eq!(report.name, "unit");
-        assert!(report
+        let hist = report
             .histograms
             .iter()
-            .any(|(name, hist)| name == "bench.noop.ns" && hist.count == r.iters));
+            .find(|(name, _)| name == "bench.noop.ns")
+            .map(|(_, hist)| hist)
+            .expect("every iteration is recorded");
+        assert_eq!(hist.count, r.iters);
+        assert!(
+            r.min_ns <= r.median_ns && r.median_ns <= hist.max,
+            "median {} outside [min {}, slowest {}]",
+            r.median_ns,
+            r.min_ns,
+            hist.max
+        );
         h.finish();
     }
 }

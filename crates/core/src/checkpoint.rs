@@ -9,6 +9,21 @@
 //! are bit-identical to the uninterrupted run, modulo the leading
 //! `resumed_from_checkpoint` marker event.
 //!
+//! Snapshots are written behind the flow. The flow captures each one on
+//! its own thread and queues it; a writer thread owned by the outermost
+//! `run*` call encodes the snapshots and writes each one through
+//! [`write_file_atomic`] (temp file, fsync, rename, directory fsync) in
+//! sequence order, while the flow simulates on. The call joins its
+//! writer before it returns, whether it returns normally, with an error
+//! or by unwinding, so at return the file holds the last snapshot taken.
+//! A real write failure is journaled at that join, as a
+//! `checkpoint_failed` event, in sequence order; an injected one
+//! (`FaultPlan::fail_checkpoint_write`) is journaled at its checkpoint.
+//! A process killed mid-flow loses the snapshots still queued, so its
+//! file can be older than its last `checkpoint_written` event. That file
+//! is still a whole snapshot, and resuming from any snapshot is
+//! bit-identical.
+//!
 //! The format is JSON through the same `fixref_obs::json` codec the
 //! event journal uses. Signal identity is
 //! stored **by name**: a checkpoint is valid for any design built from
@@ -24,6 +39,7 @@ use std::fmt;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::Receiver;
 
 use fixref_fixed::{
     DType, ErrorStats, Interval, OverflowMode, RangeStats, RoundingMode, Signedness,
@@ -172,6 +188,25 @@ pub fn write_file_atomic(path: &Path, contents: &[u8]) -> std::io::Result<()> {
         }
     }
     Ok(())
+}
+
+/// The loop of a flow call's checkpoint writer thread: writes each
+/// `(sequence, snapshot)` received on `queue` to `path` through
+/// [`Checkpoint::write_atomic`], in the order queued, until the queue
+/// closes. Returns the failed writes as `(sequence, cause)`, in sequence
+/// order.
+pub(crate) fn write_queued(
+    path: &Path,
+    queue: Receiver<(usize, Checkpoint)>,
+) -> Vec<(usize, String)> {
+    queue
+        .into_iter()
+        .filter_map(|(sequence, cp)| {
+            cp.write_atomic(path)
+                .err()
+                .map(|e| (sequence, e.to_string()))
+        })
+        .collect()
 }
 
 /// `name` as a flat file stem: every character other than an ASCII

@@ -19,7 +19,9 @@ use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
+use std::thread;
 use std::time::{Duration, Instant};
 
 use fixref_fixed::{DType, Interval};
@@ -29,7 +31,7 @@ use fixref_sim::{Design, FaultPlan, OverflowEvent, SignalId, SignalStats};
 use fixref_verify::{Verifier, VerifyOptions, Witness};
 
 use crate::cache::{CachePlan, EvalCache};
-use crate::checkpoint::{CacheState, Checkpoint, CheckpointError, Cursor};
+use crate::checkpoint::{write_queued, CacheState, Checkpoint, CheckpointError, Cursor};
 use crate::lsb::{analyze_lsb, LsbAnalysis, LsbStatus};
 use crate::msb::{analyze_msb, MsbAnalysis, MsbDecision};
 use crate::policy::RefinePolicy;
@@ -595,6 +597,11 @@ struct ResumeState {
     lsb_final: Option<Vec<LsbAnalysis>>,
 }
 
+/// The queue of a flow call's checkpoint writer thread, which takes
+/// `(sequence, snapshot)` pairs; `None` when the flow does not
+/// checkpoint.
+type CheckpointWriter<'a> = Option<&'a Sender<(usize, Checkpoint)>>;
+
 /// The refinement flow driver.
 ///
 /// See the crate-level example; the typical call is [`RefinementFlow::run`]
@@ -630,8 +637,9 @@ pub struct RefinementFlow {
     /// the flow with the witness attached. `None` (the default) keeps the
     /// gate purely heuristic and byte-identical to earlier releases.
     verify: Option<VerifyOptions>,
-    /// Checkpoint sink: when set, the flow snapshots its state here after
-    /// every completed MSB/LSB iteration.
+    /// Checkpoint sink: when set, the flow snapshots its state after
+    /// every completed MSB/LSB iteration and each `run*` call writes the
+    /// snapshots here from a writer thread of its own.
     checkpoint: Option<PathBuf>,
     /// Injected faults for deterministic degradation testing (empty in
     /// production).
@@ -887,6 +895,16 @@ impl RefinementFlow {
     /// decided analyses, cache state and the full event journal — from
     /// which [`RefinementFlow::resume_from`] replays the run
     /// bit-identically.
+    ///
+    /// The flow captures each snapshot in place and simulates on while a
+    /// writer thread writes it through
+    /// [`write_file_atomic`](crate::checkpoint::write_file_atomic). Each
+    /// `run*` call joins its writer before it returns, on an error or a
+    /// panic too, so the file then holds the call's last snapshot and
+    /// real write failures are journaled, as [`Event::CheckpointFailed`]
+    /// in sequence order. A process killed mid-flow loses the snapshots
+    /// still queued; [`crate::checkpoint`] says what that leaves to
+    /// resume from.
     pub fn checkpoint_to(&mut self, path: impl Into<PathBuf>) {
         self.checkpoint = Some(path.into());
     }
@@ -1038,15 +1056,20 @@ impl RefinementFlow {
         }
     }
 
-    /// Writes a checkpoint after a completed iteration. The
-    /// `checkpoint_written` journal event is recorded *before* the
-    /// snapshot is captured, so the checkpoint's embedded journal includes
-    /// its own marker and a resumed journal lines up with the
-    /// uninterrupted one. Write failures (real or injected) are journaled
-    /// as [`Event::CheckpointFailed`] and are non-fatal; an injected
-    /// post-checkpoint abort surfaces as [`FlowError::Interrupted`].
+    /// Checkpoints after a completed iteration: captures the snapshot and
+    /// queues it on `writer`. The `checkpoint_written` journal event is
+    /// recorded *before* the snapshot is captured, so the checkpoint's
+    /// embedded journal includes its own marker and a resumed journal
+    /// lines up with the uninterrupted one. An injected write failure is
+    /// journaled here as [`Event::CheckpointFailed`] and the snapshot
+    /// dropped; real failures are journaled when the writer is joined
+    /// ([`RefinementFlow::with_checkpoint_writer`]). Both are non-fatal;
+    /// an injected post-checkpoint abort surfaces as
+    /// [`FlowError::Interrupted`].
+    #[allow(clippy::too_many_arguments)]
     fn write_checkpoint(
         &mut self,
+        writer: CheckpointWriter<'_>,
         driver: &dyn SimDriver,
         cursor: Cursor,
         completed: (Phase, usize),
@@ -1054,7 +1077,7 @@ impl RefinementFlow {
         troubled: &HashSet<String>,
         lsb_final: Option<&[LsbAnalysis]>,
     ) -> Result<(), FlowError> {
-        let Some(path) = self.checkpoint.clone() else {
+        let Some(writer) = writer else {
             return Ok(());
         };
         let (phase, iteration) = completed;
@@ -1067,15 +1090,12 @@ impl RefinementFlow {
         });
         self.recorder.inc("checkpoint.writes", 1);
         let cp = self.capture(driver, cursor, feedback, troubled, lsb_final);
-        let written = if self.fault_plan.fails_checkpoint_write(sequence) {
-            Err("injected checkpoint write failure".to_string())
+        if self.fault_plan.fails_checkpoint_write(sequence) {
+            self.checkpoint_failed(sequence, "injected checkpoint write failure".into());
         } else {
-            cp.write_atomic(&path).map_err(|e| e.to_string())
-        };
-        if let Err(cause) = written {
-            self.recorder
-                .record_event(Event::CheckpointFailed { sequence, cause });
-            self.recorder.inc("fault.checkpoint_write_failures", 1);
+            writer
+                .send((sequence, cp))
+                .expect("the checkpoint writer runs until its flow call returns");
         }
         if self.fault_plan.abort_checkpoint() == Some(sequence) {
             return Err(FlowError::Interrupted {
@@ -1083,6 +1103,43 @@ impl RefinementFlow {
             });
         }
         Ok(())
+    }
+
+    /// Journals a failed checkpoint write.
+    fn checkpoint_failed(&self, sequence: usize, cause: String) {
+        self.recorder
+            .record_event(Event::CheckpointFailed { sequence, cause });
+        self.recorder.inc("fault.checkpoint_write_failures", 1);
+    }
+
+    /// Runs one outermost flow call, `body`, with a checkpoint writer
+    /// behind it when the flow checkpoints: a scoped thread that writes
+    /// the snapshots `body` queues while `body` simulates on. The writer
+    /// is joined before this returns, however `body` exits, and its
+    /// write failures are then journaled in sequence order. A flow
+    /// without a checkpoint path starts no thread.
+    fn with_checkpoint_writer<T>(
+        &mut self,
+        body: impl FnOnce(&mut Self, CheckpointWriter<'_>) -> Result<T, FlowError>,
+    ) -> Result<T, FlowError> {
+        let Some(path) = self.checkpoint.clone() else {
+            return body(self, None);
+        };
+        let (result, failures) = thread::scope(|scope| {
+            // The sender is a local of this closure, so it is dropped
+            // (ending the writer's queue) before the scope joins the
+            // writer, also when `body` unwinds.
+            let (queue, snapshots) = mpsc::channel();
+            let writer = scope.spawn(move || write_queued(&path, snapshots));
+            let result = body(self, Some(&queue));
+            drop(queue);
+            let failures = writer.join().expect("the checkpoint writer does not panic");
+            (result, failures)
+        });
+        for (sequence, cause) in failures {
+            self.checkpoint_failed(sequence, cause);
+        }
+        result
     }
 
     /// Resumes an interrupted flow from the checkpoint file at `path`.
@@ -1381,6 +1438,16 @@ impl RefinementFlow {
         &mut self,
         driver: &mut dyn SimDriver,
     ) -> Result<(Vec<Vec<MsbAnalysis>>, Vec<Intervention>), FlowError> {
+        self.with_checkpoint_writer(|flow, writer| flow.msb_phase(driver, writer))
+    }
+
+    /// The MSB phase of [`RefinementFlow::run_msb_with`], checkpointing
+    /// to `writer`.
+    fn msb_phase(
+        &mut self,
+        driver: &mut dyn SimDriver,
+        writer: CheckpointWriter<'_>,
+    ) -> Result<(Vec<Vec<MsbAnalysis>>, Vec<Intervention>), FlowError> {
         if let Some(n) = self.pending_resume_invalidation.take() {
             driver.resume_invalidation(n);
         }
@@ -1523,6 +1590,7 @@ impl RefinementFlow {
                     // The next work item is the LSB phase, whose troubled
                     // set starts empty.
                     self.write_checkpoint(
+                        writer,
                         &*driver,
                         Cursor::Lsb { next: 1 },
                         (Phase::Msb, iteration),
@@ -1548,6 +1616,7 @@ impl RefinementFlow {
                 });
             }
             self.write_checkpoint(
+                writer,
                 &*driver,
                 Cursor::Msb {
                     next: iteration + 1,
@@ -1612,6 +1681,16 @@ impl RefinementFlow {
     pub fn run_lsb_with(
         &mut self,
         driver: &mut dyn SimDriver,
+    ) -> Result<(Vec<Vec<LsbAnalysis>>, Vec<Intervention>), FlowError> {
+        self.with_checkpoint_writer(|flow, writer| flow.lsb_phase(driver, writer))
+    }
+
+    /// The LSB phase of [`RefinementFlow::run_lsb_with`], checkpointing
+    /// to `writer`.
+    fn lsb_phase(
+        &mut self,
+        driver: &mut dyn SimDriver,
+        writer: CheckpointWriter<'_>,
     ) -> Result<(Vec<Vec<LsbAnalysis>>, Vec<Intervention>), FlowError> {
         if let Some(n) = self.pending_resume_invalidation.take() {
             driver.resume_invalidation(n);
@@ -1734,6 +1813,7 @@ impl RefinementFlow {
                     iterations: iteration,
                 });
                 self.write_checkpoint(
+                    writer,
                     &*driver,
                     Cursor::Apply,
                     (Phase::Lsb, iteration),
@@ -1756,6 +1836,7 @@ impl RefinementFlow {
                 });
             }
             self.write_checkpoint(
+                writer,
                 &*driver,
                 Cursor::Lsb {
                     next: iteration + 1,
@@ -1944,22 +2025,32 @@ impl RefinementFlow {
     ///
     /// Same as [`RefinementFlow::run`].
     pub fn run_with(&mut self, driver: &mut dyn SimDriver) -> Result<FlowOutcome, FlowError> {
+        self.with_checkpoint_writer(|flow, writer| flow.full_flow(driver, writer))
+    }
+
+    /// The whole flow of [`RefinementFlow::run_with`]: both phases
+    /// checkpoint to the one `writer`.
+    fn full_flow(
+        &mut self,
+        driver: &mut dyn SimDriver,
+        writer: CheckpointWriter<'_>,
+    ) -> Result<FlowOutcome, FlowError> {
         let resume_cursor = self.resume.as_ref().map(|r| r.cursor);
         let (msb_history, lsb_history) = match resume_cursor {
             None | Some(Cursor::Msb { .. }) => {
-                let (msb_history, _) = self.run_msb_with(driver)?;
+                let (msb_history, _) = self.msb_phase(driver, writer)?;
                 if self.budget_hit.is_some() {
                     // Best-so-far: skip the LSB phase entirely; every
                     // signal stays unrefined in apply_types.
                     (msb_history, Vec::new())
                 } else {
-                    let (lsb_history, _) = self.run_lsb_with(driver)?;
+                    let (lsb_history, _) = self.lsb_phase(driver, writer)?;
                     (msb_history, lsb_history)
                 }
             }
             Some(Cursor::Lsb { .. }) => {
                 let msb_final = self.msb_final_store.clone().unwrap_or_default();
-                let (lsb_history, _) = self.run_lsb_with(driver)?;
+                let (lsb_history, _) = self.lsb_phase(driver, writer)?;
                 (vec![msb_final], lsb_history)
             }
             Some(Cursor::Apply) => {

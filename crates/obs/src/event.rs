@@ -308,7 +308,12 @@ pub enum Event {
         /// The scenario label (`Scenario::label`).
         scenario: String,
     },
-    /// Flow state was checkpointed to the journal-backed checkpoint file.
+    /// The flow captured its state after an iteration and queued the
+    /// snapshot for its checkpoint file. A writer thread writes it while
+    /// the flow goes on; the file holds it once the flow call that took
+    /// it returns, and a failed write is journaled then as
+    /// [`Event::CheckpointFailed`]. A process killed before that can
+    /// lose it and leave an earlier snapshot on disk.
     CheckpointWritten {
         /// 0-based checkpoint sequence number (monotonic per flow).
         sequence: usize,
@@ -319,6 +324,8 @@ pub enum Event {
     },
     /// A checkpoint write failed (I/O error or injected fault). The flow
     /// continues; the previous checkpoint on disk stays authoritative.
+    /// An injected failure is journaled at its checkpoint, an I/O error
+    /// when the flow call that queued the snapshot joins its writer.
     CheckpointFailed {
         /// Sequence number of the failed write.
         sequence: usize,

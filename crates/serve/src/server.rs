@@ -18,7 +18,13 @@
 //! (resuming from its checkpoint when one exists). Nothing about a
 //! job's outcome lives only in memory, so `kill -9` at any instant —
 //! mid-checkpoint included, thanks to atomic checkpoint writes —
-//! loses no accepted job and duplicates none.
+//! loses no accepted job and duplicates none. A job's flow writes its
+//! checkpoints from a writer thread and joins it before `run` returns,
+//! so the result file, the WAL's terminal record and the checkpoint's
+//! removal follow the last checkpoint write. A kill mid-flow
+//! can find an older checkpoint than the last one the flow took (those
+//! still queued are lost); the job then resumes from that one, just as
+//! bit-identically, and only redoes more iterations.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -11,14 +11,18 @@
 //! 1 and after MSB convergence).
 //!
 //! Also here: the serialize→deserialize identity property over seeded
-//! random checkpoints, and the crash-resume smoke (a checkpoint *write*
-//! failure followed by an interrupt resumes from the previous good file).
+//! random checkpoints, the crash-resume smoke (a checkpoint *write*
+//! failure followed by an interrupt resumes from the previous good file),
+//! and the write-behind contract: whichever way a flow call exits, its
+//! last snapshot is on disk (or its failure journaled) when it returns.
 
 use std::path::{Path, PathBuf};
+use std::time::Duration;
 
 use fixref::obs::Event;
 use fixref::refine::{
-    Checkpoint, FlowError, RefinePolicy, RefinementFlow, ShardBuilder, SweepDriver,
+    Checkpoint, Cursor, FlowError, RefinePolicy, RefinementFlow, SequentialDriver, ShardBuilder,
+    SweepDriver,
 };
 use fixref::sim::{shard_count_from_env, Design, FaultPlan, ScenarioSet, SignalAnnotation};
 use fixref_bench::{
@@ -152,6 +156,26 @@ fn interrupted_then_resumed_sequential(
         .run(move |d: &Design, i: usize| stimulus(d, i))
         .expect("resumed flow converges");
     trace(&design, &flow, &outcome)
+}
+
+/// The `sequence` fields of the journal's checkpoint events matching
+/// `pick`, in journal order.
+fn checkpoint_sequences(journal: &[Event], pick: fn(&Event) -> Option<usize>) -> Vec<usize> {
+    journal.iter().filter_map(pick).collect()
+}
+
+fn written(e: &Event) -> Option<usize> {
+    match e {
+        Event::CheckpointWritten { sequence, .. } => Some(*sequence),
+        _ => None,
+    }
+}
+
+fn failed(e: &Event) -> Option<usize> {
+    match e {
+        Event::CheckpointFailed { sequence, .. } => Some(*sequence),
+        _ => None,
+    }
 }
 
 /// Asserts the resumed trace equals the cold one modulo the leading
@@ -412,8 +436,9 @@ fn torn_checkpoint_write_surfaces_a_structured_parse_error() {
 #[test]
 fn atomic_checkpoint_writes_leave_no_tmp_and_replace_whole_files() {
     // The flow's checkpoint writes go through the tmp+fsync+rename
-    // path: after a successful run the destination parses and no *.tmp
-    // sibling is left behind.
+    // path: after a successful run the destination parses, holds the
+    // last snapshot the run took (the writer thread was joined before
+    // `run` returned) and no *.tmp sibling is left behind.
     let set = lms_paper_scenario(LMS_SAMPLES);
     let path = tmp("atomic_write");
     let shard = lms_shard_builder(lms_config())(&set.as_slice()[0]);
@@ -425,13 +450,146 @@ fn atomic_checkpoint_writes_leave_no_tmp_and_replace_whole_files() {
         .expect("flow converges");
 
     let text = std::fs::read_to_string(&path).expect("checkpoint on disk");
-    Checkpoint::from_json(&text).expect("final checkpoint parses whole");
+    let cp = Checkpoint::from_json(&text).expect("final checkpoint parses whole");
+    let requested = checkpoint_sequences(&flow.journal(), written).len();
+    assert_eq!(requested, 3, "MSB iteration 1, MSB and LSB convergence");
+    assert_eq!(cp.next_sequence, requested, "file is the last snapshot");
+    assert_eq!(cp.cursor, Cursor::Apply);
     let mut tmp_sibling = path.as_os_str().to_owned();
     tmp_sibling.push(".tmp");
     assert!(
         !std::path::Path::new(&tmp_sibling).exists(),
         "temporary write file must be renamed away"
     );
+}
+
+#[test]
+fn a_standalone_phase_call_leaves_its_last_snapshot_on_disk() {
+    // fixbench's `refine()` calls the phases one by one: each call owns
+    // its checkpoint writer and joins it before returning.
+    let set = lms_paper_scenario(LMS_SAMPLES);
+    let path = tmp("standalone_phase");
+    let shard = lms_shard_builder(lms_config())(&set.as_slice()[0]);
+    let mut stimulus = shard.stimulus;
+    let mut flow = RefinementFlow::new(shard.design, RefinePolicy::default());
+    flow.checkpoint_to(path.to_path_buf());
+    let mut driver = SequentialDriver::new(move |d: &Design, i: usize| stimulus(d, i));
+
+    flow.run_msb_with(&mut driver).expect("MSB phase converges");
+    let cp = Checkpoint::read(&path).expect("MSB checkpoint on disk");
+    assert_eq!(cp.next_sequence, 2, "MSB iteration 1 and MSB convergence");
+    assert_eq!(cp.cursor, Cursor::Lsb { next: 1 });
+
+    flow.run_lsb_with(&mut driver).expect("LSB phase converges");
+    let cp = Checkpoint::read(&path).expect("LSB checkpoint on disk");
+    assert_eq!(cp.next_sequence, 3, "plus LSB convergence");
+    assert_eq!(cp.cursor, Cursor::Apply);
+}
+
+#[test]
+fn a_stimulus_panic_unwinds_run_and_leaves_the_earlier_checkpoint() {
+    // The writer thread must not outlive an unwinding `run`: a flow call
+    // that kept the writer's queue open would hang here. The flow runs
+    // on a helper thread so that a hang fails the test instead of
+    // wedging it.
+    let set = lms_paper_scenario(LMS_SAMPLES);
+    let path = tmp("panic_unwind");
+    let cold = cold_sequential(
+        lms_shard_builder(lms_config()),
+        &[],
+        &set,
+        false,
+        &tmp("panic_cold"),
+    );
+
+    let (done, outcome) = std::sync::mpsc::channel();
+    let helper = {
+        let (set, path) = (set.clone(), path.clone());
+        std::thread::spawn(move || {
+            let shard = lms_shard_builder(lms_config())(&set.as_slice()[0]);
+            let mut stimulus = shard.stimulus;
+            let mut flow = RefinementFlow::new(shard.design, RefinePolicy::default());
+            flow.checkpoint_to(path);
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                flow.run(move |d: &Design, i: usize| {
+                    assert!(i != 2, "stimulus fault in MSB iteration 2");
+                    stimulus(d, i)
+                })
+            }));
+            let _ = done.send(run.is_err());
+        })
+    };
+    let panicked = outcome
+        .recv_timeout(Duration::from_secs(300))
+        .expect("run() unwinds instead of waiting on its checkpoint writer");
+    assert!(panicked, "the stimulus panic propagates out of run()");
+    helper.join().expect("helper thread finishes");
+
+    let cp = Checkpoint::read(&path).expect("iteration-1 checkpoint on disk");
+    assert_eq!(cp.next_sequence, 1, "file is the MSB iteration-1 snapshot");
+    let shard = lms_shard_builder(lms_config())(&set.as_slice()[0]);
+    let design = shard.design;
+    let mut stimulus = shard.stimulus;
+    let mut flow = RefinementFlow::resume_from(design.clone(), RefinePolicy::default(), &path)
+        .expect("checkpoint resumes");
+    let outcome = flow
+        .run(move |d: &Design, i: usize| stimulus(d, i))
+        .expect("resumed flow converges");
+    assert_bit_identical(&cold, &trace(&design, &flow, &outcome));
+}
+
+#[test]
+fn real_checkpoint_write_failures_are_journaled_and_change_no_outcome() {
+    // A checkpoint path whose parent is a regular file: every write
+    // fails with an I/O error, found when `run` joins its writer.
+    let set = lms_paper_scenario(LMS_SAMPLES);
+    let not_a_dir = tmp("not_a_directory");
+    std::fs::write(&not_a_dir, b"a regular file").expect("parent file created");
+    let run = |checkpoint: Option<PathBuf>| {
+        let shard = lms_shard_builder(lms_config())(&set.as_slice()[0]);
+        let design = shard.design;
+        let mut stimulus = shard.stimulus;
+        let mut flow = RefinementFlow::new(design.clone(), RefinePolicy::default());
+        if let Some(path) = checkpoint {
+            flow.checkpoint_to(path);
+        }
+        let outcome = flow
+            .run(move |d: &Design, i: usize| stimulus(d, i))
+            .expect("flow converges");
+        let counter = |name: &str| flow.recorder().counter(name);
+        let counts = (
+            counter("checkpoint.writes"),
+            counter("fault.checkpoint_write_failures"),
+        );
+        let iterations = (outcome.msb_iterations, outcome.lsb_iterations);
+        (trace(&design, &flow, &outcome), iterations, counts)
+    };
+    let (plain, plain_iterations, _) = run(None);
+    let (failing, iterations, (writes, failures)) = run(Some(not_a_dir.join("ckpt.json")));
+
+    assert_eq!(iterations, plain_iterations);
+    assert_eq!(failing.types, plain.types, "decided types diverge");
+    assert_eq!(failing.annotations, plain.annotations);
+    let without_checkpoints: Vec<&Event> = failing
+        .journal
+        .iter()
+        .filter(|e| written(e).is_none() && failed(e).is_none())
+        .collect();
+    assert_eq!(
+        without_checkpoints,
+        plain.journal.iter().collect::<Vec<_>>(),
+        "only checkpoint events differ"
+    );
+    let requested = checkpoint_sequences(&failing.journal, written);
+    assert_eq!(requested, vec![0, 1, 2]);
+    assert_eq!(
+        checkpoint_sequences(&failing.journal, failed),
+        requested,
+        "one failure per snapshot, in sequence order"
+    );
+    assert_eq!(writes, 3);
+    assert_eq!(failures, writes);
+    let _ = std::fs::remove_file(&not_a_dir);
 }
 
 #[test]
