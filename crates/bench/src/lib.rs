@@ -421,6 +421,14 @@ fn lms_quality(d: &Design, eq: &LmsEqualizer, samples: usize) -> f64 {
     meter.sqnr_db()
 }
 
+/// The simulations a completed flow actually ran: its MSB and LSB
+/// iterations plus the verification run, less the iterations it reused
+/// from its previous simulation.
+fn simulations_run(flow: &RefinementFlow, outcome: &FlowOutcome) -> usize {
+    let iterations = outcome.msb_iterations + outcome.lsb_iterations + 1;
+    iterations - flow.recorder().counter("flow.reused_simulations") as usize
+}
+
 /// Races the three strategies on the equalizer at a common quality target
 /// and returns one [`StrategyResult`] row each (hybrid, simulation-based,
 /// analytical).
@@ -438,8 +446,7 @@ pub fn run_baselines(samples: usize, target_db: f64) -> Result<Vec<StrategyResul
     let (d, eq) = lms_setup(&config);
     let mut flow = RefinementFlow::new(d.clone(), RefinePolicy::default());
     let outcome = flow.run(lms_stimulus(&eq, samples))?;
-    // Cost: msb iterations + lsb iterations + the verification run.
-    let hybrid_sims = outcome.msb_iterations + outcome.lsb_iterations + 1;
+    let hybrid_sims = simulations_run(&flow, &outcome);
     let hybrid_quality = lms_quality(&d, &eq, samples);
     let hybrid = StrategyResult::from_types("hybrid", hybrid_sims, &outcome.types)
         .with_quality(hybrid_quality)
@@ -624,7 +631,7 @@ pub fn run_scaling(samples: usize, target_db: f64) -> Result<Vec<ScalingRow>, Fl
     let (d, eq) = lms_setup(&config);
     let mut flow = RefinementFlow::new(d.clone(), RefinePolicy::default());
     let outcome = flow.run(lms_stimulus(&eq, samples))?;
-    let lms_hybrid = outcome.msb_iterations + outcome.lsb_iterations + 1;
+    let lms_hybrid = simulations_run(&flow, &outcome);
 
     let (d2, eq2) = lms_setup(&config);
     let refine_ids: Vec<_> = eq2
@@ -661,7 +668,7 @@ pub fn run_scaling(samples: usize, target_db: f64) -> Result<Vec<ScalingRow>, Fl
             ffe_for_flow.step(x);
         }
     })?;
-    let ffe_hybrid = outcome.msb_iterations + outcome.lsb_iterations + 1;
+    let ffe_hybrid = simulations_run(&flow, &outcome);
 
     let d4 = Design::with_seed(0x5CA1E);
     let ffe2 = QamFfe::new(&d4, &ffe_config);

@@ -1,12 +1,13 @@
 //! Incremental evaluation cache for refinement iterations.
 //!
-//! Every refinement iteration of [`RefinementFlow`](crate::RefinementFlow)
-//! re-simulates the whole design, yet some iterations change no
-//! annotation at all (the first LSB iteration runs under exactly the
-//! annotations the converged MSB phase left). The cache exploits that: the
-//! [`Design`] tracks which signals' behavior an annotation change may
-//! have altered (its *dirty set*), and before each simulation the driver
-//! builds a [`CachePlan`]:
+//! Some refinement iterations change no annotation at all (the first LSB
+//! iteration runs under exactly the annotations the converged MSB phase
+//! left). [`RefinementFlow`](crate::RefinementFlow) reuses its own last
+//! simulation for such an iteration, keeping the monitors in an
+//! [`EvalCache`]; a driver's cache, when warm, serves the iteration
+//! instead. The driver's cache plans on the [`Design`]'s record of which
+//! signals' behavior an annotation change may have altered (its *dirty
+//! set*): before each simulation it builds a [`CachePlan`]:
 //!
 //! * **Replay** — nothing is dirty: the previous run would repeat
 //!   bit-identically (all stimuli are functions of the iteration-stable

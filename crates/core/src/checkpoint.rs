@@ -2,12 +2,14 @@
 //!
 //! After every completed MSB/LSB iteration the flow can snapshot its
 //! complete decision state — signal annotations, phase cursor, decided
-//! analyses, evaluation-cache contents and the full event journal — into
-//! a self-contained JSON file. [`crate::RefinementFlow::resume_from`]
-//! rebuilds a flow from that file and fast-forwards to the first
-//! incomplete iteration; the resumed run's journal and final annotations
-//! are bit-identical to the uninterrupted run, modulo the leading
-//! `resumed_from_checkpoint` marker event.
+//! analyses, evaluation-cache contents (or, at the MSB-convergence
+//! checkpoint, the monitors the flow reuses next) and the full event
+//! journal — into a self-contained JSON file.
+//! [`crate::RefinementFlow::resume_from`] rebuilds a flow from that file
+//! and fast-forwards to the first incomplete iteration; the resumed
+//! run's journal and final annotations are bit-identical to the
+//! uninterrupted run, modulo the leading `resumed_from_checkpoint`
+//! marker event.
 //!
 //! Snapshots are written behind the flow. The flow captures each one on
 //! its own thread and queues it; a writer thread owned by the outermost
@@ -78,9 +80,12 @@ pub struct CacheState {
     /// Names of the signals pending invalidation (the design's dirty
     /// set), sorted.
     pub dirty: Vec<String>,
-    /// The warm cache's monitor snapshot `(stats, overflow events,
-    /// cycles)`, when the driver could serialize one (sequential caching
-    /// driver only — the sweep driver re-warms by re-simulating).
+    /// A monitor snapshot `(stats, overflow events, cycles)`. With `warm`
+    /// set, the driver's cache, when the driver could serialize one
+    /// (sequential caching driver only — the sweep driver re-warms by
+    /// re-simulating). Without it, the flow's last simulation, present
+    /// only when the next iteration reuses it (the MSB-convergence
+    /// checkpoint), so a flow resumed there reuses it too.
     pub data: Option<(Vec<SignalStats>, Vec<OverflowEvent>, u64)>,
 }
 

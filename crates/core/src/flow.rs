@@ -14,6 +14,17 @@
 //!    `DType` combining its decided MSB, LSB, overflow and rounding modes.
 //! 4. **Verification** — one more monitored run with every type in place;
 //!    overflow events or precision regressions are reported.
+//!
+//! A simulation under annotations that did not change since the flow's
+//! last one would repeat it bit for bit, so the flow restores the
+//! monitors it kept from that one instead of simulating again. On the
+//! paper's designs that is the first LSB iteration, which runs under
+//! exactly the annotations the converged MSB phase left. The reuse
+//! needs no option and counts as `flow.reused_simulations`. It relies on
+//! every simulation of a flow running the same stimulus, as the paper's
+//! flow does; after changing the stimulus between phase calls, mark a
+//! signal dirty ([`Design::mark_dirty`]) to make the next iteration
+//! simulate.
 
 use std::collections::HashSet;
 use std::error::Error;
@@ -230,7 +241,10 @@ pub struct RunBudget {
     /// Wall-clock ceiling measured from the first budgeted phase entry.
     pub wall: Option<Duration>,
     /// Ceiling on monitored simulations (MSB + LSB iterations and the
-    /// verification run all count one each).
+    /// verification run all count one each). An iteration the flow
+    /// answers from its last simulation, or a driver from its cache,
+    /// counts one too, so a budget stops a flow at the same iteration
+    /// whether or not the simulation was reused.
     pub max_simulations: Option<u64>,
 }
 
@@ -468,8 +482,10 @@ pub trait SimDriver {
         None
     }
 
-    /// Whether the driver holds a warm evaluation cache (checkpointing
-    /// records this so a resumed flow can restore it).
+    /// Whether the driver holds a warm evaluation cache. Such a driver
+    /// serves every simulation itself, also one the flow could answer
+    /// from its last simulation, and checkpointing records the flag so
+    /// a resumed flow can restore the cache.
     fn cache_is_warm(&self) -> bool {
         false
     }
@@ -511,8 +527,9 @@ pub(crate) fn execute(design: &Design, record_graph: bool, stimulus: impl FnOnce
 /// With [`SequentialDriver::with_cache`] the driver keeps an
 /// [`EvalCache`] across simulations: iterations whose annotations did
 /// not change replay the cached monitors without running the stimulus
-/// (see [`crate::cache`] for the soundness argument). The refinement
-/// outcome is bit-identical either way.
+/// (see [`crate::cache`] for the soundness argument), where the flow
+/// would otherwise reuse its own. The refinement outcome is
+/// bit-identical either way.
 pub struct SequentialDriver<F> {
     sim: F,
     cache: Option<EvalCache>,
@@ -668,7 +685,8 @@ pub struct RefinementFlow {
     msb_final_store: Option<Vec<MsbAnalysis>>,
     /// Deadline budgets for `run*` calls.
     budget: RunBudget,
-    /// Wall-clock anchor for the budget (armed on first budgeted check).
+    /// Wall-clock anchor for the budget, armed at the first phase entry
+    /// after [`RefinementFlow::set_budget`].
     budget_clock: Option<Instant>,
     /// Monitored simulations completed so far under the budget.
     budget_sims: u64,
@@ -677,6 +695,11 @@ pub struct RefinementFlow {
     /// Cooperative cancellation, observed at the same points the budgets
     /// are. `None` means the flow cannot be cancelled.
     cancel: Option<CancelToken>,
+    /// The monitors of the flow's last simulation (cold before the
+    /// first), which a simulation under unchanged annotations restores.
+    last_monitors: EvalCache,
+    /// [`Design::dirty_marks`] when the last simulation started.
+    last_marks: u64,
 }
 
 impl RefinementFlow {
@@ -731,12 +754,16 @@ impl RefinementFlow {
             budget_sims: 0,
             budget_hit: None,
             cancel: None,
+            last_monitors: EvalCache::new(),
+            last_marks: 0,
         }
     }
 
     /// Enables the incremental evaluation cache for the closure-based
     /// entry points: iterations whose annotations did not change restore
-    /// the previous run's monitors instead of re-simulating. The decided
+    /// the previous run's monitors instead of re-simulating. The flow
+    /// already does that by itself; with the cache on, the driver's
+    /// cache serves those iterations instead and counts them. The decided
     /// types, merged ranges and `type_applied` journal are bit-identical
     /// with or without the cache; cache hit/miss counts land on the
     /// recorder as `cache.hits` / `cache.misses`.
@@ -992,6 +1019,50 @@ impl RefinementFlow {
         }
     }
 
+    /// Whether the flow's last simulation is what a simulation under the
+    /// design's current annotations would produce: nothing was marked
+    /// dirty since it started.
+    fn last_simulation_current(&self) -> bool {
+        self.last_monitors.is_warm() && self.design.dirty_marks() == self.last_marks
+    }
+
+    /// Runs one monitored simulation of the design through `driver`, or
+    /// reuses the flow's last one, and counts it toward the
+    /// [`RunBudget`] either way. Returns the cycles simulated.
+    ///
+    /// A simulation that records no graph, under annotations no one
+    /// changed since the flow's last simulation, would repeat it bit for
+    /// bit: the flow runs the same stimulus every time, what it computes
+    /// depends on the design only through the annotations, and
+    /// `reset_state` restarts the error-injection RNG from the design
+    /// seed. The flow then resets the design, restores the monitors it
+    /// kept (statistics, overflow events, cycles) and counts
+    /// `flow.reused_simulations`, unless the driver has a warm cache of
+    /// its own ([`SimDriver::cache_is_warm`]), which then serves it.
+    fn simulate(
+        &mut self,
+        driver: &mut dyn SimDriver,
+        iteration: usize,
+        record: bool,
+    ) -> Result<u64, FlowError> {
+        let cycles = if !record && !driver.cache_is_warm() && self.last_simulation_current() {
+            self.design.reset_stats();
+            self.design.reset_state();
+            self.recorder.inc("flow.reused_simulations", 1);
+            self.last_monitors.replay(&self.design)
+        } else {
+            let marks = self.design.dirty_marks();
+            let cycles = driver
+                .simulate(&self.design, &self.recorder, iteration, record)
+                .map_err(Self::shard_error)?;
+            self.last_monitors.store(&self.design);
+            self.last_marks = marks;
+            cycles
+        };
+        self.budget_sims += 1;
+        Ok(cycles)
+    }
+
     /// Maps a driver-level shard fault to the flow's error type.
     fn shard_error(f: SimFault) -> FlowError {
         FlowError::ShardFailed {
@@ -1005,6 +1076,14 @@ impl RefinementFlow {
     /// work item; `feedback` / `troubled` carry the in-loop state of the
     /// phase the cursor points into; `lsb_final` is present only at the
     /// LSB-convergence checkpoint.
+    ///
+    /// The cache state's `data` holds a warm driver's own snapshot, as
+    /// `warm` says. Without one it holds the flow's last monitors when
+    /// the next iteration will reuse them, so a flow resumed there
+    /// reuses them too (on the paper's designs, at the MSB-convergence
+    /// checkpoint); every other checkpoint carries none. At
+    /// `Cursor::Apply` nothing is reused: type application changes the
+    /// annotations before the next simulation.
     fn capture(
         &self,
         driver: &dyn SimDriver,
@@ -1027,6 +1106,14 @@ impl RefinementFlow {
             .map(|id| self.design.name_of(*id))
             .collect();
         dirty.sort();
+        let warm = driver.cache_is_warm();
+        let data = if warm {
+            driver.cache_snapshot()
+        } else if cursor != Cursor::Apply && self.last_simulation_current() {
+            self.last_monitors.snapshot()
+        } else {
+            None
+        };
         let (msb_done, lsb_done) = match cursor {
             Cursor::Msb { next } => (next.saturating_sub(1), 0),
             Cursor::Lsb { next } => (self.msb_done_total, next.saturating_sub(1)),
@@ -1047,11 +1134,7 @@ impl RefinementFlow {
             troubled,
             msb_final: self.msb_final_store.clone(),
             lsb_final: lsb_final.map(<[LsbAnalysis]>::to_vec),
-            cache: CacheState {
-                warm: driver.cache_is_warm(),
-                dirty,
-                data: driver.cache_snapshot(),
-            },
+            cache: CacheState { warm, dirty, data },
             journal: self.recorder.events(),
         }
     }
@@ -1294,7 +1377,15 @@ impl RefinementFlow {
         flow.msb_final_store = msb_final;
         flow.pending_resume_invalidation =
             (cp.cache.warm && !cp.cache.dirty.is_empty()).then_some(cp.cache.dirty.len());
-        flow.resume_cache = resume_cache;
+        // A warm driver's snapshot re-warms the resumed driver's cache; a
+        // cold driver's checkpoint carries the flow's own last monitors,
+        // current under the annotations just restored.
+        if cp.cache.warm {
+            flow.resume_cache = resume_cache;
+        } else if let Some((stats, events, cycles)) = resume_cache {
+            flow.last_monitors = EvalCache::restore(stats, events, cycles);
+            flow.last_marks = flow.design.dirty_marks();
+        }
         flow.resume = Some(ResumeState {
             cursor: cp.cursor,
             feedback,
@@ -1451,6 +1542,7 @@ impl RefinementFlow {
         if let Some(n) = self.pending_resume_invalidation.take() {
             driver.resume_invalidation(n);
         }
+        self.budget_clock.get_or_insert_with(Instant::now);
         let mut history = Vec::new();
         let mut feedback: HashSet<SignalId> = HashSet::new();
         // Signals seen exploded in an earlier iteration, to journal their
@@ -1490,10 +1582,7 @@ impl RefinementFlow {
                 .recorder
                 .span_begin(&format!("flow.msb.iter.{iteration}"));
             let record = iteration == 1;
-            let cycles = driver
-                .simulate(&self.design, &self.recorder, iteration, record)
-                .map_err(Self::shard_error)?;
-            self.budget_sims += 1;
+            let cycles = self.simulate(driver, iteration, record)?;
             if record {
                 let graph = self.design.graph();
                 for sig in graph.defined_signals() {
@@ -1695,6 +1784,7 @@ impl RefinementFlow {
         if let Some(n) = self.pending_resume_invalidation.take() {
             driver.resume_invalidation(n);
         }
+        self.budget_clock.get_or_insert_with(Instant::now);
         let mut history = Vec::new();
         // Signals seen divergent in an earlier iteration, to journal their
         // later resolution.
@@ -1734,10 +1824,7 @@ impl RefinementFlow {
             let span = self
                 .recorder
                 .span_begin(&format!("flow.lsb.iter.{iteration}"));
-            let cycles = driver
-                .simulate(&self.design, &self.recorder, iteration, false)
-                .map_err(Self::shard_error)?;
-            self.budget_sims += 1;
+            let cycles = self.simulate(driver, iteration, false)?;
 
             let analyses: Vec<LsbAnalysis> = self
                 .design
@@ -1963,10 +2050,7 @@ impl RefinementFlow {
     pub fn verify_with(&mut self, driver: &mut dyn SimDriver) -> Result<VerifyOutcome, FlowError> {
         let span = self.recorder.span_begin("flow.verify");
         let _ = self.design.take_overflow_events();
-        let cycles = driver
-            .simulate(&self.design, &self.recorder, 0, false)
-            .map_err(Self::shard_error)?;
-        self.budget_sims += 1;
+        let cycles = self.simulate(driver, 0, false)?;
         self.recorder.span_end(span, cycles);
         let mut overflows = Vec::new();
         let mut total = 0;

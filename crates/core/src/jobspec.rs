@@ -34,7 +34,10 @@ pub struct FlowSpec {
     /// Shard count for swept runs; `0` runs the sequential flow over
     /// the first scenario only.
     pub shards: usize,
-    /// Simulation budget (`None` = unbounded).
+    /// Simulation budget (`None` = unbounded). An iteration the flow
+    /// reuses from its last simulation counts one, as a cache replay
+    /// does, so a job stops at the same iteration either way (see
+    /// [`RunBudget::max_simulations`]).
     pub max_simulations: Option<u64>,
     /// Wall-clock budget in milliseconds (`None` = unbounded).
     pub wall_ms: Option<u64>,

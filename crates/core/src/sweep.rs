@@ -757,6 +757,10 @@ impl SimDriver for SweepDriver {
         self.coverage.clone()
     }
 
+    fn cache_is_warm(&self) -> bool {
+        self.cache.as_ref().is_some_and(SweepCache::is_warm)
+    }
+
     fn resume_invalidation(&mut self, dirty: usize) {
         self.pending_invalidation = Some(dirty);
     }

@@ -280,6 +280,9 @@ struct DesignInner {
     /// Signals whose annotations (type, range, error model) changed since
     /// the incremental engine last drained the set.
     dirty: BTreeSet<u32>,
+    /// Signals marked dirty since the design was built, counted however
+    /// often the set was drained.
+    dirty_marks: u64,
     /// Author-asserted contract: every assignment executes unconditionally
     /// each cycle and every data-dependent decision goes through recorded
     /// dataflow (`select_positive` etc.), never Rust-level branching on
@@ -397,6 +400,7 @@ impl Design {
                 overflow_events: Vec::new(),
                 overflow_event_cap: 1024,
                 dirty: BTreeSet::new(),
+                dirty_marks: 0,
                 static_schedule: false,
                 recorder: None,
                 monitors: MonitorSink::default(),
@@ -482,7 +486,7 @@ impl Design {
             .signals
             .push(SignalState::new(name.to_string(), kind, dtype));
         inner.monitors.quant.push(Vec::new());
-        inner.dirty.insert(id.0);
+        inner.mark(id.0);
         Ok(id)
     }
 
@@ -767,7 +771,7 @@ impl Design {
         let st = &mut inner.signals[id.0 as usize];
         st.dtype = dtype;
         st.prop = initial_prop(&st.dtype);
-        inner.dirty.insert(id.0);
+        inner.mark(id.0);
     }
 
     /// Sets the explicit range annotation of a signal (the paper's
@@ -779,7 +783,7 @@ impl Design {
     pub fn set_range(&self, id: SignalId, lo: f64, hi: f64) {
         let mut inner = self.inner.borrow_mut();
         inner.signals[id.0 as usize].range_override = Some(Interval::new(lo, hi));
-        inner.dirty.insert(id.0);
+        inner.mark(id.0);
     }
 
     /// Fallible form of [`Design::set_range`] for bounds that come from
@@ -794,7 +798,7 @@ impl Design {
         let itv = Interval::try_new(lo, hi)?;
         let mut inner = self.inner.borrow_mut();
         inner.signals[id.0 as usize].range_override = Some(itv);
-        inner.dirty.insert(id.0);
+        inner.mark(id.0);
         Ok(())
     }
 
@@ -806,7 +810,7 @@ impl Design {
     pub fn clear_range(&self, id: SignalId) {
         let mut inner = self.inner.borrow_mut();
         inner.signals[id.0 as usize].range_override = None;
-        inner.dirty.insert(id.0);
+        inner.mark(id.0);
     }
 
     /// The explicit range annotation, if any.
@@ -867,7 +871,7 @@ impl Design {
 
     fn mark_all_dirty(inner: &mut DesignInner) {
         for i in 0..inner.signals.len() as u32 {
-            inner.dirty.insert(i);
+            inner.mark(i);
         }
     }
 
@@ -913,6 +917,16 @@ impl Design {
             .collect()
     }
 
+    /// How many times a signal has been marked dirty since the design was
+    /// built: by its declaration, an annotation change or
+    /// [`Design::mark_dirty`]. Two equal readings mean that no annotation
+    /// changed in between, whoever drained the dirty set meanwhile, so a
+    /// caller can tell whether a simulation would repeat the previous one
+    /// without draining the set an evaluation cache plans on.
+    pub fn dirty_marks(&self) -> u64 {
+        self.inner.borrow().dirty_marks
+    }
+
     /// Re-marks signals dirty — the restore half of
     /// [`Design::peek_dirty`], used when resuming from a checkpoint (the
     /// blanket declaration/annotation dirt is drained first, then the
@@ -920,7 +934,7 @@ impl Design {
     pub fn mark_dirty(&self, ids: &[SignalId]) {
         let mut inner = self.inner.borrow_mut();
         for id in ids {
-            inner.dirty.insert(id.0);
+            inner.mark(id.0);
         }
     }
 
@@ -1098,7 +1112,7 @@ impl Design {
             if let Some(r) = a.range {
                 let mut inner = self.inner.borrow_mut();
                 inner.signals[id.0 as usize].range_override = Some(r);
-                inner.dirty.insert(id.0);
+                inner.mark(id.0);
                 applied += 1;
             }
             if let Some(sigma) = a.error_sigma {
@@ -1302,6 +1316,12 @@ impl Design {
 }
 
 impl DesignInner {
+    /// Marks signal `id` dirty and counts the mark.
+    fn mark(&mut self, id: u32) {
+        self.dirty.insert(id);
+        self.dirty_marks += 1;
+    }
+
     /// Swaps in `new` as the graph. A recording in progress restarts,
     /// since the nodes it has copied into the old graph are not in the
     /// new one.
@@ -1340,6 +1360,7 @@ impl DesignInner {
             overflow_events: Vec::new(),
             overflow_event_cap: 0,
             dirty: BTreeSet::new(),
+            dirty_marks: 0,
             static_schedule: false,
             recorder: None,
             monitors: MonitorSink::default(),
@@ -2615,6 +2636,24 @@ mod incremental_tests {
         assert_eq!(d.take_dirty(), vec![x.id(), y.id()]);
         d.clear_error(x.id());
         assert_eq!(d.take_dirty(), vec![x.id(), y.id()]);
+    }
+
+    #[test]
+    fn dirty_marks_count_every_mark_whoever_drains_the_set() {
+        let d = Design::new();
+        let x = d.sig("x");
+        assert_eq!(d.dirty_marks(), 1, "the declaration marks");
+        let _ = d.take_dirty();
+        assert_eq!(d.dirty_marks(), 1, "draining counts nothing");
+
+        // A rejected annotation marks nothing; a mark without an
+        // annotation change still counts.
+        assert!(d.try_set_range(x.id(), 1.0, -1.0).is_err());
+        assert_eq!(d.dirty_marks(), 1);
+        d.mark_dirty(&[x.id()]);
+        assert_eq!(d.dirty_marks(), 2);
+        d.set_range(x.id(), -1.0, 1.0);
+        assert_eq!(d.dirty_marks(), 3);
     }
 
     #[test]

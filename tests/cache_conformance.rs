@@ -11,12 +11,24 @@
 //! (`cache.hits`, and `sim.*` — a replay skips the simulation that would
 //! count them) and the cache's own journal events, which legitimately
 //! differ between cached and uncached runs.
+//!
+//! The flow itself reuses its last simulation for an iteration whose
+//! annotations did not change (the first LSB iteration), unless the
+//! driver's own cache serves it. Each case also runs the flow phase by
+//! phase twice: once reusing, and once with one signal marked dirty
+//! between the phases, which forces the first LSB iteration to simulate
+//! again. Both must decide the same fingerprint, and the reusing path
+//! must reproduce `run()`'s outcome and journal.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
-use fixref::obs::Event;
-use fixref::refine::{RefinePolicy, RefinementFlow, SweepDriver};
-use fixref::sim::{shard_count_from_env, Design, ScenarioSet, SignalStats};
+use fixref::obs::{DefaultRecorder, Event};
+use fixref::refine::{
+    FlowOutcome, FlowStatus, RefinePolicy, RefinementFlow, SequentialDriver, ShardBuilder,
+    SimDriver, SimFault, SweepCoverage, SweepDriver,
+};
+use fixref::sim::{shard_count_from_env, Design, OverflowEvent, ScenarioSet, SignalStats};
 use fixref_bench::{
     lms_paper_scenario, lms_shard_builder, paper_input_type, timing_shard_builder, TIMING_SNR_DB,
 };
@@ -44,6 +56,158 @@ struct CachedRun {
     fingerprint: Fingerprint,
     cache_hits: u64,
     invalidations: usize,
+    /// The outcome, rendered, and the journal.
+    outcome: String,
+    journal: Vec<Event>,
+    /// `flow.reused_simulations`.
+    reused: u64,
+}
+
+/// A driver that counts the simulations it is asked for and forwards
+/// every call to the driver it wraps.
+struct Counted<D> {
+    inner: D,
+    simulations: usize,
+}
+
+impl<D: SimDriver> SimDriver for Counted<D> {
+    fn simulate(
+        &mut self,
+        design: &Design,
+        recorder: &Arc<DefaultRecorder>,
+        iteration: usize,
+        record_graph: bool,
+    ) -> Result<u64, SimFault> {
+        self.simulations += 1;
+        self.inner
+            .simulate(design, recorder, iteration, record_graph)
+    }
+
+    fn coverage(&self) -> Option<SweepCoverage> {
+        self.inner.coverage()
+    }
+
+    fn cache_is_warm(&self) -> bool {
+        self.inner.cache_is_warm()
+    }
+
+    fn cache_snapshot(&self) -> Option<(Vec<SignalStats>, Vec<OverflowEvent>, u64)> {
+        self.inner.cache_snapshot()
+    }
+
+    fn resume_invalidation(&mut self, dirty: usize) {
+        self.inner.resume_invalidation(dirty);
+    }
+}
+
+/// A flow run phase by phase (`run_msb_with` → `run_lsb_with` →
+/// `apply_types` → `verify_with`) through a counted driver.
+struct PhasedRun {
+    fingerprint: Fingerprint,
+    outcome: String,
+    journal: Vec<Event>,
+    /// Simulations the driver was asked for.
+    simulations: usize,
+    /// `flow.reused_simulations`.
+    reused: u64,
+}
+
+/// Runs the flow over `master` phase by phase through `driver`. With
+/// `resimulate`, one signal is marked dirty between the phases, with no
+/// annotation changed, so the first LSB iteration simulates again.
+fn run_phased(
+    master: &Design,
+    force_saturate: &[&str],
+    driver: impl SimDriver,
+    resimulate: bool,
+) -> PhasedRun {
+    let mut flow = RefinementFlow::new(master.clone(), RefinePolicy::default());
+    for name in force_saturate {
+        flow.force_saturate(master.find(name).expect("declared"));
+    }
+    let mut driver = Counted {
+        inner: driver,
+        simulations: 0,
+    };
+    let (msb_history, mut interventions) =
+        flow.run_msb_with(&mut driver).expect("MSB phase converges");
+    if resimulate {
+        master.mark_dirty(&[master.reports()[0].id]);
+    }
+    let (lsb_history, lsb_interventions) =
+        flow.run_lsb_with(&mut driver).expect("LSB phase converges");
+    interventions.extend(lsb_interventions);
+    let (types, unrefined) = flow.apply_types(
+        msb_history.last().map_or(&[][..], Vec::as_slice),
+        lsb_history.last().map_or(&[][..], Vec::as_slice),
+    );
+    let verify = flow.verify_with(&mut driver).expect("verification runs");
+    let outcome = FlowOutcome {
+        msb_iterations: msb_history.len(),
+        lsb_iterations: lsb_history.len(),
+        msb_history,
+        lsb_history,
+        interventions,
+        types,
+        unrefined,
+        verify,
+        status: FlowStatus::Complete,
+        coverage: driver.coverage(),
+    };
+    PhasedRun {
+        fingerprint: fingerprint(master, &flow, &outcome),
+        outcome: format!("{outcome:?}"),
+        journal: flow.journal(),
+        simulations: driver.simulations,
+        reused: flow.recorder().counter("flow.reused_simulations"),
+    }
+}
+
+/// The sequential phased pair (reusing, re-simulating) on the set's
+/// single scenario.
+fn phased_sequential(
+    make: fn() -> Box<ShardBuilder>,
+    force_saturate: &[&str],
+    scenarios: &ScenarioSet,
+) -> (PhasedRun, PhasedRun) {
+    let run = |resimulate| {
+        let shard = make()(&scenarios.as_slice()[0]);
+        let mut stimulus = shard.stimulus;
+        let driver = SequentialDriver::new(move |d: &Design, i: usize| stimulus(d, i));
+        run_phased(&shard.design, force_saturate, driver, resimulate)
+    };
+    (run(false), run(true))
+}
+
+/// The swept phased pair (reusing, re-simulating) over `scenarios`,
+/// without the sweep's cache.
+fn phased_swept(
+    make: fn() -> Box<ShardBuilder>,
+    force_saturate: &[&str],
+    scenarios: &ScenarioSet,
+    workers: usize,
+) -> (PhasedRun, PhasedRun) {
+    let run = |resimulate| {
+        let master = make()(&scenarios.as_slice()[0]).design;
+        let driver = SweepDriver::new(scenarios.clone(), workers, make());
+        run_phased(&master, force_saturate, driver, resimulate)
+    };
+    (run(false), run(true))
+}
+
+/// What the flow's reuse must guarantee: `plain` (`run()` with no driver
+/// cache) reused exactly one simulation, the phased run reproduced its
+/// outcome and journal with one simulation fewer than the re-simulating
+/// run, and all three decided the same fingerprint.
+fn assert_reuse_conforms(plain: &CachedRun, reusing: &PhasedRun, resimulated: &PhasedRun) {
+    assert_eq!(plain.reused, 1, "run() reused the first LSB iteration");
+    assert_eq!(reusing.reused, 1);
+    assert_eq!(resimulated.reused, 0, "a dirty mark forces a simulation");
+    assert_eq!(reusing.simulations + 1, resimulated.simulations);
+    assert_eq!(resimulated.fingerprint, reusing.fingerprint);
+    assert_eq!(reusing.fingerprint, plain.fingerprint);
+    assert_eq!(reusing.outcome, plain.outcome, "phased outcome differs");
+    assert_eq!(reusing.journal, plain.journal, "phased journal differs");
 }
 
 fn fingerprint(
@@ -112,15 +276,27 @@ fn run_sequential(
     let outcome = flow
         .run(move |d: &Design, i: usize| stimulus(d, i))
         .expect("sequential flow converges");
+    let cache_hits = flow.recorder().counter("cache.hits");
+    cached_run(&design, &flow, &outcome, cache_hits)
+}
+
+fn cached_run(
+    design: &Design,
+    flow: &RefinementFlow,
+    outcome: &FlowOutcome,
+    cache_hits: u64,
+) -> CachedRun {
+    let journal = flow.journal();
     CachedRun {
-        fingerprint: fingerprint(&design, &flow, &outcome),
-        cache_hits: flow.recorder().counter("cache.hits"),
-        invalidations: flow
-            .recorder()
-            .events()
+        fingerprint: fingerprint(design, flow, outcome),
+        cache_hits,
+        invalidations: journal
             .iter()
             .filter(|e| matches!(e, Event::CacheInvalidated { .. }))
             .count(),
+        outcome: format!("{outcome:?}"),
+        journal,
+        reused: flow.recorder().counter("flow.reused_simulations"),
     }
 }
 
@@ -144,21 +320,20 @@ fn run_swept(
     }
     let outcome = flow.run_swept(&mut sweep).expect("swept flow converges");
     let (hits, _misses) = sweep.cache_stats();
-    CachedRun {
-        fingerprint: fingerprint(&master, &flow, &outcome),
-        cache_hits: hits,
-        invalidations: flow
-            .recorder()
-            .events()
-            .iter()
-            .filter(|e| matches!(e, Event::CacheInvalidated { .. }))
-            .count(),
-    }
+    cached_run(&master, &flow, &outcome, hits)
 }
 
 const LMS_SAMPLES: usize = 1200;
 const TIMING_SAMPLES: usize = 4000;
 const TIMING_SATURATE: [&str; 5] = ["terr", "lp", "lferr", "step", "mu"];
+
+fn lms_builder() -> Box<ShardBuilder> {
+    lms_shard_builder(lms_config())
+}
+
+fn timing_builder() -> Box<ShardBuilder> {
+    timing_shard_builder(timing_config())
+}
 
 #[test]
 fn lms_cached_sequential_flow_is_bit_identical_to_uncached() {
@@ -172,6 +347,13 @@ fn lms_cached_sequential_flow_is_bit_identical_to_uncached() {
     assert!(cached.invalidations > 0, "no invalidation was journaled");
     // The uncached run kept no cache at all.
     assert_eq!(plain.cache_hits, 0);
+    // A warm driver cache serves the iteration the flow would reuse.
+    assert_eq!(cached.reused, 0);
+
+    let (reusing, resimulated) = phased_sequential(lms_builder, &[], &set);
+    assert_eq!(reusing.simulations, 3, "MSB 1, MSB 2, verification");
+    assert_eq!(resimulated.simulations, 4);
+    assert_reuse_conforms(&plain, &reusing, &resimulated);
 }
 
 #[test]
@@ -195,6 +377,10 @@ fn timing_loop_cached_sequential_flow_is_bit_identical_to_uncached() {
     );
     assert_eq!(plain.fingerprint, cached.fingerprint);
     assert!(cached.cache_hits > 0, "replay never happened");
+    assert_eq!(cached.reused, 0);
+
+    let (reusing, resimulated) = phased_sequential(timing_builder, &TIMING_SATURATE, &set);
+    assert_reuse_conforms(&plain, &reusing, &resimulated);
 }
 
 #[test]
@@ -209,6 +395,14 @@ fn lms_cached_sweep_is_bit_identical_to_uncached_across_shard_counts() {
     // scenario: the sweep merge is the identity).
     let sequential = run_sequential(lms_shard_builder(lms_config()), &[], &set, true);
     assert_eq!(sequential.fingerprint, cached.fingerprint);
+    assert_eq!(
+        cached.reused, 0,
+        "the warm sweep cache serves the iteration"
+    );
+
+    let (reusing, resimulated) = phased_swept(lms_builder, &[], &set, workers);
+    assert_eq!(reusing.simulations, 3);
+    assert_reuse_conforms(&plain, &reusing, &resimulated);
 }
 
 #[test]
@@ -231,4 +425,8 @@ fn timing_loop_cached_sweep_is_bit_identical_to_uncached_across_shard_counts() {
     );
     assert_eq!(plain.fingerprint, cached.fingerprint);
     assert!(cached.cache_hits > 0, "sweep cache never hit");
+    assert_eq!(cached.reused, 0);
+
+    let (reusing, resimulated) = phased_swept(timing_builder, &TIMING_SATURATE, &set, workers);
+    assert_reuse_conforms(&plain, &reusing, &resimulated);
 }

@@ -10,19 +10,27 @@
 //! checkpoint cut points of the sequential LMS flow (after MSB iteration
 //! 1 and after MSB convergence).
 //!
+//! A checkpoint whose next iteration reuses the flow's last simulation
+//! (the MSB-convergence checkpoint, without a driver cache) carries that
+//! simulation's monitors, so the resumed flow reuses them as the
+//! uninterrupted one does; every other checkpoint of a cache-less flow
+//! carries none.
+//!
 //! Also here: the serialize→deserialize identity property over seeded
 //! random checkpoints, the crash-resume smoke (a checkpoint *write*
 //! failure followed by an interrupt resumes from the previous good file),
 //! and the write-behind contract: whichever way a flow call exits, its
 //! last snapshot is on disk (or its failure journaled) when it returns.
 
+use std::cell::Cell;
 use std::path::{Path, PathBuf};
+use std::rc::Rc;
 use std::time::Duration;
 
 use fixref::obs::Event;
 use fixref::refine::{
     Checkpoint, Cursor, FlowError, RefinePolicy, RefinementFlow, SequentialDriver, ShardBuilder,
-    SweepDriver,
+    ShardStimulus, SweepDriver,
 };
 use fixref::sim::{shard_count_from_env, Design, FaultPlan, ScenarioSet, SignalAnnotation};
 use fixref_bench::{
@@ -59,11 +67,24 @@ fn tmp(name: &str) -> PathBuf {
 
 /// What a run is judged by: the full event journal, the design's final
 /// per-signal annotations (types, pinned ranges, injected sigmas) and the
-/// decided types by name.
+/// decided types by name. `reused` (`flow.reused_simulations`) and
+/// `simulations` (stimulus calls, where counted) say how the run got its
+/// monitors; they are not compared between runs.
 struct RunTrace {
     journal: Vec<Event>,
     annotations: Vec<SignalAnnotation>,
     types: Vec<(String, String)>,
+    reused: u64,
+    simulations: usize,
+}
+
+/// Wraps a stimulus so that `calls` counts the simulations it runs.
+fn counting(mut stimulus: ShardStimulus, calls: &Rc<Cell<usize>>) -> impl FnMut(&Design, usize) {
+    let calls = Rc::clone(calls);
+    move |d: &Design, i: usize| {
+        calls.set(calls.get() + 1);
+        stimulus(d, i)
+    }
 }
 
 fn trace(
@@ -81,6 +102,8 @@ fn trace(
         journal: flow.journal(),
         annotations: design.annotations(),
         types,
+        reused: flow.recorder().counter("flow.reused_simulations"),
+        simulations: 0,
     }
 }
 
@@ -96,7 +119,7 @@ fn cold_sequential(
 ) -> RunTrace {
     let shard = builder(&set.as_slice()[0]);
     let design = shard.design;
-    let mut stimulus = shard.stimulus;
+    let calls = Rc::new(Cell::new(0));
     let mut flow = RefinementFlow::new(design.clone(), RefinePolicy::default());
     if cached {
         flow.enable_cache();
@@ -106,15 +129,19 @@ fn cold_sequential(
     }
     flow.checkpoint_to(path.to_path_buf());
     let outcome = flow
-        .run(move |d: &Design, i: usize| stimulus(d, i))
+        .run(counting(shard.stimulus, &calls))
         .expect("cold flow converges");
-    trace(&design, &flow, &outcome)
+    RunTrace {
+        simulations: calls.get(),
+        ..trace(&design, &flow, &outcome)
+    }
 }
 
 /// Runs the flow until the injected interrupt after checkpoint
 /// `abort_seq`, then resumes from the file with a fresh design and
 /// completes. Saturation hints are *not* re-added on resume — they must
-/// come back from the checkpoint.
+/// come back from the checkpoint. Returns the resumed run and the
+/// checkpoint it resumed from.
 fn interrupted_then_resumed_sequential(
     builder: Box<ShardBuilder>,
     saturate: &[&str],
@@ -122,7 +149,7 @@ fn interrupted_then_resumed_sequential(
     cached: bool,
     path: &Path,
     abort_seq: usize,
-) -> RunTrace {
+) -> (RunTrace, Checkpoint) {
     let shard = builder(&set.as_slice()[0]);
     let design = shard.design;
     let mut stimulus = shard.stimulus;
@@ -143,19 +170,38 @@ fn interrupted_then_resumed_sequential(
         "unexpected error: {err}"
     );
     drop(flow);
+    let checkpoint = Checkpoint::read(path).expect("checkpoint on disk");
 
     let shard = builder(&set.as_slice()[0]);
     let design = shard.design;
-    let mut stimulus = shard.stimulus;
+    let calls = Rc::new(Cell::new(0));
     let mut flow = RefinementFlow::resume_from(design.clone(), RefinePolicy::default(), path)
         .expect("checkpoint resumes");
     if cached {
         flow.enable_cache();
     }
     let outcome = flow
-        .run(move |d: &Design, i: usize| stimulus(d, i))
+        .run(counting(shard.stimulus, &calls))
         .expect("resumed flow converges");
-    trace(&design, &flow, &outcome)
+    let resumed = RunTrace {
+        simulations: calls.get(),
+        ..trace(&design, &flow, &outcome)
+    };
+    (resumed, checkpoint)
+}
+
+/// Asserts that a cache-less flow's checkpoint at MSB convergence
+/// carries the monitors of the last MSB simulation, and that the flow
+/// resumed from it reused them for LSB iteration 1 instead of
+/// simulating it.
+fn assert_resumed_reusing(checkpoint: &Checkpoint, resumed: &RunTrace) {
+    assert_eq!(checkpoint.cursor, Cursor::Lsb { next: 1 });
+    assert!(!checkpoint.cache.warm);
+    assert!(
+        checkpoint.cache.data.is_some(),
+        "the MSB-convergence checkpoint carries the last monitors"
+    );
+    assert_eq!(resumed.reused, 1, "LSB iteration 1 was not simulated");
 }
 
 /// The `sequence` fields of the journal's checkpoint events matching
@@ -208,7 +254,7 @@ fn lms_resume_after_msb_iteration_1_is_bit_identical() {
         false,
         &tmp("lms_cold_a"),
     );
-    let resumed = interrupted_then_resumed_sequential(
+    let (resumed, checkpoint) = interrupted_then_resumed_sequential(
         lms_shard_builder(lms_config()),
         &[],
         &set,
@@ -217,6 +263,12 @@ fn lms_resume_after_msb_iteration_1_is_bit_identical() {
         0,
     );
     assert_bit_identical(&cold, &resumed);
+    // MSB iteration 2 follows a range() pin, so checkpoint 0 cannot be
+    // reused and carries no monitors.
+    assert_eq!(checkpoint.cursor, Cursor::Msb { next: 2 });
+    assert_eq!(checkpoint.cache.data, None);
+    assert_eq!(resumed.simulations, 2, "MSB iteration 2 and verification");
+    assert_eq!(resumed.reused, 1);
 }
 
 #[test]
@@ -224,14 +276,15 @@ fn lms_resume_after_msb_convergence_is_bit_identical() {
     // "Interrupted after MSB iteration 2": checkpoint 1 is written when
     // the MSB phase converges on its second iteration.
     let set = lms_paper_scenario(LMS_SAMPLES);
+    let cold_path = tmp("lms_cold_b");
     let cold = cold_sequential(
         lms_shard_builder(lms_config()),
         &[],
         &set,
         false,
-        &tmp("lms_cold_b"),
+        &cold_path,
     );
-    let resumed = interrupted_then_resumed_sequential(
+    let (resumed, checkpoint) = interrupted_then_resumed_sequential(
         lms_shard_builder(lms_config()),
         &[],
         &set,
@@ -240,6 +293,14 @@ fn lms_resume_after_msb_convergence_is_bit_identical() {
         1,
     );
     assert_bit_identical(&cold, &resumed);
+    assert_resumed_reusing(&checkpoint, &resumed);
+    assert_eq!(cold.simulations, 3, "MSB 1, MSB 2, verification");
+    assert_eq!(resumed.simulations, 1, "verification only");
+    // The cold run's last checkpoint is at type application, after which
+    // verification simulates again: it carries no monitors.
+    let last = Checkpoint::read(&cold_path).expect("cold checkpoint on disk");
+    assert_eq!(last.cursor, Cursor::Apply);
+    assert_eq!(last.cache.data, None);
 }
 
 #[test]
@@ -255,7 +316,7 @@ fn lms_resume_with_evaluation_cache_is_bit_identical() {
             true,
             &tmp(&format!("lms_cold_c{abort_seq}")),
         );
-        let resumed = interrupted_then_resumed_sequential(
+        let (resumed, checkpoint) = interrupted_then_resumed_sequential(
             lms_shard_builder(lms_config()),
             &[],
             &set,
@@ -264,6 +325,9 @@ fn lms_resume_with_evaluation_cache_is_bit_identical() {
             abort_seq,
         );
         assert_bit_identical(&cold, &resumed);
+        // The warm driver cache, not the flow, serves LSB iteration 1.
+        assert!(checkpoint.cache.warm && checkpoint.cache.data.is_some());
+        assert_eq!(resumed.reused, 0);
     }
 }
 
@@ -281,7 +345,7 @@ fn timing_loop_resume_is_bit_identical_and_restores_saturation_hints() {
         );
         // The resumed flow gets NO force_saturate calls: the knowledge-
         // based hints must come back from the checkpoint itself.
-        let resumed = interrupted_then_resumed_sequential(
+        let (resumed, checkpoint) = interrupted_then_resumed_sequential(
             timing_shard_builder(timing_config()),
             &TIMING_SATURATE,
             &set,
@@ -290,6 +354,11 @@ fn timing_loop_resume_is_bit_identical_and_restores_saturation_hints() {
             abort_seq,
         );
         assert_bit_identical(&cold, &resumed);
+        if cached {
+            assert_eq!(resumed.reused, 0, "the driver cache serves");
+        } else {
+            assert_resumed_reusing(&checkpoint, &resumed);
+        }
     }
 }
 
@@ -298,43 +367,62 @@ fn swept_flow_resume_is_bit_identical_across_worker_counts() {
     let workers = shard_count_from_env(2);
     let set = lms_seed_grid(2, LMS_SAMPLES);
     let master_of = |set: &ScenarioSet| lms_shard_builder(lms_config())(&set.as_slice()[0]).design;
-
-    // Cold swept reference with checkpointing.
-    let cold = {
-        let master = master_of(&set);
-        let mut flow = RefinementFlow::new(master.clone(), RefinePolicy::default());
-        flow.checkpoint_to(tmp("swept_cold"));
+    let sweep = |cached: bool| {
         let mut driver = SweepDriver::new(set.clone(), workers, lms_shard_builder(lms_config()));
-        driver.enable_cache();
-        let outcome = flow.run_swept(&mut driver).expect("cold sweep converges");
-        trace(&master, &flow, &outcome)
+        if cached {
+            driver.enable_cache();
+        }
+        driver
     };
 
-    // Interrupted after checkpoint 1, resumed with a fresh master and a
-    // fresh (cold) sweep driver.
-    let path = tmp("swept_resume");
-    {
-        let master = master_of(&set);
-        let mut flow = RefinementFlow::new(master, RefinePolicy::default());
-        flow.checkpoint_to(path.to_path_buf());
-        flow.set_fault_plan(FaultPlan::seeded(1).abort_after_checkpoint(1));
-        let mut driver = SweepDriver::new(set.clone(), workers, lms_shard_builder(lms_config()));
-        driver.enable_cache();
-        let err = flow.run_swept(&mut driver).expect_err("interrupt fires");
-        assert!(matches!(err, FlowError::Interrupted { checkpoint: 1 }));
+    for cached in [true, false] {
+        // Cold swept reference with checkpointing.
+        let cold = {
+            let master = master_of(&set);
+            let mut flow = RefinementFlow::new(master.clone(), RefinePolicy::default());
+            flow.checkpoint_to(tmp(&format!("swept_cold_{cached}")));
+            let outcome = flow
+                .run_swept(&mut sweep(cached))
+                .expect("cold sweep converges");
+            trace(&master, &flow, &outcome)
+        };
+
+        // Interrupted after checkpoint 1 (MSB convergence), resumed with
+        // a fresh master and a fresh (cold) sweep driver.
+        let path = tmp(&format!("swept_resume_{cached}"));
+        {
+            let master = master_of(&set);
+            let mut flow = RefinementFlow::new(master, RefinePolicy::default());
+            flow.checkpoint_to(path.to_path_buf());
+            flow.set_fault_plan(FaultPlan::seeded(1).abort_after_checkpoint(1));
+            let err = flow
+                .run_swept(&mut sweep(cached))
+                .expect_err("interrupt fires");
+            assert!(matches!(err, FlowError::Interrupted { checkpoint: 1 }));
+        }
+        let checkpoint = Checkpoint::read(&path).expect("checkpoint on disk");
+        let resumed = {
+            let master = master_of(&set);
+            let mut flow =
+                RefinementFlow::resume_from(master.clone(), RefinePolicy::default(), &path)
+                    .expect("swept checkpoint resumes");
+            let outcome = flow
+                .run_swept(&mut sweep(cached))
+                .expect("resumed sweep converges");
+            trace(&master, &flow, &outcome)
+        };
+        assert_bit_identical(&cold, &resumed);
+        if cached {
+            // The sweep cache is not serialized: the resumed sweep
+            // simulates LSB iteration 1, whose merge the cold run
+            // replayed from its cache, journal and all.
+            assert!(checkpoint.cache.warm);
+            assert_eq!(checkpoint.cache.data, None);
+            assert_eq!(resumed.reused, 0);
+        } else {
+            assert_resumed_reusing(&checkpoint, &resumed);
+        }
     }
-    let resumed = {
-        let master = master_of(&set);
-        let mut flow = RefinementFlow::resume_from(master.clone(), RefinePolicy::default(), &path)
-            .expect("swept checkpoint resumes");
-        let mut driver = SweepDriver::new(set.clone(), workers, lms_shard_builder(lms_config()));
-        driver.enable_cache();
-        let outcome = flow
-            .run_swept(&mut driver)
-            .expect("resumed sweep converges");
-        trace(&master, &flow, &outcome)
-    };
-    assert_bit_identical(&cold, &resumed);
 }
 
 #[test]

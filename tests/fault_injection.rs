@@ -301,3 +301,63 @@ fn zero_wall_budget_still_runs_one_simulation_then_goes_partial() {
         .iter()
         .any(|e| matches!(e, Event::BudgetExhausted { .. })));
 }
+
+#[test]
+fn wall_budget_charges_the_first_iteration() {
+    // The wall clock starts at the first phase entry, so the record
+    // iteration is charged: a first iteration that outlasts the budget
+    // ends the flow right after it.
+    let set = lms_paper_scenario(SAMPLES);
+    let shard = lms_shard_builder(lms_config())(&set.as_slice()[0]);
+    let mut stimulus = shard.stimulus;
+    let mut flow = RefinementFlow::new(shard.design, RefinePolicy::default());
+    flow.set_budget(RunBudget::wall(Duration::from_millis(200)));
+    let mut first = true;
+
+    let outcome = flow
+        .run(move |d, i| {
+            if std::mem::take(&mut first) {
+                std::thread::sleep(Duration::from_millis(400));
+            }
+            stimulus(d, i)
+        })
+        .expect("wall exhaustion is not an error");
+
+    assert_eq!(outcome.msb_iterations, 1, "stopped after MSB iteration 1");
+    assert_eq!(outcome.lsb_iterations, 0);
+    match &outcome.status {
+        FlowStatus::Partial { reason } => {
+            assert!(reason.contains("wall-clock budget"), "reason: {reason}")
+        }
+        FlowStatus::Complete => panic!("the first iteration was not charged"),
+    }
+}
+
+#[test]
+fn a_reused_simulation_counts_toward_the_simulation_budget() {
+    // LMS: MSB 1, MSB 2, then LSB 1 reuses MSB 2's simulation. The reuse
+    // counts one, so a budget of three stops before verification, at the
+    // same point as when LSB 1 was simulated.
+    let set = lms_paper_scenario(SAMPLES);
+    let shard = lms_shard_builder(lms_config())(&set.as_slice()[0]);
+    let mut stimulus = shard.stimulus;
+    let mut flow = RefinementFlow::new(shard.design, RefinePolicy::default());
+    flow.set_budget(RunBudget::simulations(3));
+
+    let outcome = flow
+        .run(move |d, i| stimulus(d, i))
+        .expect("budget exhaustion is not an error");
+
+    assert_eq!(flow.recorder().counter("flow.reused_simulations"), 1);
+    assert_eq!((outcome.msb_iterations, outcome.lsb_iterations), (2, 1));
+    match &outcome.status {
+        FlowStatus::Partial { reason } => {
+            assert_eq!(reason, "simulation budget of 3 spent (3 run)")
+        }
+        FlowStatus::Complete => panic!("verification ran past the budget"),
+    }
+    assert!(flow
+        .journal()
+        .iter()
+        .any(|e| matches!(e, Event::BudgetExhausted { simulations: 3, .. })));
+}
